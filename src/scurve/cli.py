@@ -271,7 +271,7 @@ def cmd_sparsity(args) -> int:
     f = _load_sphere_input(args.input, args)
     params = _make_params(args, f.grid.band_limit, f.spin)
     t = build_tiling(params)
-    coeffs = analyze_real(f, t) if f.real else analyze(f, t)
+    coeffs = analyze(f, t)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     csv_rows = []
     scale_notes = []
@@ -370,6 +370,21 @@ def _add_tiling_flags(p, spin_default=0) -> None:
     )
 
 
+def _add_input_flags(p) -> None:
+    """The sphere-or-PGM input, with the tiling and PGM preprocessing flags."""
+    p.add_argument("input", help="SCRV1 sphere container or binary PGM image")
+    p.add_argument(
+        "--L", type=_positive_int, default=None, help="band limit (required for PGM input)"
+    )
+    _add_tiling_flags(p, spin_default=None)
+    p.add_argument(
+        "--clip", type=float, default=None, help="clip PGM intensities above this percentile"
+    )
+    p.add_argument(
+        "--rescale", action="store_true", help="rescale PGM intensities to [0, 1] after clipping"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scurve",
@@ -384,17 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tiling)
 
     p = sub.add_parser("analyze", help="decompose a sphere file into coefficients")
-    p.add_argument("input", help="SCRV1 sphere container or binary PGM image")
-    p.add_argument(
-        "--L", type=_positive_int, default=None, help="band limit (required for PGM input)"
-    )
-    _add_tiling_flags(p, spin_default=None)
-    p.add_argument(
-        "--clip", type=float, default=None, help="clip PGM intensities above this percentile"
-    )
-    p.add_argument(
-        "--rescale", action="store_true", help="rescale PGM intensities to [0, 1] after clipping"
-    )
+    _add_input_flags(p)
     p.add_argument("--out", required=True, help="output coefficient container")
     p.set_defaults(func=cmd_analyze)
 
@@ -430,18 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sparsity", help="coefficient-magnitude histograms and Gini indices")
-    p.add_argument("input", help="SCRV1 sphere container or binary PGM image")
-    p.add_argument(
-        "--L", type=_positive_int, default=None, help="band limit (required for PGM input)"
-    )
-    _add_tiling_flags(p, spin_default=None)
+    _add_input_flags(p)
     p.add_argument("--bins", type=int, default=64, help="histogram bins on [0, 1]")
-    p.add_argument(
-        "--clip", type=float, default=None, help="clip PGM intensities above this percentile"
-    )
-    p.add_argument(
-        "--rescale", action="store_true", help="rescale PGM intensities to [0, 1] after clipping"
-    )
     p.add_argument("--out", help="path prefix for OUT.csv and OUT.json")
     p.set_defaults(func=cmd_sparsity)
 

@@ -29,13 +29,14 @@ __all__ = [
 
 
 def fft_workers() -> int:
-    """Worker count for the big FFT calls; SCURVE_THREADS caps it, default 1."""
+    """Worker count for the big FFT calls; SCURVE_THREADS caps it, default 1.
+
+    A set value must be a positive integer; anything else raises ValueError.
+    """
     raw = os.environ.get("SCURVE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"SCURVE_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def extend_poles(samples: np.ndarray, parity, axis: int = 0) -> np.ndarray:

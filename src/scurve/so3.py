@@ -192,11 +192,17 @@ def _fft_gamma_inplace(arr: np.ndarray, inverse: bool, scale: float, block: int 
         arr[:, lo : lo + block, :] = seg
 
 
-def _analysis_spectrum(values: np.ndarray, M: int, N: int) -> np.ndarray:
-    """FFT over alpha then gamma, normalised to Fourier coefficients."""
+def _analysis_spectrum(values: np.ndarray, M: int, N: int, real: bool = False) -> np.ndarray:
+    """FFT over alpha and gamma, normalised to Fourier coefficients.
+
+    A real signal keeps only the gamma frequencies n >= 0 (rfft first).
+    """
+    if real:
+        values = sfft.rfft(values, axis=0, workers=fft_workers()) / (2 * N - 1)
     W1 = sfft.fft(np.asarray(values, dtype=complex), axis=2, workers=fft_workers())
     W1 /= 2 * M - 1
-    _fft_gamma_inplace(W1, inverse=False, scale=1.0 / (2 * N - 1))
+    if not real:
+        _fft_gamma_inplace(W1, inverse=False, scale=1.0 / (2 * N - 1))
     return W1
 
 
@@ -211,53 +217,62 @@ def _beta_to_bins(S: np.ndarray, L: int, parity, axis: int) -> np.ndarray:
     return (4.0 * math.pi**2) * weighted_convolve(X, axis=axis)
 
 
+def _wigner_column(Y: np.ndarray, tab, n: int, ell: int, cr: int, cc: int) -> np.ndarray:
+    """Column n of degree ell's coefficient plane, read off the centred bins Y."""
+    delta = tab.plane(ell)
+    sub = Y[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1]
+    row = np.einsum("pm,p,pm->m", delta, delta[:, n + ell], sub)
+    return row * ipow_vec(np.arange(-ell, ell + 1) - n)
+
+
+def _column_bins(row: np.ndarray, tab, n: int, ell: int) -> np.ndarray:
+    """Centred (beta bin, alpha bin) block sourced by column n of degree ell."""
+    delta = tab.plane(ell)
+    fac = (2 * ell + 1) / (8.0 * math.pi**2)
+    row = row * ipow_vec(n - np.arange(-ell, ell + 1))
+    return (fac * delta) * delta[:, n + ell, None] * row[None, :]
+
+
+def _gamma_frequencies(L: int, real: bool) -> list:
+    """Gamma frequencies a transform visits: all, or n >= 0 for real signals."""
+    return list(range(0 if real else -(L - 1), L))
+
+
 def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
     """Forward Wigner transform onto the n = +-ell columns; O(L^3 log L).
 
     Exact when the signal is a synthesis of such columns, which is the
-    only way curvelet analysis produces rotation-group signals.
+    only way curvelet analysis produces rotation-group signals.  A
+    real-flagged signal runs on half the gamma spectrum.
     """
     grid = f.grid
     L = grid.L
     if not (grid.M == L and grid.N == L):
         raise ValueError("sparse path requires N = M = L")
     K = 2 * L - 1
-    W1 = _analysis_spectrum(f.values, grid.M, grid.N)
+    W1 = _analysis_spectrum(f.values, grid.M, grid.N, real=f.real)
     out = CurveletWignerCoeffs.zeros(L)
     tab = halfpi_table(L)
     c = L - 1
     m = np.arange(-(L - 1), L)
-    ns = list(range(-(L - 1), L))
+    ns = _gamma_frequencies(L, f.real)
     for lo in range(0, len(ns), _CHUNK):
         chunk = ns[lo : lo + _CHUNK]
         S = np.fft.fftshift(W1[[n % K for n in chunk]], axes=2)
         par = alt_sign(np.asarray(chunk)[:, None] + m[None, :])
         Y = _beta_to_bins(S, L, par, axis=1)
         for i, n in enumerate(chunk):
-            ell = abs(n)
-            delta = tab.plane(ell)
-            u = delta[:, n + ell]
-            sub = Y[i, c - ell : c + ell + 1, c - ell : c + ell + 1]
-            row = np.einsum("pm,p,pm->m", delta, u, sub)
-            row *= ipow_vec(np.arange(-ell, ell + 1) - n)
+            row = _wigner_column(Y[i], tab, n, abs(n), c, c)
             out.set_row(n, row)
+            if f.real and n > 0:
+                # Reality ties the two columns: the n = -ell row is the
+                # conjugate reversal of the n = +ell one up to parity.
+                out.set_row(-n, alt_sign(np.arange(2 * n + 1)) * np.conj(row[::-1]))
     return out
 
 
-def _sparse_bin_plane(w, n, tab, phase, K):
-    """Centered (beta bin, alpha bin) plane sourced by gamma frequency n."""
-    ell = abs(n)
-    c = (K + 1) // 2 - 1
-    delta = tab.plane(ell)
-    u = delta[:, n + ell]
-    fac = (2 * ell + 1) / (8.0 * math.pi**2)
-    row = w.row(n) * ipow_vec(n - np.arange(-ell, ell + 1))
-    block = (fac * delta) * u[:, None] * row[None, :]
-    return block * phase[c - ell : c + ell + 1, None]
-
-
-def so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
-    """Synthesis of sparse column coefficients onto the grid; O(L^3 log L)."""
+def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) -> SO3Signal:
+    """Sparse synthesis; real=True sums only n >= 0 and ends in an irfft."""
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
     L = w.band_limit
@@ -267,22 +282,30 @@ def so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
     tab = halfpi_table(L)
     phase = beta_bin_phase(L, +1)
     c = L - 1
-    out = np.empty((K, L, K), dtype=complex)
-    ns = list(range(-(L - 1), L))
+    ns = _gamma_frequencies(L, real)
+    out = np.empty((len(ns), L, K), dtype=complex)
+    # K^2 for the two in-plane axes; the real path takes another K to undo
+    # irfft's 1/K.
+    scale = float(K * K) * (K if real else 1)
     for lo in range(0, len(ns), _CHUNK):
         chunk = ns[lo : lo + _CHUNK]
         X = np.zeros((len(chunk), K, K), dtype=complex)
         for i, n in enumerate(chunk):
-            ell = abs(n)
-            X[i, c - ell : c + ell + 1, c - ell : c + ell + 1] = _sparse_bin_plane(
-                w, n, tab, phase, K
-            )
+            band = slice(c - abs(n), c + abs(n) + 1)
+            X[i, band, band] = _column_bins(w.row(n), tab, n, abs(n)) * phase[band, None]
         B = sfft.ifft2(np.fft.ifftshift(X, axes=(1, 2)), axes=(1, 2), workers=fft_workers())
-        B *= float(K * K)
+        B *= scale
         for i, n in enumerate(chunk):
             out[n % K] = B[i, :L, :]
+    if real:
+        return SO3Signal(grid, sfft.irfft(out, n=K, axis=0, workers=fft_workers()), real=True)
     _fft_gamma_inplace(out, inverse=True, scale=float(K))
     return SO3Signal(grid, out)
+
+
+def so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
+    """Synthesis of sparse column coefficients onto the grid; O(L^3 log L)."""
+    return _so3_inverse_curvelet(w, grid, real=False)
 
 
 def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCoeffs:
@@ -302,12 +325,7 @@ def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCo
         S = np.fft.fftshift(W1[n % Kg], axes=1)
         Y = _beta_to_bins(S, grid.L, alt_sign(m + n), axis=0)
         for ell in range(abs(n), L):
-            delta = tab.plane(ell)
-            u = delta[:, n + ell]
-            sub = Y[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1]
-            row = np.einsum("pm,p,pm->m", delta, u, sub)
-            row *= ipow_vec(np.arange(-ell, ell + 1) - n)
-            out.planes[ell][:, n + ell] = row
+            out.planes[ell][:, n + ell] = _wigner_column(Y, tab, n, ell, cr, cc)
     return out
 
 
@@ -329,14 +347,8 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
     for n in range(-(L - 1), L):
         X = np.zeros((Kb, Ka), dtype=complex)
         for ell in range(abs(n), L):
-            delta = tab.plane(ell)
-            u = delta[:, n + ell]
-            fac = (2 * ell + 1) / (8.0 * math.pi**2)
-            row = w.planes[ell][:, n + ell] * ipow_vec(
-                n - np.arange(-ell, ell + 1)
-            )
-            X[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1] += (
-                (fac * delta) * u[:, None] * row[None, :]
+            X[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1] += _column_bins(
+                w.planes[ell][:, n + ell], tab, n, ell
             )
         X *= phase[:, None]
         B = sfft.ifft2(np.fft.ifftshift(X, axes=(0, 1)), workers=fft_workers())
@@ -347,40 +359,10 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
 
 
 def so3_forward_curvelet_real(f: SO3Signal) -> CurveletWignerCoeffs:
-    """Sparse forward transform of a real signal via half the gamma spectrum."""
+    """Sparse forward transform that insists on a real-flagged signal."""
     if not f.real:
         raise ValueError("real path requires a real-flagged signal")
-    grid = f.grid
-    L = grid.L
-    if not (grid.M == L and grid.N == L):
-        raise ValueError("sparse path requires N = M = L")
-    K = 2 * L - 1
-    W1 = sfft.rfft(f.values, axis=0, workers=fft_workers()) / K
-    W1 = sfft.fft(W1, axis=2, workers=fft_workers())
-    W1 /= K
-    out = CurveletWignerCoeffs.zeros(L)
-    tab = halfpi_table(L)
-    c = L - 1
-    m = np.arange(-(L - 1), L)
-    ns = list(range(L))
-    for lo in range(0, len(ns), _CHUNK):
-        chunk = ns[lo : lo + _CHUNK]
-        S = np.fft.fftshift(W1[chunk], axes=2)
-        par = alt_sign(np.asarray(chunk)[:, None] + m[None, :])
-        Y = _beta_to_bins(S, L, par, axis=1)
-        for i, n in enumerate(chunk):
-            ell = n
-            delta = tab.plane(ell)
-            u = delta[:, 2 * ell]
-            sub = Y[i, c - ell : c + ell + 1, c - ell : c + ell + 1]
-            row = np.einsum("pm,p,pm->m", delta, u, sub)
-            row *= ipow_vec(np.arange(-ell, ell + 1) - n)
-            out.set_row(n, row)
-            if n > 0:
-                # Reality ties the two columns: the n = -ell row is the
-                # conjugate reversal of the n = +ell one up to parity.
-                out.set_row(-n, alt_sign(np.arange(2 * ell + 1)) * np.conj(row[::-1]))
-    return out
+    return so3_forward_curvelet(f)
 
 
 def so3_inverse_curvelet_real(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
@@ -389,29 +371,4 @@ def so3_inverse_curvelet_real(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Sign
     Assumes the coefficients carry the conjugate symmetry of a real
     signal; the negative gamma frequencies are then implied.
     """
-    if not isinstance(w, CurveletWignerCoeffs):
-        raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
-    L = w.band_limit
-    if not (grid.L == L and grid.M == L and grid.N == L):
-        raise ValueError("sparse path requires a grid with N = M = L matching the coefficients")
-    K = 2 * L - 1
-    tab = halfpi_table(L)
-    phase = beta_bin_phase(L, +1)
-    c = L - 1
-    half = np.empty((L, L, K), dtype=complex)
-    ns = list(range(L))
-    for lo in range(0, len(ns), _CHUNK):
-        chunk = ns[lo : lo + _CHUNK]
-        X = np.zeros((len(chunk), K, K), dtype=complex)
-        for i, n in enumerate(chunk):
-            ell = abs(n)
-            X[i, c - ell : c + ell + 1, c - ell : c + ell + 1] = _sparse_bin_plane(
-                w, n, tab, phase, K
-            )
-        B = sfft.ifft2(np.fft.ifftshift(X, axes=(1, 2)), axes=(1, 2), workers=fft_workers())
-        # K^2 for the two in-plane axes, another K to undo irfft's 1/K.
-        B *= float(K * K) * K
-        for i, n in enumerate(chunk):
-            half[n] = B[i, :L, :]
-    vals = sfft.irfft(half, n=K, axis=0, workers=fft_workers())
-    return SO3Signal(grid, vals, real=True)
+    return _so3_inverse_curvelet(w, grid, real=True)

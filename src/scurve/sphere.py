@@ -139,12 +139,27 @@ def random_coeffs(
     if real:
         if spin != 0:
             raise ValueError("real coefficient sets must have spin 0")
-        for ell in range(L):
-            row = vals[ell * ell : ell * ell + 2 * ell + 1]
-            row[ell] = row[ell].real
-            m = np.arange(1, ell + 1)
-            row[ell - m] = alt_sign(m) * np.conj(row[ell + m])
+        _impose_real_symmetry(vals, L)
     return HarmonicCoeffs(L, spin, vals, real=real)
+
+
+def _lm_pairs(L: int):
+    """Degree and order arrays of the flat lm_index layout below L."""
+    ell = np.repeat(np.arange(L), 2 * np.arange(L) + 1)
+    return ell, np.arange(L * L) - ell * ell - ell
+
+
+def _impose_real_symmetry(vals: np.ndarray, L: int) -> None:
+    """Rebuild m < 0 from m >= 0 as f_{l,-m} = (-1)^m conj(f_{lm}), in place.
+
+    The m = 0 entries lose their imaginary part, so the symmetry holds
+    exactly even where half-spectrum arithmetic left dust behind.
+    """
+    _, m = _lm_pairs(L)
+    zero = m == 0
+    vals[zero] = vals[zero].real
+    neg = np.flatnonzero(m < 0)
+    vals[neg] = alt_sign(m[neg]) * np.conj(vals[neg - 2 * m[neg]])
 
 
 def _degree_amplitude(ell: int, spin: int) -> float:
@@ -153,108 +168,87 @@ def _degree_amplitude(ell: int, spin: int) -> float:
 
 
 def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
-    """Forward spin transform; exact for band-limited input."""
+    """Forward spin transform; exact for band-limited input.
+
+    A real-flagged signal takes the half spectrum: an rfft along phi, the
+    m >= 0 orders, and conjugate symmetry for the rest.
+    """
     L = f.grid.band_limit
     s = f.spin
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
-    if f.real:
-        return sht_forward_real(f)
+    real = f.real
     K = 2 * L - 1
-    G = sfft.fft(np.asarray(f.values, dtype=complex), axis=1, workers=fft_workers()) / K
-    G = np.fft.fftshift(G, axes=1)
-    m = np.arange(-(L - 1), L)
+    c = L - 1
+    m0 = 0 if real else c
+    if real:
+        G = sfft.rfft(f.values, axis=1, workers=fft_workers()) / K
+    else:
+        G = sfft.fft(np.asarray(f.values, dtype=complex), axis=1, workers=fft_workers()) / K
+        G = np.fft.fftshift(G, axes=1)
+    m = np.arange(G.shape[1]) - m0
     Ge = extend_poles(G, alt_sign(m + s), axis=0)
     X = np.fft.fftshift(sfft.fft(Ge, axis=0, workers=fft_workers()) / K, axes=0)
     X *= beta_bin_phase(L, -1)[:, None]
     Gw = (2.0 * math.pi) * weighted_convolve(X, axis=0)
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)
-    c = L - 1
     for ell in range(abs(s), L):
+        lo = 0 if real else -ell
         delta = tab.plane(ell)
         u = delta[:, ell - s]
-        sub = Gw[c - ell : c + ell + 1, c - ell : c + ell + 1]
-        row = np.einsum("pm,p,pm->m", delta, u, sub)
-        mm = np.arange(-ell, ell + 1)
-        row *= _degree_amplitude(ell, s) * ipow_vec(mm + s)
-        out[ell * ell : ell * ell + 2 * ell + 1] = row
-    return HarmonicCoeffs(L, s, out)
+        sub = Gw[c - ell : c + ell + 1, m0 + lo : m0 + ell + 1]
+        row = np.einsum("pm,p,pm->m", delta[:, ell + lo :], u, sub)
+        row *= _degree_amplitude(ell, s) * ipow_vec(np.arange(lo, ell + 1) + s)
+        out[lm_index(ell, lo) : lm_index(ell, ell) + 1] = row
+    if real:
+        _impose_real_symmetry(out, L)
+    return HarmonicCoeffs(L, s, out, real=real)
 
 
 def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
-    """Evaluate coefficients on the grid of the matching band limit."""
+    """Evaluate coefficients on the grid of the matching band limit.
+
+    Real-flagged coefficients are read on m >= 0 only and evaluate through
+    an irfft along phi to a real-flagged signal.
+    """
     L = flm.band_limit
     s = flm.spin
-    if flm.real:
-        return sht_inverse_real(flm)
+    real = flm.real
     K = 2 * L - 1
-    tab = halfpi_table(L)
-    B = np.zeros((K, K), dtype=complex)
     c = L - 1
+    m0 = 0 if real else c
+    tab = halfpi_table(L)
+    B = np.zeros((K, L if real else K), dtype=complex)
     for ell in range(abs(s), L):
+        lo = 0 if real else -ell
         delta = tab.plane(ell)
         u = delta[:, ell - s]
-        row = _degree_amplitude(ell, s) * flm.degree_slice(ell)
-        B[c - ell : c + ell + 1, c - ell : c + ell + 1] += (
+        row = _degree_amplitude(ell, s) * flm.degree_slice(ell)[ell + lo :]
+        B[c - ell : c + ell + 1, m0 + lo : m0 + ell + 1] += (
             u[:, None] * row[None, :]
-        ) * delta
-    m = np.arange(-(L - 1), L)
+        ) * delta[:, ell + lo :]
+    m = np.arange(B.shape[1]) - m0
     B *= ipow_vec(-(m + s))[None, :]
     B *= beta_bin_phase(L, +1)[:, None]
-    F = sfft.ifft2(np.fft.ifftshift(B, axes=(0, 1)), workers=fft_workers())
-    F *= float(K * K)
-    return SphereSignal(SphereGrid(L), s, np.ascontiguousarray(F[:L]))
+    if real:
+        C = sfft.ifft(np.fft.ifftshift(B, axes=0), axis=0, workers=fft_workers())
+        F = sfft.irfft(C[:L] * float(K * K), n=K, axis=1, workers=fft_workers())
+    else:
+        F = sfft.ifft2(np.fft.ifftshift(B, axes=(0, 1)), workers=fft_workers())[:L]
+        F *= float(K * K)
+    return SphereSignal(SphereGrid(L), s, F, real=real)
 
 
 def sht_forward_real(f: SphereSignal) -> HarmonicCoeffs:
-    """Forward transform of a real spin-0 signal via half spectra."""
+    """Forward transform that insists on a real-flagged signal."""
     if not f.real:
         raise ValueError("sht_forward_real requires a real-flagged signal")
-    L = f.grid.band_limit
-    K = 2 * L - 1
-    G = sfft.rfft(f.values, axis=1, workers=fft_workers()) / K
-    m_half = np.arange(L)
-    Ge = extend_poles(G, alt_sign(m_half), axis=0)
-    X = np.fft.fftshift(sfft.fft(Ge, axis=0, workers=fft_workers()) / K, axes=0)
-    X *= beta_bin_phase(L, -1)[:, None]
-    Gw = (2.0 * math.pi) * weighted_convolve(X, axis=0)
-    tab = halfpi_table(L)
-    out = np.zeros(L * L, dtype=complex)
-    c = L - 1
-    for ell in range(L):
-        delta = tab.plane(ell)
-        u = delta[:, ell]
-        sub = Gw[c - ell : c + ell + 1, : ell + 1]
-        half = np.einsum("pm,p,pm->m", delta[:, ell:], u, sub)
-        mm = np.arange(ell + 1)
-        half *= _degree_amplitude(ell, 0) * ipow_vec(mm)
-        row = out[ell * ell : ell * ell + 2 * ell + 1]
-        row[ell:] = half
-        ms = np.arange(1, ell + 1)
-        row[ell - ms] = alt_sign(ms) * np.conj(half[1:])
-    return HarmonicCoeffs(L, 0, out, real=True)
+    return sht_forward(f)
 
 
 def sht_inverse_real(flm: HarmonicCoeffs) -> SphereSignal:
-    """Evaluate real-symmetric coefficients to real samples via half spectra."""
+    """Inverse transform that insists on real-flagged coefficients."""
     if not flm.real:
         raise ValueError("sht_inverse_real requires real-flagged coefficients")
-    L = flm.band_limit
-    K = 2 * L - 1
-    tab = halfpi_table(L)
-    B = np.zeros((K, L), dtype=complex)
-    c = L - 1
-    for ell in range(L):
-        delta = tab.plane(ell)
-        u = delta[:, ell]
-        half = _degree_amplitude(ell, 0) * flm.degree_slice(ell)[ell:]
-        B[c - ell : c + ell + 1, : ell + 1] += (u[:, None] * half[None, :]) * delta[
-            :, ell:
-        ]
-    B *= ipow_vec(-np.arange(L))[None, :]
-    B *= beta_bin_phase(L, +1)[:, None]
-    C = sfft.ifft(np.fft.ifftshift(B, axes=0), axis=0, workers=fft_workers())
-    C *= float(K)
-    vals = sfft.irfft(C[:L] * K, n=K, axis=1, workers=fft_workers())
-    return SphereSignal(SphereGrid(L), 0, vals, real=True)
+    return sht_inverse(flm)

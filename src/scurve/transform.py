@@ -27,6 +27,8 @@ from .sphere import (
     HarmonicCoeffs,
     SphereGrid,
     SphereSignal,
+    _impose_real_symmetry,
+    _lm_pairs,
     sht_forward,
     sht_forward_real,
     sht_inverse,
@@ -101,17 +103,20 @@ class CurveletCoeffs:
         return self.scales[j - self.params.j_min]
 
 
+def _sheet_index(Lj: int):
+    """Degree and sheet column of every flat lm entry with 1 <= ell < Lj."""
+    ell, m = _lm_pairs(Lj)
+    return ell[1:], m[1:] + Lj - 1
+
+
 def _scale_wigner(flm: HarmonicCoeffs, t: Tiling, j: int, Lj: int) -> CurveletWignerCoeffs:
     """Sparse Wigner coefficients of scale j from sphere coefficients."""
     pos, neg = curvelet_harmonics(t, j)
+    ell, col = _sheet_index(Lj)
+    row = (8.0 * math.pi**2 / (2 * ell + 1)) * flm.values[1 : Lj * Lj]
     w = CurveletWignerCoeffs.zeros(Lj)
-    c = Lj - 1
-    for ell in range(1, Lj):
-        if pos[ell] == 0.0 and neg[ell] == 0.0:
-            continue
-        row = (8.0 * math.pi**2 / (2 * ell + 1)) * flm.degree_slice(ell)
-        w.values[0, ell, c - ell : c + ell + 1] = row * pos[ell]
-        w.values[1, ell, c - ell : c + ell + 1] = row * neg[ell]
+    w.values[0, ell, col] = row * pos[ell]
+    w.values[1, ell, col] = row * neg[ell]
     return w
 
 
@@ -125,132 +130,98 @@ def _check_signal(f: SphereSignal, t: Tiling) -> None:
         raise ValueError(f"signal spin {f.spin} does not match tiling spin {p.spin}")
 
 
-def _scaling_coeffs(flm: HarmonicCoeffs, t: Tiling, Ls: int, real: bool) -> HarmonicCoeffs:
-    vals = np.zeros(Ls * Ls, dtype=complex)
-    for ell in range(Ls):
-        amp = t.scaling[ell]
-        if amp == 0.0:
-            continue
-        amp *= math.sqrt(4.0 * math.pi / (2 * ell + 1))
-        vals[ell * ell : ell * ell + 2 * ell + 1] = amp * flm.degree_slice(ell)
-    return HarmonicCoeffs(Ls, 0, vals, real=real)
+def _scaling_weights(t: Tiling, Ls: int) -> np.ndarray:
+    """Factors t.scaling[ell] sqrt(4 pi/(2 ell + 1)) over the flat lm layout."""
+    ells = np.arange(Ls)
+    amp = t.scaling[:Ls] * np.sqrt(4.0 * math.pi / (2 * ells + 1))
+    return np.repeat(amp, 2 * ells + 1)
+
+
+def _stages(real: bool):
+    """Sphere forward/inverse and rotation-group forward/inverse of one path.
+
+    The real path calls the strict *_real names, which perfbench/tracer.py
+    wraps under names of their own.
+    """
+    if real:
+        return (sht_forward_real, sht_inverse_real,
+                so3_forward_curvelet_real, so3_inverse_curvelet_real)
+    return sht_forward, sht_inverse, so3_forward_curvelet, so3_inverse_curvelet
 
 
 def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:
-    """Decompose a band-limited spin signal into directional scale signals."""
+    """Decompose a band-limited spin signal into directional scale signals.
+
+    A real-flagged signal yields real-flagged coefficients: its scale
+    signals are real on the rotation group, so both the sphere and Wigner
+    stages run on half the spectrum and cost roughly half as much.
+    """
     _check_signal(f, t)
     p = t.params
     L = p.band_limit
-    flm = sht_forward(f)
+    real = f.real
+    sht_fwd, sht_inv, _, so3_inv = _stages(real)
+    flm = sht_fwd(f)
     scales = []
     for j in range(p.j_min, p.j_max + 1):
         Lj = scale_band_limit(p, j) if multires else L
         w = _scale_wigner(flm, t, j, Lj)
-        scales.append(so3_inverse_curvelet(w, SO3Grid(Lj, Lj, Lj)))
+        scales.append(so3_inv(w, SO3Grid(Lj, Lj, Lj)))
     Ls = scaling_band_limit(p) if multires else L
-    scaling_sig = sht_inverse(_scaling_coeffs(flm, t, Ls, real=False))
-    return CurveletCoeffs(p, "unrotated", scaling_sig, scales, multires)
+    scaling_vals = _scaling_weights(t, Ls) * flm.values[: Ls * Ls]
+    scaling_sig = sht_inv(HarmonicCoeffs(Ls, 0, scaling_vals, real=real))
+    return CurveletCoeffs(p, "unrotated", scaling_sig, scales, multires, real=real)
 
 
 def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
-    """Reassemble the sphere signal from its scale signals; exact."""
+    """Reassemble the sphere signal from its scale signals; exact.
+
+    Real-flagged coefficients synthesise through the half-spectrum
+    transforms to a real-flagged signal.
+    """
     p = t.params
     if c.params != p:
         raise ValueError("coefficients were built for a different tiling")
     if c.frame != "unrotated":
         raise ValueError("synthesis needs unrotated coefficients; apply rotate_from_north first")
     L = p.band_limit
+    real = c.real
+    sht_fwd, sht_inv, so3_fwd, _ = _stages(real)
     acc = np.zeros(L * L, dtype=complex)
     for j in range(p.j_min, p.j_max + 1):
         sig = c.scale(j)
         expected = scale_band_limit(p, j) if c.multires else L
         if sig.grid.L != expected:
             raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {expected}")
-        w = so3_forward_curvelet(sig)
+        w = so3_fwd(sig)
         pos, neg = curvelet_harmonics(t, j)
-        cc = w.band_limit - 1
-        for ell in range(1, w.band_limit):
-            if pos[ell] == 0.0 and neg[ell] == 0.0:
-                continue
-            acc[ell * ell : ell * ell + 2 * ell + 1] += (
-                w.values[0, ell, cc - ell : cc + ell + 1] * pos[ell]
-                + w.values[1, ell, cc - ell : cc + ell + 1] * neg[ell]
-            )
-    slm = sht_forward(c.scaling)
-    for ell in range(slm.band_limit):
-        amp = t.scaling[ell]
-        if amp == 0.0:
-            continue
-        amp *= math.sqrt(4.0 * math.pi / (2 * ell + 1))
-        acc[ell * ell : ell * ell + 2 * ell + 1] += amp * slm.degree_slice(ell)
+        ell, col = _sheet_index(w.band_limit)
+        acc[1 : w.band_limit**2] += (
+            w.values[0, ell, col] * pos[ell] + w.values[1, ell, col] * neg[ell]
+        )
+    slm = sht_fwd(c.scaling)
+    Ls = slm.band_limit
+    acc[: Ls * Ls] += _scaling_weights(t, Ls) * slm.values
     acc[: p.spin * p.spin] = 0.0
-    return sht_inverse(HarmonicCoeffs(L, p.spin, acc))
+    if real:
+        # Half-spectrum dust can leave the symmetry broken at the last
+        # digit; re-impose it exactly before handing the coefficients on.
+        _impose_real_symmetry(acc, L)
+    return sht_inv(HarmonicCoeffs(L, p.spin, acc, real=real))
 
 
 def analyze_real(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:
-    """Analysis of a real signal through half-spectrum transforms.
-
-    The scale signals of a real input are themselves real on the rotation
-    group, so both the sphere and Wigner stages can run on half the
-    spectrum; costs drop roughly in half against analyze().
-    """
+    """analyze() that insists on a real-flagged signal."""
     if not f.real:
         raise ValueError("analyze_real requires a real-flagged signal")
-    _check_signal(f, t)
-    p = t.params
-    L = p.band_limit
-    flm = sht_forward_real(f)
-    scales = []
-    for j in range(p.j_min, p.j_max + 1):
-        Lj = scale_band_limit(p, j) if multires else L
-        w = _scale_wigner(flm, t, j, Lj)
-        scales.append(so3_inverse_curvelet_real(w, SO3Grid(Lj, Lj, Lj)))
-    Ls = scaling_band_limit(p) if multires else L
-    scaling_sig = sht_inverse_real(_scaling_coeffs(flm, t, Ls, real=True))
-    return CurveletCoeffs(p, "unrotated", scaling_sig, scales, multires, real=True)
+    return analyze(f, t, multires)
 
 
 def synthesize_real(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
-    """Synthesis matching analyze_real; returns a real-flagged signal."""
-    p = t.params
+    """synthesize() that insists on real-flagged coefficients."""
     if not c.real:
         raise ValueError("synthesize_real requires real-flagged coefficients")
-    if c.params != p:
-        raise ValueError("coefficients were built for a different tiling")
-    if c.frame != "unrotated":
-        raise ValueError("synthesis needs unrotated coefficients; apply rotate_from_north first")
-    L = p.band_limit
-    acc = np.zeros(L * L, dtype=complex)
-    for j in range(p.j_min, p.j_max + 1):
-        sig = c.scale(j)
-        expected = scale_band_limit(p, j) if c.multires else L
-        if sig.grid.L != expected:
-            raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {expected}")
-        w = so3_forward_curvelet_real(sig)
-        pos, neg = curvelet_harmonics(t, j)
-        cc = w.band_limit - 1
-        for ell in range(1, w.band_limit):
-            if pos[ell] == 0.0 and neg[ell] == 0.0:
-                continue
-            acc[ell * ell : ell * ell + 2 * ell + 1] += (
-                w.values[0, ell, cc - ell : cc + ell + 1] * pos[ell]
-                + w.values[1, ell, cc - ell : cc + ell + 1] * neg[ell]
-            )
-    slm = sht_forward_real(c.scaling)
-    for ell in range(slm.band_limit):
-        amp = t.scaling[ell]
-        if amp == 0.0:
-            continue
-        amp *= math.sqrt(4.0 * math.pi / (2 * ell + 1))
-        acc[ell * ell : ell * ell + 2 * ell + 1] += amp * slm.degree_slice(ell)
-    # Half-spectrum dust can leave the symmetry broken at the last digit;
-    # re-impose it exactly before handing the coefficients on.
-    for ell in range(L):
-        row = acc[ell * ell : ell * ell + 2 * ell + 1]
-        row[ell] = row[ell].real
-        m = np.arange(1, ell + 1)
-        row[ell - m] = np.where(m % 2 == 0, 1.0, -1.0) * np.conj(row[ell + m])
-    return sht_inverse_real(HarmonicCoeffs(L, 0, acc, real=True))
+    return synthesize(c, t)
 
 
 def rotate_to_north(w: CurveletWignerCoeffs, j: int, t: Tiling) -> WignerCoeffs:

@@ -1,0 +1,49 @@
+"""Checks that the benchmark tracer still finds every binding it wraps.
+
+perfbench/tracer.py patches scurve's layer entry points by module and
+name; a refactor that renames or drops one of them would otherwise only
+show up when the traced benchmark crashes.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+import scipy.fft
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracer):
+    for modname, attr, *_ in tracer.TARGETS:
+        module = importlib.import_module(modname)
+        assert callable(getattr(module, attr, None)), f"{modname}.{attr}"
+
+
+@pytest.mark.parametrize("modname", ["so3", "sphere", "fourier"])
+def test_fft_modules_bind_sfft(modname):
+    assert importlib.import_module(f"scurve.{modname}").sfft is scipy.fft
+
+
+def test_install_and_uninstall_restore_bindings(tracer):
+    bindings = [
+        (importlib.import_module(modname), attr) for modname, attr, *_ in tracer.TARGETS
+    ] + [(importlib.import_module(f"scurve.{m}"), "sfft") for m in tracer.FFT_MODULES]
+    before = [getattr(module, attr) for module, attr in bindings]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        during = [getattr(module, attr) for module, attr in bindings]
+    finally:
+        tr.uninstall()
+    assert all(d is not b for d, b in zip(during, before))
+    assert all(getattr(module, attr) is b for (module, attr), b in zip(bindings, before))

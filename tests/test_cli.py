@@ -151,6 +151,13 @@ class TestAnalyzeSynthesize:
         write_sphere_file(src, 8, 0, rng)
         assert run(["synthesize", str(src), "--out", str(tmp_path / "g.scrv")]) == 3
 
+    def test_bad_thread_count_is_data_error(self, tmp_path, rng, capsys, monkeypatch):
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 8, 0, rng)
+        monkeypatch.setenv("SCURVE_THREADS", "lots")
+        assert run(["analyze", str(src), "--out", str(tmp_path / "c.scrv")]) == 3
+        assert "SCURVE_THREADS" in capsys.readouterr().err
+
 
 class TestPgmIngestion:
     def write_gradient(self, path, lo=0, hi=255):

@@ -90,10 +90,14 @@ class TestFftWorkers:
         monkeypatch.setenv("SCURVE_THREADS", "8")
         assert fourier.fft_workers() == 8
 
-    def test_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("SCURVE_THREADS", "lots")
-        assert fourier.fft_workers() == 1
+    @pytest.mark.parametrize("raw", ["lots", "", "2.5"])
+    def test_garbage_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SCURVE_THREADS", raw)
+        with pytest.raises(ValueError, match=f"SCURVE_THREADS.*'{raw}'"):
+            fourier.fft_workers()
 
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.setenv("SCURVE_THREADS", "0")
-        assert fourier.fft_workers() == 1
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_non_positive_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("SCURVE_THREADS", raw)
+        with pytest.raises(ValueError, match=f"SCURVE_THREADS.*'{raw}'"):
+            fourier.fft_workers()

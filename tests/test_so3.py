@@ -217,6 +217,9 @@ class TestRealPath:
         a = scurve.so3_forward_curvelet_real(f)
         b = scurve.so3_forward_curvelet(fc)
         assert np.abs(a.values - b.values).max() <= 1e-12
+        # The plain forward follows the real flag to the same result.
+        d = scurve.so3_forward_curvelet(f)
+        assert np.abs(d.values - a.values).max() <= 1e-12
 
 
 class TestScaling:

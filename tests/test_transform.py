@@ -330,6 +330,16 @@ class TestRealPath:
         g = scurve.synthesize_real(cr, t)
         assert g.real
         assert np.abs(g.values - f.values).max() <= 1e-10
+        # The plain entry points follow the real flag to the same results.
+        cd = scurve.analyze(f, t)
+        assert cd.real and cd.scaling.real
+        assert np.abs(cd.scaling.values - cr.scaling.values).max() <= 1e-12
+        for sig_d, sig_r in zip(cd.scales, cr.scales):
+            assert sig_d.real
+            assert np.abs(sig_d.values - sig_r.values).max() <= 1e-12
+        gd = scurve.synthesize(cr, t)
+        assert gd.real
+        assert np.abs(gd.values - g.values).max() <= 1e-12
 
     @pytest.mark.parametrize("L", [8, 32])
     def test_round_trip(self, L, rng):
