@@ -130,20 +130,26 @@ def read_container(path):
         try:
             name = sec["name"]
             code = sec["dtype"]
-            shape = tuple(int(d) for d in sec["shape"])
-            offset = int(sec["offset"])
-            nbytes = int(sec["nbytes"])
-        except (TypeError, KeyError, ValueError) as exc:
+            shape = tuple(sec["shape"])
+            offset = sec["offset"]
+            nbytes = sec["nbytes"]
+        except (TypeError, KeyError) as exc:
             raise ContainerError(f"{path}: malformed section entry: {exc}") from None
+        if not (isinstance(name, str) and isinstance(code, str)):
+            raise ContainerError(f"{path}: section name and dtype must be strings")
+        if not all(type(v) is int and v >= 0 for v in (*shape, offset, nbytes)):
+            raise ContainerError(
+                f"{path}: section {name!r} shape, offset and nbytes must be non-negative integers"
+            )
         if name in out:
             raise ContainerError(f"{path}: duplicate section {name!r}")
         if code not in _DTYPES:
             raise ContainerError(f"{path}: unknown payload dtype {code!r}")
         dt = _DTYPES[code]
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)
         if nbytes != count * dt.itemsize:
             raise ContainerError(f"{path}: section {name!r} length does not match its shape")
-        if offset < 0 or offset + nbytes > len(payload):
+        if offset + nbytes > len(payload):
             raise ContainerError(f"{path}: section {name!r} exceeds the payload")
         out[name] = np.frombuffer(payload, dt, count, offset).reshape(shape).copy()
     return header, out

@@ -82,32 +82,19 @@ def _kernel_fft(L: int, pad: int) -> np.ndarray:
     return hit
 
 
-def weighted_convolve(spectrum: np.ndarray, axis: int = 0, method: str = "fft"):
+def weighted_convolve(spectrum: np.ndarray, axis: int = 0):
     """Apply the exact sin(beta) quadrature weights in the bin domain.
 
     spectrum holds centered bins m'' of length 2L-1 along axis; the result
     has the same shape with out[m'] = sum_m'' spectrum[m''] w(m'' - m').
-
-    method "fft" runs the convolution circularly at padded length
-    >= 4L-3, which is provably alias-free for the 2L-1 output bins kept.
-    method "direct" builds the dense weight matrix; quadratically slow,
-    kept as the cross-check.
+    The convolution runs circularly at padded length >= 4L-3, which is
+    provably alias-free for the 2L-1 output bins kept.
     """
     spectrum = np.asarray(spectrum)
     K = spectrum.shape[axis]
     L = (K + 1) // 2
     if K != 2 * L - 1:
         raise ValueError(f"expected odd bin count, got {K}")
-    if method == "direct":
-        offsets = np.arange(-(L - 1), L)
-        table = weight_kernel(2 * (L - 1))
-        # matrix[p, q] = w(q - p)
-        matrix = table[np.subtract.outer(-offsets, -offsets) + 2 * (L - 1)]
-        moved = np.moveaxis(spectrum, axis, 0)
-        out = np.tensordot(matrix, moved, axes=(1, 0))
-        return np.moveaxis(out, 0, axis)
-    if method != "fft":
-        raise ValueError(f"unknown method {method!r}")
     pad = sfft.next_fast_len(4 * L - 3)
     kernel = _kernel_fft(L, pad)
     shape = [1] * spectrum.ndim

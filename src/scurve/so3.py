@@ -182,60 +182,70 @@ class CurveletWignerCoeffs:
         return dense
 
 
-def _fft_gamma_inplace(arr: np.ndarray, inverse: bool, scale: float, block: int = 8):
+def _fft_gamma_inplace(arr: np.ndarray, inverse: bool, block: int = 8):
     """FFT along axis 0, run over beta blocks to bound the transient copies."""
     fn = sfft.ifft if inverse else sfft.fft
     for lo in range(0, arr.shape[1], block):
-        seg = fn(arr[:, lo : lo + block, :], axis=0, workers=fft_workers())
-        if scale != 1.0:
-            seg *= scale
-        arr[:, lo : lo + block, :] = seg
+        seg = np.s_[:, lo : lo + block, :]
+        arr[seg] = fn(arr[seg], axis=0, norm="forward", workers=fft_workers())
 
 
-def _analysis_spectrum(values: np.ndarray, M: int, N: int, real: bool = False) -> np.ndarray:
+def _analysis_spectrum(values: np.ndarray, real: bool = False) -> np.ndarray:
     """FFT over alpha and gamma, normalised to Fourier coefficients.
 
     A real signal keeps only the gamma frequencies n >= 0 (rfft first).
     """
     if real:
-        values = sfft.rfft(values, axis=0, workers=fft_workers()) / (2 * N - 1)
-    W1 = sfft.fft(np.asarray(values, dtype=complex), axis=2, workers=fft_workers())
-    W1 /= 2 * M - 1
+        values = sfft.rfft(values, axis=0, norm="forward", workers=fft_workers())
+    W1 = sfft.fft(values, axis=2, norm="forward", workers=fft_workers())
     if not real:
-        _fft_gamma_inplace(W1, inverse=False, scale=1.0 / (2 * N - 1))
+        _fft_gamma_inplace(W1, inverse=False)
     return W1
 
 
-def _beta_to_bins(S: np.ndarray, L: int, parity, axis: int) -> np.ndarray:
-    """Extend beta samples, FFT, recentre and undo the node offset."""
-    K = 2 * L - 1
-    E = extend_poles(S, parity, axis=axis)
-    X = np.fft.fftshift(sfft.fft(E, axis=axis, workers=fft_workers()) / K, axes=axis)
-    shape = [1] * X.ndim
-    shape[axis] = K
-    X *= beta_bin_phase(L, -1).reshape(shape)
-    return (4.0 * math.pi**2) * weighted_convolve(X, axis=axis)
+def _beta_to_bins(W: np.ndarray, ns) -> np.ndarray:
+    """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
+
+    W[i] is the alpha spectrum, in FFT order, of gamma frequency ns[i] at
+    the L beta nodes.  Each plane is extended through the poles with
+    parity (-1)^(m + n), transformed along beta, recentred, stripped of
+    the node offset and weighted by sin(beta).
+    """
+    L, Ka = W.shape[1:]
+    parity = alt_sign(np.asarray(ns)[:, None] + np.arange(Ka) - (Ka - 1) // 2)
+    E = extend_poles(np.fft.fftshift(W, axes=2), parity, axis=1)
+    X = np.fft.fftshift(sfft.fft(E, axis=1, norm="forward", workers=fft_workers()), axes=1)
+    X *= beta_bin_phase(L, -1)[:, None]
+    return (4.0 * math.pi**2) * weighted_convolve(X, axis=1)
 
 
-def _wigner_column(Y: np.ndarray, tab, n: int, ell: int, cr: int, cc: int) -> np.ndarray:
+def _bins_to_beta(X: np.ndarray, L: int) -> np.ndarray:
+    """Grid samples of centred (beta bin, alpha bin) planes.
+
+    X holds one plane or a stack of them in its last two axes, with the
+    node-offset phase already applied (_column_bins does so).  Both axes
+    are inverted and only the L beta nodes on (0, pi] are kept.
+    """
+    B = sfft.ifft2(np.fft.ifftshift(X, axes=(-2, -1)), norm="forward", workers=fft_workers())
+    return B[..., :L, :]
+
+
+def _wigner_column(Y: np.ndarray, tab, n: int, ell: int) -> np.ndarray:
     """Column n of degree ell's coefficient plane, read off the centred bins Y."""
     delta = tab.plane(ell)
+    cr, cc = Y.shape[0] // 2, Y.shape[1] // 2
     sub = Y[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1]
     row = np.einsum("pm,p,pm->m", delta, delta[:, n + ell], sub)
     return row * ipow_vec(np.arange(-ell, ell + 1) - n)
 
 
-def _column_bins(row: np.ndarray, tab, n: int, ell: int) -> np.ndarray:
-    """Centred (beta bin, alpha bin) block sourced by column n of degree ell."""
+def _column_bins(X: np.ndarray, row: np.ndarray, tab, n: int, ell: int) -> None:
+    """Add the bin block of column n of degree ell to X, node-offset phase included."""
     delta = tab.plane(ell)
-    fac = (2 * ell + 1) / (8.0 * math.pi**2)
-    row = row * ipow_vec(n - np.arange(-ell, ell + 1))
-    return (fac * delta) * delta[:, n + ell, None] * row[None, :]
-
-
-def _gamma_frequencies(L: int, real: bool) -> list:
-    """Gamma frequencies a transform visits: all, or n >= 0 for real signals."""
-    return list(range(0 if real else -(L - 1), L))
+    row = row * ((2 * ell + 1) / (8.0 * math.pi**2)) * ipow_vec(n - np.arange(-ell, ell + 1))
+    cr, cc = X.shape[0] // 2, X.shape[1] // 2
+    u = delta[:, n + ell] * beta_bin_phase(cr + 1, +1)[cr - ell : cr + ell + 1]
+    X[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1] += delta * u[:, None] * row
 
 
 def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
@@ -250,25 +260,40 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
     if not (grid.M == L and grid.N == L):
         raise ValueError("sparse path requires N = M = L")
     K = 2 * L - 1
-    W1 = _analysis_spectrum(f.values, grid.M, grid.N, real=f.real)
+    W1 = _analysis_spectrum(f.values, real=f.real)
     out = CurveletWignerCoeffs.zeros(L)
     tab = halfpi_table(L)
-    c = L - 1
-    m = np.arange(-(L - 1), L)
-    ns = _gamma_frequencies(L, f.real)
+    # A real signal only needs the gamma frequencies n >= 0.
+    ns = list(range(0 if f.real else 1 - L, L))
     for lo in range(0, len(ns), _CHUNK):
         chunk = ns[lo : lo + _CHUNK]
-        S = np.fft.fftshift(W1[[n % K for n in chunk]], axes=2)
-        par = alt_sign(np.asarray(chunk)[:, None] + m[None, :])
-        Y = _beta_to_bins(S, L, par, axis=1)
+        Y = _beta_to_bins(W1[[n % K for n in chunk]], chunk)
         for i, n in enumerate(chunk):
-            row = _wigner_column(Y[i], tab, n, abs(n), c, c)
-            out.set_row(n, row)
-            if f.real and n > 0:
-                # Reality ties the two columns: the n = -ell row is the
-                # conjugate reversal of the n = +ell one up to parity.
-                out.set_row(-n, alt_sign(np.arange(2 * n + 1)) * np.conj(row[::-1]))
+            out.set_row(n, _wigner_column(Y[i], tab, n, abs(n)))
+    if f.real:
+        _impose_real_pairing(out.values)
     return out
+
+
+def _impose_real_pairing(v: np.ndarray) -> None:
+    """Rebuild the n = -ell sheet of curvelet values from the n = +ell one.
+
+    Reality ties the two columns: the n = -ell row is the conjugate
+    reversal of the n = +ell one up to parity, and the degree-zero entry
+    is real.  Works in place.
+    """
+    L = v.shape[1]
+    v[0, 0] = v[0, 0].real
+    v[1, 1:] = alt_sign(np.arange(1, L)[:, None] + np.arange(1 - L, L)) * np.conj(v[0, 1:, ::-1])
+
+
+def _check_real(values: np.ndarray, impose) -> None:
+    """Raise ValueError unless the in-place symmetrizer impose moves values by round-off."""
+    sym = values.copy()
+    impose(sym)
+    sym -= values
+    if np.abs(sym).max() > 1e-12 * np.abs(values).max():
+        raise ValueError("coefficients lack the conjugate symmetry of a real signal")
 
 
 def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) -> SO3Signal:
@@ -278,28 +303,23 @@ def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) ->
     L = w.band_limit
     if not (grid.L == L and grid.M == L and grid.N == L):
         raise ValueError("sparse path requires a grid with N = M = L matching the coefficients")
+    if real:
+        _check_real(w.values, _impose_real_pairing)
     K = 2 * L - 1
     tab = halfpi_table(L)
-    phase = beta_bin_phase(L, +1)
-    c = L - 1
-    ns = _gamma_frequencies(L, real)
+    ns = list(range(0 if real else 1 - L, L))
     out = np.empty((len(ns), L, K), dtype=complex)
-    # K^2 for the two in-plane axes; the real path takes another K to undo
-    # irfft's 1/K.
-    scale = float(K * K) * (K if real else 1)
     for lo in range(0, len(ns), _CHUNK):
         chunk = ns[lo : lo + _CHUNK]
         X = np.zeros((len(chunk), K, K), dtype=complex)
         for i, n in enumerate(chunk):
-            band = slice(c - abs(n), c + abs(n) + 1)
-            X[i, band, band] = _column_bins(w.row(n), tab, n, abs(n)) * phase[band, None]
-        B = sfft.ifft2(np.fft.ifftshift(X, axes=(1, 2)), axes=(1, 2), workers=fft_workers())
-        B *= scale
-        for i, n in enumerate(chunk):
-            out[n % K] = B[i, :L, :]
+            _column_bins(X[i], w.row(n), tab, n, abs(n))
+        out[[n % K for n in chunk]] = _bins_to_beta(X, L)
     if real:
-        return SO3Signal(grid, sfft.irfft(out, n=K, axis=0, workers=fft_workers()), real=True)
-    _fft_gamma_inplace(out, inverse=True, scale=float(K))
+        return SO3Signal(
+            grid, sfft.irfft(out, n=K, axis=0, norm="forward", workers=fft_workers()), real=True
+        )
+    _fft_gamma_inplace(out, inverse=True)
     return SO3Signal(grid, out)
 
 
@@ -315,17 +335,13 @@ def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCo
     if L > min(grid.L, grid.M, grid.N):
         raise ValueError(f"band limit {L} exceeds grid {grid}")
     Kg = 2 * grid.N - 1
-    W1 = _analysis_spectrum(f.values, grid.M, grid.N)
+    W1 = _analysis_spectrum(f.values)
     tab = halfpi_table(L)
     out = WignerCoeffs.zeros(L)
-    cr = grid.L - 1
-    cc = grid.M - 1
-    m = np.arange(-(grid.M - 1), grid.M)
     for n in range(-(L - 1), L):
-        S = np.fft.fftshift(W1[n % Kg], axes=1)
-        Y = _beta_to_bins(S, grid.L, alt_sign(m + n), axis=0)
+        Y = _beta_to_bins(W1[n % Kg][None], [n])[0]
         for ell in range(abs(n), L):
-            out.planes[ell][:, n + ell] = _wigner_column(Y, tab, n, ell, cr, cc)
+            out.planes[ell][:, n + ell] = _wigner_column(Y, tab, n, ell)
     return out
 
 
@@ -336,25 +352,14 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
     L = w.band_limit
     if L > min(grid.L, grid.M, grid.N):
         raise ValueError(f"band limit {L} exceeds grid {grid}")
-    Kb = 2 * grid.L - 1
-    Ka = 2 * grid.M - 1
-    Kg = 2 * grid.N - 1
     tab = halfpi_table(L)
-    phase = beta_bin_phase(grid.L, +1)
-    cr = grid.L - 1
-    cc = grid.M - 1
-    out = np.zeros((Kg, grid.L, Ka), dtype=complex)
+    out = np.zeros(grid.shape, dtype=complex)
     for n in range(-(L - 1), L):
-        X = np.zeros((Kb, Ka), dtype=complex)
+        X = np.zeros((2 * grid.L - 1, 2 * grid.M - 1), dtype=complex)
         for ell in range(abs(n), L):
-            X[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1] += _column_bins(
-                w.planes[ell][:, n + ell], tab, n, ell
-            )
-        X *= phase[:, None]
-        B = sfft.ifft2(np.fft.ifftshift(X, axes=(0, 1)), workers=fft_workers())
-        B *= float(Kb * Ka)
-        out[n % Kg] = B[: grid.L]
-    _fft_gamma_inplace(out, inverse=True, scale=float(Kg))
+            _column_bins(X, w.planes[ell][:, n + ell], tab, n, ell)
+        out[n % (2 * grid.N - 1)] = _bins_to_beta(X, grid.L)
+    _fft_gamma_inplace(out, inverse=True)
     return SO3Signal(grid, out)
 
 
@@ -368,7 +373,7 @@ def so3_forward_curvelet_real(f: SO3Signal) -> CurveletWignerCoeffs:
 def so3_inverse_curvelet_real(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
     """Sparse synthesis straight to real samples via half the gamma spectrum.
 
-    Assumes the coefficients carry the conjugate symmetry of a real
-    signal; the negative gamma frequencies are then implied.
+    The coefficients must carry the conjugate symmetry of a real signal,
+    which implies the negative gamma frequencies; ValueError otherwise.
     """
     return _so3_inverse_curvelet(w, grid, real=True)

@@ -17,8 +17,12 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sfft
 
-from .fourier import beta_bin_phase, extend_poles, fft_workers, weighted_convolve
-from .wigner import alt_sign, halfpi_table, ipow_vec
+# weighted_convolve is not called here: the transforms reach it through
+# the shared bin kernel in so3.  It stays bound because perfbench/tracer.py
+# wraps scurve.sphere.weighted_convolve by name.
+from .fourier import fft_workers, weighted_convolve  # noqa: F401
+from .so3 import _beta_to_bins, _bins_to_beta, _check_real, _column_bins, _wigner_column
+from .wigner import alt_sign, halfpi_table
 
 __all__ = [
     "HarmonicCoeffs",
@@ -94,7 +98,8 @@ class HarmonicCoeffs:
     """Spin harmonic coefficients, flat over (ell, m) with lm_index layout.
 
     Degrees below |spin| carry no content and must be exactly zero.
-    real=True asserts the conjugate symmetry f_{l,-m} = (-1)^m conj(f_{lm}).
+    real=True asserts the conjugate symmetry f_{l,-m} = (-1)^m conj(f_{lm}),
+    which is checked to round-off.
     """
 
     band_limit: int
@@ -118,8 +123,10 @@ class HarmonicCoeffs:
         low = self.spin * self.spin
         if low and np.any(self.values[: low]):
             raise ValueError("degrees below |spin| must be exactly zero")
-        if self.real and self.spin != 0:
-            raise ValueError("real coefficient sets must have spin 0")
+        if self.real:
+            if self.spin != 0:
+                raise ValueError("real coefficient sets must have spin 0")
+            _check_real(self.values, _impose_real_symmetry)
 
     def at(self, ell: int, m: int) -> complex:
         if not (0 <= ell < self.band_limit and abs(m) <= ell):
@@ -139,7 +146,7 @@ def random_coeffs(
     if real:
         if spin != 0:
             raise ValueError("real coefficient sets must have spin 0")
-        _impose_real_symmetry(vals, L)
+        _impose_real_symmetry(vals)
     return HarmonicCoeffs(L, spin, vals, real=real)
 
 
@@ -149,95 +156,63 @@ def _lm_pairs(L: int):
     return ell, np.arange(L * L) - ell * ell - ell
 
 
-def _impose_real_symmetry(vals: np.ndarray, L: int) -> None:
+def _impose_real_symmetry(vals: np.ndarray) -> None:
     """Rebuild m < 0 from m >= 0 as f_{l,-m} = (-1)^m conj(f_{lm}), in place.
 
     The m = 0 entries lose their imaginary part, so the symmetry holds
-    exactly even where half-spectrum arithmetic left dust behind.
+    exactly even where arithmetic left dust behind.
     """
-    _, m = _lm_pairs(L)
+    _, m = _lm_pairs(math.isqrt(vals.size))
     zero = m == 0
     vals[zero] = vals[zero].real
     neg = np.flatnonzero(m < 0)
     vals[neg] = alt_sign(m[neg]) * np.conj(vals[neg - 2 * m[neg]])
 
 
-def _degree_amplitude(ell: int, spin: int) -> float:
+def _column_scale(ell: int, spin: int) -> float:
+    """Wigner column n = -spin of f(beta, alpha) exp(-i spin gamma) over f_lm.
+
+    The sphere transforms are that column of the rotation-group ones:
+    (8 pi^2/(2 ell + 1)) (-1)^spin sqrt((2 ell + 1)/(4 pi)).
+    """
     sign = -1.0 if spin % 2 else 1.0
-    return sign * math.sqrt((2 * ell + 1) / (4.0 * math.pi))
+    return sign * 8.0 * math.pi**2 / math.sqrt(4.0 * math.pi * (2 * ell + 1))
 
 
 def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     """Forward spin transform; exact for band-limited input.
 
-    A real-flagged signal takes the half spectrum: an rfft along phi, the
-    m >= 0 orders, and conjugate symmetry for the rest.
+    A real-flagged signal yields real-flagged coefficients, whose m < 0
+    half is rebuilt from m >= 0 so the symmetry holds exactly.
     """
     L = f.grid.band_limit
     s = f.spin
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
-    real = f.real
-    K = 2 * L - 1
-    c = L - 1
-    m0 = 0 if real else c
-    if real:
-        G = sfft.rfft(f.values, axis=1, workers=fft_workers()) / K
-    else:
-        G = sfft.fft(np.asarray(f.values, dtype=complex), axis=1, workers=fft_workers()) / K
-        G = np.fft.fftshift(G, axes=1)
-    m = np.arange(G.shape[1]) - m0
-    Ge = extend_poles(G, alt_sign(m + s), axis=0)
-    X = np.fft.fftshift(sfft.fft(Ge, axis=0, workers=fft_workers()) / K, axes=0)
-    X *= beta_bin_phase(L, -1)[:, None]
-    Gw = (2.0 * math.pi) * weighted_convolve(X, axis=0)
+    W = sfft.fft(f.values, axis=1, norm="forward", workers=fft_workers())
+    Y = _beta_to_bins(W[None], [-s])[0]
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)
     for ell in range(abs(s), L):
-        lo = 0 if real else -ell
-        delta = tab.plane(ell)
-        u = delta[:, ell - s]
-        sub = Gw[c - ell : c + ell + 1, m0 + lo : m0 + ell + 1]
-        row = np.einsum("pm,p,pm->m", delta[:, ell + lo :], u, sub)
-        row *= _degree_amplitude(ell, s) * ipow_vec(np.arange(lo, ell + 1) + s)
-        out[lm_index(ell, lo) : lm_index(ell, ell) + 1] = row
-    if real:
-        _impose_real_symmetry(out, L)
-    return HarmonicCoeffs(L, s, out, real=real)
+        out[ell * ell : (ell + 1) ** 2] = _wigner_column(Y, tab, -s, ell) / _column_scale(ell, s)
+    if f.real:
+        _impose_real_symmetry(out)
+    return HarmonicCoeffs(L, s, out, real=f.real)
 
 
 def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
     """Evaluate coefficients on the grid of the matching band limit.
 
-    Real-flagged coefficients are read on m >= 0 only and evaluate through
-    an irfft along phi to a real-flagged signal.
+    Real-flagged coefficients evaluate to a real-flagged signal.
     """
     L = flm.band_limit
     s = flm.spin
-    real = flm.real
-    K = 2 * L - 1
-    c = L - 1
-    m0 = 0 if real else c
     tab = halfpi_table(L)
-    B = np.zeros((K, L if real else K), dtype=complex)
+    X = np.zeros((2 * L - 1, 2 * L - 1), dtype=complex)
     for ell in range(abs(s), L):
-        lo = 0 if real else -ell
-        delta = tab.plane(ell)
-        u = delta[:, ell - s]
-        row = _degree_amplitude(ell, s) * flm.degree_slice(ell)[ell + lo :]
-        B[c - ell : c + ell + 1, m0 + lo : m0 + ell + 1] += (
-            u[:, None] * row[None, :]
-        ) * delta[:, ell + lo :]
-    m = np.arange(B.shape[1]) - m0
-    B *= ipow_vec(-(m + s))[None, :]
-    B *= beta_bin_phase(L, +1)[:, None]
-    if real:
-        C = sfft.ifft(np.fft.ifftshift(B, axes=0), axis=0, workers=fft_workers())
-        F = sfft.irfft(C[:L] * float(K * K), n=K, axis=1, workers=fft_workers())
-    else:
-        F = sfft.ifft2(np.fft.ifftshift(B, axes=(0, 1)), workers=fft_workers())[:L]
-        F *= float(K * K)
-    return SphereSignal(SphereGrid(L), s, F, real=real)
+        _column_bins(X, _column_scale(ell, s) * flm.degree_slice(ell), tab, -s, ell)
+    F = _bins_to_beta(X, L)
+    return SphereSignal(SphereGrid(L), s, F.real if flm.real else F, real=flm.real)
 
 
 def sht_forward_real(f: SphereSignal) -> HarmonicCoeffs:

@@ -153,8 +153,8 @@ def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs
     """Decompose a band-limited spin signal into directional scale signals.
 
     A real-flagged signal yields real-flagged coefficients: its scale
-    signals are real on the rotation group, so both the sphere and Wigner
-    stages run on half the spectrum and cost roughly half as much.
+    signals are real on the rotation group, so the Wigner stages run on
+    half the orientation spectrum and cost roughly half as much.
     """
     _check_signal(f, t)
     p = t.params
@@ -176,7 +176,7 @@ def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs
 def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
     """Reassemble the sphere signal from its scale signals; exact.
 
-    Real-flagged coefficients synthesise through the half-spectrum
+    Real-flagged coefficients synthesise through the half-spectrum Wigner
     transforms to a real-flagged signal.
     """
     p = t.params
@@ -206,7 +206,7 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
     if real:
         # Half-spectrum dust can leave the symmetry broken at the last
         # digit; re-impose it exactly before handing the coefficients on.
-        _impose_real_symmetry(acc, L)
+        _impose_real_symmetry(acc)
     return sht_inv(HarmonicCoeffs(L, p.spin, acc, real=real))
 
 

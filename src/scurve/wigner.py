@@ -264,13 +264,7 @@ def spin_sph_harm(ell: int, m: int, s: int, omega) -> complex:
 def quadrature_weight(mp: int) -> complex:
     """Integral of sin(beta) exp(i mp beta) over beta in [0, pi], exactly."""
     mp = int(mp)
-    if mp == 1:
-        return 0.5j * math.pi
-    if mp == -1:
-        return -0.5j * math.pi
-    if mp % 2 == 0:
-        return complex(2.0 / (1 - mp * mp))
-    return 0j
+    return complex(weight_kernel(abs(mp))[mp + abs(mp)])
 
 
 def weight_kernel(half_span: int) -> np.ndarray:

@@ -8,7 +8,7 @@ under test are avoided except where a docstring says otherwise.
 import numpy as np
 
 from scurve import HarmonicCoeffs, SphereGrid, SphereSignal, sht_forward, sht_inverse
-from scurve.wigner import EulerAngles, wigner_D, wigner_d_sum
+from scurve.wigner import EulerAngles, weight_kernel, wigner_D, wigner_d_sum
 
 
 def direct_sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
@@ -54,6 +54,19 @@ def sphere_inner_product(flm: HarmonicCoeffs, glm: HarmonicCoeffs) -> complex:
     g = sht_inverse(zero_pad(glm, L2))
     h = SphereSignal(SphereGrid(L2), 0, f.values * np.conj(g.values))
     return complex(sht_forward(h).at(0, 0)) * np.sqrt(4.0 * np.pi)
+
+
+def dense_weighted_convolve(spectrum: np.ndarray, axis: int = 0) -> np.ndarray:
+    """fourier.weighted_convolve through the dense weight matrix.
+
+    Builds matrix[p, q] = w(q - p) over the 2L-1 centred bins and applies
+    it along axis; quadratic in L, with no padding or FFT involved.
+    """
+    L = (spectrum.shape[axis] + 1) // 2
+    offsets = np.arange(-(L - 1), L)
+    matrix = weight_kernel(2 * (L - 1))[offsets[None, :] - offsets[:, None] + 2 * (L - 1)]
+    out = np.tensordot(matrix, np.moveaxis(spectrum, axis, 0), axes=(1, 0))
+    return np.moveaxis(out, 0, axis)
 
 
 def simpson_sin_exp(mp: int, panels: int = 100_000) -> complex:

@@ -47,3 +47,38 @@ def test_install_and_uninstall_restore_bindings(tracer):
         tr.uninstall()
     assert all(d is not b for d, b in zip(during, before))
     assert all(getattr(module, attr) is b for (module, attr), b in zip(bindings, before))
+
+
+@pytest.mark.parametrize("layer", ["sphere", "so3"])
+def test_round_trip_reaches_traced_bindings(tracer, layer):
+    """A round trip records convolution spans and FFT calls.
+
+    Moving a call behind a binding the tracer does not wrap would
+    silently zero the benchmark's per-layer metrics; this catches it.
+    """
+    import numpy as np
+    import scurve
+
+    L = 4
+    rng = np.random.default_rng(0)
+    if layer == "sphere":
+        flm = scurve.random_coeffs(L, 2, rng)
+
+        def run():
+            scurve.sht_forward(scurve.sht_inverse(flm))
+    else:
+        w = scurve.CurveletWignerCoeffs.random(L, rng)
+
+        def run():
+            scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))
+
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        run()
+    finally:
+        tr.uninstall()
+    calls = {module: c["calls"] for module, c in tr.fft.items()}
+    assert any(s["name"] == "fourier.weighted_convolve" for s in tr.spans)
+    assert calls["fourier"] > 0
+    assert calls["so3"] + calls["sphere"] > 0

@@ -170,6 +170,33 @@ class TestContainerHardening:
         with pytest.raises(container.ContainerError, match="does not match its shape"):
             container.read_sphere(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"shape": [-1, 2], "nbytes": -16},
+            {"shape": [-1, -1]},
+            {"shape": [-2, 3]},
+            {"shape": [4.0, 7]},
+            {"offset": 0.5},
+            {"offset": -1},
+            {"nbytes": 448.0},
+        ],
+    )
+    def test_non_count_section_fields(self, tmp_path, rng, fields):
+        path = tmp_path / "f.scrv"
+        self.write_valid(path, rng)
+        rewrite_header(path, lambda h: h["sections"][0].update(fields))
+        with pytest.raises(container.ContainerError, match="non-negative integers"):
+            container.read_sphere(path)
+
+    @pytest.mark.parametrize("field", ["name", "dtype"])
+    def test_non_string_name_or_dtype(self, tmp_path, rng, field):
+        path = tmp_path / "f.scrv"
+        self.write_valid(path, rng)
+        rewrite_header(path, lambda h: h["sections"][0].__setitem__(field, ["values"]))
+        with pytest.raises(container.ContainerError, match="must be strings"):
+            container.read_sphere(path)
+
     def test_duplicate_sections(self, tmp_path, rng):
         path = tmp_path / "f.scrv"
         self.write_valid(path, rng)

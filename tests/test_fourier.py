@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from scurve import fourier
@@ -57,15 +58,15 @@ class TestWeightedConvolve:
     def test_fft_matches_direct(self, rng):
         for L in (1, 2, 3, 8, 16):
             spec = rng.standard_normal(2 * L - 1) + 1j * rng.standard_normal(2 * L - 1)
-            fast = fourier.weighted_convolve(spec, method="fft")
-            slow = fourier.weighted_convolve(spec, method="direct")
+            fast = fourier.weighted_convolve(spec)
+            slow = oracles.dense_weighted_convolve(spec)
             assert np.abs(fast - slow).max() <= 1e-11
 
     def test_multidim_axis(self, rng):
         L = 9
         spec = rng.standard_normal((4, 2 * L - 1, 3)) + 0j
         fast = fourier.weighted_convolve(spec, axis=1)
-        slow = fourier.weighted_convolve(spec, axis=1, method="direct")
+        slow = oracles.dense_weighted_convolve(spec, axis=1)
         assert fast.shape == spec.shape
         assert np.abs(fast - slow).max() <= 1e-11
 
@@ -77,8 +78,6 @@ class TestWeightedConvolve:
     def test_validation(self):
         with pytest.raises(ValueError):
             fourier.weighted_convolve(np.zeros(4, dtype=complex))
-        with pytest.raises(ValueError):
-            fourier.weighted_convolve(np.zeros(5, dtype=complex), method="magic")
 
 
 class TestFftWorkers:

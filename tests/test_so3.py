@@ -221,6 +221,50 @@ class TestRealPath:
         d = scurve.so3_forward_curvelet(f)
         assert np.abs(d.values - a.values).max() <= 1e-12
 
+    def test_real_synthesis_requires_symmetry(self, rng):
+        w = scurve.CurveletWignerCoeffs.random(8, rng)
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8, 8, 8))
+        w = sparse_with_real_symmetry(8, rng)
+        w.values[0, 0, 7] += 1e-6j
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8, 8, 8))
+
+    def test_forward_output_carries_exact_symmetry(self, rng):
+        L = 12
+        w = sparse_with_real_symmetry(L, rng)
+        f = scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(L, L, L))
+        back = scurve.so3_forward_curvelet(f)
+        sym = back.values.copy()
+        so3._impose_real_pairing(sym)
+        np.testing.assert_array_equal(sym, back.values)
+
+
+class TestSphereColumn:
+    """The sphere transform is column n = -s of the rotation-group one."""
+
+    @pytest.mark.parametrize("s", [0, 2, -1])
+    def test_column_minus_spin(self, s, rng):
+        L = 8
+        flm = scurve.random_coeffs(L, s, rng)
+        f = scurve.sht_inverse(flm)
+        grid = scurve.SO3Grid(L, L, L)
+        # F(alpha, beta, gamma) = f(beta, alpha) exp(-i s gamma), cube (gamma, beta, alpha)
+        cube = np.exp(-1j * s * grid.gammas)[:, None, None] * f.values[None, :, :]
+        w = scurve.so3_forward_general(scurve.SO3Signal(grid, cube))
+        for ell in range(L):
+            plane = w.planes[ell]
+            if abs(s) <= ell:
+                scale = (
+                    8.0 * math.pi**2 / (2 * ell + 1)
+                    * (-1.0) ** s
+                    * math.sqrt((2 * ell + 1) / (4.0 * math.pi))
+                )
+                expected = scale * flm.degree_slice(ell)
+                assert np.abs(plane[:, ell - s] - expected).max() <= 1e-12
+                plane = np.delete(plane, ell - s, axis=1)
+            assert np.abs(plane).max(initial=0.0) <= 1e-12
+
 
 class TestScaling:
     def test_cost_grows_slower_than_l_to_3_5(self, rng):

@@ -174,3 +174,21 @@ class TestRealPath:
     def test_rejects_spin(self, rng):
         with pytest.raises(ValueError):
             scurve.random_coeffs(4, 1, rng, real=True)
+
+    def test_real_flag_requires_symmetry(self, rng):
+        vals = scurve.random_coeffs(8, 0, rng).values
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            scurve.HarmonicCoeffs(8, 0, vals, real=True)
+        sym = scurve.random_coeffs(8, 0, rng, real=True).values
+        sym[sphere.lm_index(3, -2)] += 1e-6
+        with pytest.raises(ValueError, match="conjugate symmetry"):
+            scurve.HarmonicCoeffs(8, 0, sym, real=True)
+
+    def test_forward_output_carries_exact_symmetry(self, rng):
+        L = 16
+        f = scurve.sht_inverse_real(scurve.random_coeffs(L, 0, rng, real=True))
+        flm = scurve.sht_forward(f)
+        assert flm.real
+        sym = flm.values.copy()
+        sphere._impose_real_symmetry(sym)
+        np.testing.assert_array_equal(sym, flm.values)
