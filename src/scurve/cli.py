@@ -260,8 +260,8 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             synthesize(analyze(f, t), t)
             times.append(time.perf_counter() - start)
-        rows.append([L, statistics.median(times)])
-    _emit_table(args.out, ("L", "seconds"), rows, "bench", args)
+        rows.append([L, statistics.median(times), min(times)])
+    _emit_table(args.out, ("L", "seconds", "min_seconds"), rows, "bench", args)
     return 0
 
 

@@ -190,7 +190,7 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
     W = sfft.fft(f.values, axis=1, norm="forward", workers=fft_workers())
-    Y = _beta_to_bins(W[None], [-s])[0]
+    Y = _beta_to_bins(W[None], [-s], L - 1)[0]
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)
     for ell in range(abs(s), L):
@@ -211,7 +211,7 @@ def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
     X = np.zeros((2 * L - 1, 2 * L - 1), dtype=complex)
     for ell in range(abs(s), L):
         _column_bins(X, _column_scale(ell, s) * flm.degree_slice(ell), tab, -s, ell)
-    F = _bins_to_beta(X, L)
+    F = _bins_to_beta(X, L, 2 * L - 1)
     return SphereSignal(SphereGrid(L), s, F.real if flm.real else F, real=flm.real)
 
 

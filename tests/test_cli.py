@@ -273,21 +273,22 @@ class TestBenchCommand:
     def test_timings_grow_with_band_limit(self, capsys):
         assert run(["bench", "--L", "4,32", "--repeats", "1"]) == 0
         header, rows = parse_csv(capsys.readouterr().out)
-        assert header == ["L", "seconds"]
+        assert header == ["L", "seconds", "min_seconds"]
         times = {int(r[0]): float(r[1]) for r in rows}
         assert times[4] > 0.0
         assert times[32] >= times[4]
+        assert all(float(r[2]) <= float(r[1]) for r in rows)
 
     def test_spin_barely_changes_cost(self, capsys):
         assert run(["bench", "--L", "64", "--repeats", "5", "--jmin", "2"]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
-        scalar = float(rows[0][1])
+        scalar = float(rows[0][2])
         assert (
             run(["bench", "--L", "64", "--spin", "2", "--repeats", "5", "--jmin", "2"])
             == 0
         )
         _, rows = parse_csv(capsys.readouterr().out)
-        spun = float(rows[0][1])
+        spun = float(rows[0][2])
         assert abs(spun - scalar) <= 0.10 * scalar
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scurve
-from scurve import so3
+from scurve import fourier, so3
 
 import oracles
 
@@ -264,6 +264,49 @@ class TestSphereColumn:
                 assert np.abs(plane[:, ell - s] - expected).max() <= 1e-12
                 plane = np.delete(plane, ell - s, axis=1)
             assert np.abs(plane).max(initial=0.0) <= 1e-12
+
+
+class TestBinKernel:
+    """The colatitude-bin kernel transforms only the alpha bins |m| <= h."""
+
+    @pytest.mark.parametrize("h", [0, 3, 15])
+    def test_narrow_planes_match_full_width(self, h, rng):
+        L = 16
+        K = 2 * L - 1
+        W = rng.standard_normal((K, L, K)) + 1j * rng.standard_normal((K, L, K))
+        ns = [-15, -3, 0, 2, 15]
+        full = so3._beta_to_bins(W, ns, L - 1)
+        narrow = so3._beta_to_bins(W, ns, h)
+        assert narrow.shape == (len(ns), K, 2 * h + 1)
+        centred = full[:, :, L - 1 - h : L + h]
+        assert np.abs(narrow - centred).max() <= 1e-14 * np.abs(full).max()
+
+        X = rng.standard_normal((K, 2 * h + 1)) + 1j * rng.standard_normal((K, 2 * h + 1))
+        padded = np.zeros((K, K), complex)
+        padded[:, L - 1 - h : L + h] = X
+        grid = so3._bins_to_beta(padded, L, K)
+        assert np.abs(so3._bins_to_beta(X, L, K) - grid).max() <= 1e-14 * np.abs(grid).max()
+
+    def test_forward_convolves_only_the_bins_each_chunk_reads(self, rng, monkeypatch):
+        L = 32
+        K = 2 * L - 1
+        grid = scurve.SO3Grid(L, L, L)
+        f = scurve.so3_inverse_curvelet(scurve.CurveletWignerCoeffs.random(L, rng), grid)
+        points = []
+
+        def counting(spectrum, axis=0):
+            out = fourier.weighted_convolve(spectrum, axis=axis)
+            points.append(out.size)
+            return out
+
+        monkeypatch.setattr(so3, "weighted_convolve", counting)
+        scurve.so3_forward_curvelet(f)
+        ns = so3._gamma_order(L, False)
+        assert sorted(ns) == list(range(1 - L, L))
+        chunks = [ns[lo : lo + so3._CHUNK] for lo in range(0, len(ns), so3._CHUNK)]
+        expected = sum(len(c) * K * (2 * max(map(abs, c)) + 1) for c in chunks)
+        assert sum(points) == expected
+        assert expected < len(ns) * K * K
 
 
 class TestScaling:
