@@ -59,7 +59,6 @@ from .tiling import (
 from .transform import (
     CurveletCoeffs,
     analyze,
-    analyze_north_validation,
     analyze_real,
     rotate_from_north,
     rotate_to_north,
@@ -69,16 +68,12 @@ from .transform import (
     synthesize_real,
 )
 from .wigner import (
-    EulerAngles,
     HalfPiTable,
     build_halfpi_table,
     halfpi_table,
     quadrature_weight,
-    spin_sph_harm,
-    wigner_D,
     wigner_d_edge_columns,
     wigner_d_matrix,
-    wigner_d_sum,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +82,6 @@ __all__ = [
     "ContainerError",
     "CurveletCoeffs",
     "CurveletWignerCoeffs",
-    "EulerAngles",
     "FwhmReport",
     "HalfPiTable",
     "HarmonicCoeffs",
@@ -103,7 +97,6 @@ __all__ = [
     "WignerCoeffs",
     "admissibility_residual",
     "analyze",
-    "analyze_north_validation",
     "analyze_real",
     "build_halfpi_table",
     "build_tiling",
@@ -135,13 +128,10 @@ __all__ = [
     "so3_inverse_curvelet",
     "so3_inverse_curvelet_real",
     "so3_inverse_general",
-    "spin_sph_harm",
     "synthesize",
     "synthesize_real",
-    "wigner_D",
     "wigner_d_edge_columns",
     "wigner_d_matrix",
-    "wigner_d_sum",
     "write_coeffs",
     "write_sphere",
 ]

@@ -89,8 +89,8 @@ def _emit_table(out, fields, rows, command, args) -> None:
 
 
 def _make_params(args, band_limit: int, spin: int) -> TilingParams:
-    if not args.lam > 1.0:
-        raise UsageError("--lambda must exceed 1")
+    if not 1.0 < args.lam < math.inf:
+        raise UsageError("--lambda must be finite and exceed 1")
     if args.jmin < 0:
         raise UsageError("--jmin must be non-negative")
     return TilingParams(band_limit, spin, args.lam, args.jmin)
@@ -359,7 +359,7 @@ def _add_tiling_flags(p, spin_default=0) -> None:
         dest="lam",
         type=float,
         default=2.0,
-        help="dilation between neighbouring scales (must exceed 1)",
+        help="dilation between neighbouring scales (finite, must exceed 1)",
     )
     p.add_argument("--jmin", type=int, default=0, help="coarsest scale index")
     p.add_argument(

@@ -2,16 +2,15 @@
 
 Samples live on odd-length equiangular grids, so every periodic axis maps
 onto signed Fourier bins with no Nyquist ambiguity.  Colatitude is the
-delicate direction: its nodes sit at pi(2t+1)/(2L-1), offset from the
-origin, and only cover half a period.  The helpers here extend such
-samples to the full period with the right reflection parity, move between
-sample and centered-bin order, and apply the exact sin(beta) weighting as
-a convolution over bins.
+delicate direction: its nodes only cover half a period, so the bin kernel
+in so3.py extends them through the poles before transforming.  This
+module holds what the kernel shares with the rest of the package: the FFT
+worker count, and the exact sin(beta) weighting applied as a convolution
+over centred colatitude bins.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 
@@ -21,8 +20,6 @@ from scipy import fft as sfft
 from .wigner import weight_kernel
 
 __all__ = [
-    "beta_bin_phase",
-    "extend_poles",
     "fft_workers",
     "weighted_convolve",
 ]
@@ -37,33 +34,6 @@ def fft_workers() -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"SCURVE_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-def extend_poles(samples: np.ndarray, parity, axis: int = 0) -> np.ndarray:
-    """Extend colatitude samples on (0, pi] to the full period.
-
-    samples has L nodes along axis; the result has 2L-1, where node
-    b >= L holds parity * samples[2L-2-b], the reflection through the
-    beta = pi node.  parity must broadcast against the input with the
-    extension axis removed (a scalar, or one sign per remaining column).
-    """
-    samples = np.asarray(samples)
-    L = samples.shape[axis]
-    moved = np.moveaxis(samples, axis, 0)
-    out = np.empty((2 * L - 1,) + moved.shape[1:], dtype=samples.dtype)
-    out[:L] = moved
-    out[L:] = parity * moved[L - 2 :: -1]
-    return np.moveaxis(out, 0, axis)
-
-
-def beta_bin_phase(L: int, sign: int) -> np.ndarray:
-    """Phase ramp exp(sign * i * m' * pi/(2L-1)) over centered bins m'.
-
-    The colatitude nodes are offset half a step from the origin; this ramp
-    is that offset, applied in the bin domain.
-    """
-    mp = np.arange(-(L - 1), L)
-    return np.exp(sign * 1j * mp * (math.pi / (2 * L - 1)))
 
 
 _kernel_lock = threading.Lock()

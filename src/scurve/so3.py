@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sfft
 
-from .fourier import beta_bin_phase, extend_poles, fft_workers, weighted_convolve
+from .fourier import fft_workers, weighted_convolve
 from .wigner import alt_sign, halfpi_table, ipow_vec
 
 __all__ = [
@@ -237,10 +237,11 @@ def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     L, Ka = W.shape[1:]
     ns = np.asarray(ns)
     ms = np.arange(-h, h + 1)
-    cols = W[np.ix_(ns % len(W), np.arange(L), ms % Ka)]
-    E = extend_poles(cols, alt_sign(ns[:, None] + ms), axis=1)
+    # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
+    E = W[np.ix_(ns % len(W), np.r_[0:L, L - 2 : -1 : -1], ms % Ka)]
+    E[:, L:] *= alt_sign(ns[:, None] + ms)[:, None, :]
     X = np.fft.fftshift(sfft.fft(E, axis=1, norm="forward", workers=fft_workers()), axes=1)
-    X *= beta_bin_phase(L, -1)[:, None]
+    X *= np.exp(-1j * np.arange(1 - L, L) * (math.pi / (2 * L - 1)))[:, None]
     return (4.0 * math.pi**2) * weighted_convolve(X, axis=1)
 
 
@@ -275,7 +276,7 @@ def _column_bins(X: np.ndarray, row: np.ndarray, tab, n: int, ell: int) -> None:
     delta = tab.plane(ell)
     row = row * ((2 * ell + 1) / (8.0 * math.pi**2)) * ipow_vec(n - np.arange(-ell, ell + 1))
     cr, cc = X.shape[0] // 2, X.shape[1] // 2
-    u = delta[:, n + ell] * beta_bin_phase(cr + 1, +1)[cr - ell : cr + ell + 1]
+    u = delta[:, n + ell] * np.exp(1j * np.arange(-ell, ell + 1) * (math.pi / X.shape[0]))
     X[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1] += delta * u[:, None] * row
 
 

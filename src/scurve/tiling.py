@@ -151,8 +151,8 @@ def _step_table(lam: float, tol: float) -> _StepTable:
 def smooth_step_k(lam: float, t: float, tol: float = 1e-12) -> float:
     """Smooth step from 1 (at t <= 1/lambda) down to 0 (at t >= 1)."""
     lam = float(lam)
-    if lam <= 1.0:
-        raise ValueError(f"dilation parameter must exceed 1, got {lam}")
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"dilation parameter must be finite and exceed 1, got {lam}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     return float(_step_table(lam, tol).values([float(t)])[0])
@@ -185,8 +185,8 @@ class TilingParams:
         L = self.band_limit
         if L < 1:
             raise ValueError(f"band limit must be positive, got {L}")
-        if not self.lam > 1.0:
-            raise ValueError(f"dilation parameter must exceed 1, got {self.lam}")
+        if not 1.0 < self.lam < math.inf:
+            raise ValueError(f"dilation parameter must be finite and exceed 1, got {self.lam}")
         if self.j_min < 0:
             raise ValueError(f"j_min must be non-negative, got {self.j_min}")
         if self.j_max < 0:

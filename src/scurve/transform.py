@@ -37,13 +37,11 @@ from .sphere import (
 from .so3 import (
     CurveletWignerCoeffs,
     SO3Grid,
-    SO3Signal,
     WignerCoeffs,
     so3_forward_curvelet,
     so3_forward_curvelet_real,
     so3_inverse_curvelet,
     so3_inverse_curvelet_real,
-    so3_inverse_general,
 )
 from .tiling import Tiling, TilingParams, curvelet_harmonics
 from .wigner import wigner_d_edge_columns
@@ -51,7 +49,6 @@ from .wigner import wigner_d_edge_columns
 __all__ = [
     "CurveletCoeffs",
     "analyze",
-    "analyze_north_validation",
     "analyze_real",
     "rotate_from_north",
     "rotate_to_north",
@@ -267,26 +264,3 @@ def rotate_from_north(w: WignerCoeffs, j: int, t: Tiling) -> CurveletWignerCoeff
             out.values[1, ell, c - ell : c + ell + 1] = w.planes[ell] @ dneg
     return out
 
-
-def analyze_north_validation(
-    f: SphereSignal, t: Tiling, j: int, max_band_limit: int = 32
-) -> SO3Signal:
-    """Scale-j signal computed the slow way, through the dense frame.
-
-    Builds the scale's coefficients, rotates them to the pole-centred
-    frame and synthesises with the dense O(L^4) transform.  Exists purely
-    to cross-check the fast path, hence the band-limit guard.
-    """
-    _check_signal(f, t)
-    p = t.params
-    if not p.j_min <= j <= p.j_max:
-        raise ValueError(f"scale {j} outside [{p.j_min}, {p.j_max}]")
-    Lj = scale_band_limit(p, j)
-    if Lj > max_band_limit:
-        raise ValueError(
-            f"band limit {Lj} exceeds the dense validation cap {max_band_limit}"
-        )
-    flm = sht_forward(f)
-    w = _scale_wigner(flm, t, j, Lj)
-    dense = rotate_to_north(w, j, t)
-    return so3_inverse_general(dense, SO3Grid(Lj, Lj, Lj))

@@ -4,38 +4,33 @@ Conventions used throughout the package:
 
 * Euler angles follow the zyz convention: ``rho = (alpha, beta, gamma)``
   rotates by gamma about z, then beta about y, then alpha about z.
-* ``wigner_D(ell, m, n, rho) = exp(-i m alpha) d^ell_mn(beta) exp(-i n gamma)``.
+* ``D^ell_mn(rho) = exp(-i m alpha) d^ell_mn(beta) exp(-i n gamma)``.
 * Spin spherical harmonics carry the Condon-Shortley phase.
 
-Two evaluation routes are provided for the small-d functions.
-``wigner_d_sum`` evaluates the explicit factorial sum in exact rational
-arithmetic; it is slow and exists as the reference oracle.  The transforms
-consume ``build_halfpi_table``, a three-term recursion in the degree that
-tabulates every d value at beta = pi/2 and stays stable to high degree.
+The transforms consume ``halfpi_table``, a three-term recursion in the
+degree that tabulates every d value at beta = pi/2 and stays stable to
+high degree; ``wigner_d_matrix`` expands those values to any beta, and
+``wigner_d_edge_columns`` evaluates the two outermost columns in closed
+form.  The exact factorial-sum elements the tests check these against
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
 __all__ = [
-    "EulerAngles",
     "HalfPiTable",
     "build_halfpi_table",
     "halfpi_table",
     "quadrature_weight",
-    "spin_sph_harm",
-    "wigner_D",
     "wigner_d_matrix",
     "wigner_d_edge_columns",
-    "wigner_d_sum",
 ]
 
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -55,99 +50,11 @@ def alt_sign(k) -> np.ndarray:
     return np.where(np.mod(np.asarray(k), 2) == 0, 1.0, -1.0)
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """zyz Euler angles.
-
-    alpha and gamma are reduced modulo 2*pi on construction.  beta outside
-    [0, pi] is rejected rather than folded, since folding silently changes
-    the rotation.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        beta = float(self.beta)
-        if not 0.0 <= beta <= math.pi:
-            raise ValueError(f"beta must lie in [0, pi], got {beta!r}")
-        two_pi = 2.0 * math.pi
-        object.__setattr__(self, "alpha", float(self.alpha) % two_pi)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", float(self.gamma) % two_pi)
-
-
 def _check_orders(ell: int, m: int, n: int) -> None:
     if ell < 0:
         raise ValueError(f"degree must be non-negative, got {ell}")
     if abs(m) > ell or abs(n) > ell:
         raise ValueError(f"orders ({m}, {n}) out of range for degree {ell}")
-
-
-def _fraction_sqrt(q: Fraction) -> float:
-    # Scale by an even power of two first so that neither the float
-    # conversion nor the square root can overflow or underflow.
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    e -= e % 2
-    if e >= 0:
-        scaled = Fraction(q.numerator, q.denominator << e)
-    else:
-        scaled = Fraction(q.numerator << -e, q.denominator)
-    return math.ldexp(math.sqrt(scaled.numerator / scaled.denominator), e >> 1)
-
-
-def wigner_d_sum(ell: int, m: int, n: int, beta: float) -> float:
-    """Small-d via the explicit factorial sum, in exact rational arithmetic.
-
-    The sum alternates in sign and cancels catastrophically in floating
-    point: a log-factorial evaluation is only good to about 1e-6 by degree
-    32 at beta = pi/2, far short of what the table checks need.  Writing
-    x = sin^2(beta/2) (a dyadic rational once beta is a double) makes every
-    term an exact Fraction; the single square root at the end is then the
-    only rounding.  Slow, and intended purely as a reference oracle.
-    """
-    ell, m, n = int(ell), int(m), int(n)
-    _check_orders(ell, m, n)
-    beta = float(beta)
-    if not 0.0 <= beta <= math.pi:
-        raise ValueError(f"beta must lie in [0, pi], got {beta!r}")
-    k_lo = max(0, -(m + n))
-    k_hi = min(ell - m, ell - n)
-    if k_hi < k_lo:
-        return 0.0
-    if beta == 0.5 * math.pi:
-        x = Fraction(1, 2)
-    else:
-        x = Fraction(math.sin(0.5 * beta) ** 2)
-    y = 1 - x
-    sigma = (m + n) % 2
-    fact = math.factorial
-    dens = [
-        fact(k) * fact(ell - m - k) * fact(ell - n - k) * fact(m + n + k)
-        for k in range(k_lo, k_hi + 1)
-    ]
-    if x == Fraction(1, 2):
-        # Every term carries the same power of two, so the alternating sum
-        # reduces to integer arithmetic over a common denominator.
-        common = math.lcm(*dens)
-        num = sum(
-            (-1) ** k * (common // d)
-            for k, d in zip(range(k_lo, k_hi + 1), dens)
-        )
-        ratio = Fraction(num, common * (1 << (ell - sigma)))
-    else:
-        ratio = Fraction(0)
-        for k, den in zip(range(k_lo, k_hi + 1), dens):
-            e_sin = (2 * ell - m - n - 2 * k - sigma) // 2
-            e_cos = (m + n + 2 * k - sigma) // 2
-            ratio += Fraction((-1) ** k, den) * x**e_sin * y**e_cos
-    if ratio == 0:
-        return 0.0
-    amp = fact(ell + m) * fact(ell - m) * fact(ell + n) * fact(ell - n)
-    square = ratio * ratio * amp * (x * y) ** sigma
-    sign = (1.0 if ratio > 0 else -1.0) * (-1.0 if (ell - n) % 2 else 1.0)
-    return sign * _fraction_sqrt(square)
 
 
 def _halfpi_edge_row(ell: int) -> np.ndarray:
@@ -238,27 +145,6 @@ def halfpi_table(L: int) -> HalfPiTable:
         if _table is None or _table.band_limit < L:
             _table = build_halfpi_table(L)
         return _table
-
-
-def wigner_D(ell: int, m: int, n: int, rho: EulerAngles) -> complex:
-    """Rotation matrix element exp(-i m alpha) d^ell_mn(beta) exp(-i n gamma)."""
-    _check_orders(ell, m, n)
-    d = wigner_d_sum(ell, m, n, rho.beta)
-    return cmath.exp(-1j * m * rho.alpha) * d * cmath.exp(-1j * n * rho.gamma)
-
-
-def spin_sph_harm(ell: int, m: int, s: int, omega) -> complex:
-    """Spin-s spherical harmonic at omega = (theta, phi).
-
-    Evaluated through the oracle d-sum, so exact but slow; the transforms
-    never call this, tests do.
-    """
-    ell, m, s = int(ell), int(m), int(s)
-    _check_orders(ell, m, s)
-    theta, phi = omega
-    d = wigner_d_sum(ell, m, -s, theta)
-    amp = (-1.0 if s % 2 else 1.0) * math.sqrt((2 * ell + 1) / (4.0 * math.pi))
-    return amp * d * cmath.exp(1j * m * phi)
 
 
 def quadrature_weight(mp: int) -> complex:

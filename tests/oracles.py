@@ -3,12 +3,154 @@
 Everything here favours bluntness over speed: term-by-term summation,
 exact-arithmetic Wigner elements, brute-force quadrature.  The fast paths
 under test are avoided except where a docstring says otherwise.
+
+The exact Wigner elements (``wigner_d_sum``, ``wigner_D``,
+``spin_sph_harm`` and their ``EulerAngles``) and the dense scale-signal
+route ``analyze_north_validation`` are the references for the library's
+half-pi recursion and fast curvelet transforms; the library itself never
+calls them.
 """
+
+import cmath
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from scurve import HarmonicCoeffs, SphereGrid, SphereSignal, sht_forward, sht_inverse
-from scurve.wigner import EulerAngles, weight_kernel, wigner_D, wigner_d_sum
+from scurve.so3 import SO3Grid, SO3Signal, so3_inverse_general
+from scurve.tiling import Tiling
+from scurve.transform import _check_signal, _scale_wigner, rotate_to_north, scale_band_limit
+from scurve.wigner import _check_orders, weight_kernel
+
+
+@dataclass(frozen=True)
+class EulerAngles:
+    """zyz Euler angles.
+
+    alpha and gamma are reduced modulo 2*pi on construction.  beta outside
+    [0, pi] is rejected rather than folded, since folding silently changes
+    the rotation.
+    """
+
+    alpha: float
+    beta: float
+    gamma: float
+
+    def __post_init__(self):
+        beta = float(self.beta)
+        if not 0.0 <= beta <= math.pi:
+            raise ValueError(f"beta must lie in [0, pi], got {beta!r}")
+        two_pi = 2.0 * math.pi
+        object.__setattr__(self, "alpha", float(self.alpha) % two_pi)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", float(self.gamma) % two_pi)
+
+
+def _fraction_sqrt(q: Fraction) -> float:
+    # Scale by an even power of two first so that neither the float
+    # conversion nor the square root can overflow or underflow.
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    e -= e % 2
+    if e >= 0:
+        scaled = Fraction(q.numerator, q.denominator << e)
+    else:
+        scaled = Fraction(q.numerator << -e, q.denominator)
+    return math.ldexp(math.sqrt(scaled.numerator / scaled.denominator), e >> 1)
+
+
+def wigner_d_sum(ell: int, m: int, n: int, beta: float) -> float:
+    """Small-d via the explicit factorial sum, in exact rational arithmetic.
+
+    The sum alternates in sign and cancels catastrophically in floating
+    point: a log-factorial evaluation is only good to about 1e-6 by degree
+    32 at beta = pi/2, far short of what the table checks need.  Writing
+    x = sin^2(beta/2) (a dyadic rational once beta is a double) makes every
+    term an exact Fraction; the single square root at the end is then the
+    only rounding.
+    """
+    ell, m, n = int(ell), int(m), int(n)
+    _check_orders(ell, m, n)
+    beta = float(beta)
+    if not 0.0 <= beta <= math.pi:
+        raise ValueError(f"beta must lie in [0, pi], got {beta!r}")
+    k_lo = max(0, -(m + n))
+    k_hi = min(ell - m, ell - n)
+    if k_hi < k_lo:
+        return 0.0
+    if beta == 0.5 * math.pi:
+        x = Fraction(1, 2)
+    else:
+        x = Fraction(math.sin(0.5 * beta) ** 2)
+    y = 1 - x
+    sigma = (m + n) % 2
+    fact = math.factorial
+    dens = [
+        fact(k) * fact(ell - m - k) * fact(ell - n - k) * fact(m + n + k)
+        for k in range(k_lo, k_hi + 1)
+    ]
+    if x == Fraction(1, 2):
+        # Every term carries the same power of two, so the alternating sum
+        # reduces to integer arithmetic over a common denominator.
+        common = math.lcm(*dens)
+        num = sum(
+            (-1) ** k * (common // d)
+            for k, d in zip(range(k_lo, k_hi + 1), dens)
+        )
+        ratio = Fraction(num, common * (1 << (ell - sigma)))
+    else:
+        ratio = Fraction(0)
+        for k, den in zip(range(k_lo, k_hi + 1), dens):
+            e_sin = (2 * ell - m - n - 2 * k - sigma) // 2
+            e_cos = (m + n + 2 * k - sigma) // 2
+            ratio += Fraction((-1) ** k, den) * x**e_sin * y**e_cos
+    if ratio == 0:
+        return 0.0
+    amp = fact(ell + m) * fact(ell - m) * fact(ell + n) * fact(ell - n)
+    square = ratio * ratio * amp * (x * y) ** sigma
+    sign = (1.0 if ratio > 0 else -1.0) * (-1.0 if (ell - n) % 2 else 1.0)
+    return sign * _fraction_sqrt(square)
+
+
+def wigner_D(ell: int, m: int, n: int, rho: EulerAngles) -> complex:
+    """Rotation matrix element exp(-i m alpha) d^ell_mn(beta) exp(-i n gamma)."""
+    _check_orders(ell, m, n)
+    d = wigner_d_sum(ell, m, n, rho.beta)
+    return cmath.exp(-1j * m * rho.alpha) * d * cmath.exp(-1j * n * rho.gamma)
+
+
+def spin_sph_harm(ell: int, m: int, s: int, omega) -> complex:
+    """Spin-s spherical harmonic at omega = (theta, phi), through the d-sum."""
+    ell, m, s = int(ell), int(m), int(s)
+    _check_orders(ell, m, s)
+    theta, phi = omega
+    d = wigner_d_sum(ell, m, -s, theta)
+    amp = (-1.0 if s % 2 else 1.0) * math.sqrt((2 * ell + 1) / (4.0 * math.pi))
+    return amp * d * cmath.exp(1j * m * phi)
+
+
+def analyze_north_validation(
+    f: SphereSignal, t: Tiling, j: int, max_band_limit: int = 32
+) -> SO3Signal:
+    """Scale-j signal computed the slow way, through the dense frame.
+
+    Builds the scale's coefficients, rotates them to the pole-centred
+    frame and synthesises with the dense O(L^4) transform.  The band-limit
+    guard keeps a test from running that transform at a size it cannot
+    afford by accident.
+    """
+    _check_signal(f, t)
+    p = t.params
+    if not p.j_min <= j <= p.j_max:
+        raise ValueError(f"scale {j} outside [{p.j_min}, {p.j_max}]")
+    Lj = scale_band_limit(p, j)
+    if Lj > max_band_limit:
+        raise ValueError(
+            f"band limit {Lj} exceeds the dense validation cap {max_band_limit}"
+        )
+    w = _scale_wigner(sht_forward(f), t, j, Lj)
+    return so3_inverse_general(rotate_to_north(w, j, t), SO3Grid(Lj, Lj, Lj))
 
 
 def direct_sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:

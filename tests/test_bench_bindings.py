@@ -6,21 +6,9 @@ show up when the traced benchmark crashes.
 """
 
 import importlib
-import importlib.util
-import pathlib
 
 import pytest
 import scipy.fft
-
-TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_every_target_resolves(tracer):

@@ -95,6 +95,11 @@ class TestTiling:
     def test_lambda_at_one_is_usage_error(self, capsys):
         assert run(["tiling", "--L", "16", "--lambda", "1.0"]) == 2
 
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_is_usage_error(self, capsys, lam):
+        assert run(["tiling", "--L", "8", "--lambda", lam]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_impossible_scale_range_is_data_error(self, capsys):
         assert run(["tiling", "--L", "8", "--jmin", "5"]) == 3
         assert "scurve: error:" in capsys.readouterr().err

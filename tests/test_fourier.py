@@ -1,57 +1,10 @@
 """Checks for the shared FFT helpers."""
 
-import math
-
 import numpy as np
 import oracles
 import pytest
 
 from scurve import fourier
-
-
-class TestExtendPoles:
-    def test_even_reflection(self):
-        s = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(
-            fourier.extend_poles(s, 1.0), [1.0, 2.0, 3.0, 2.0, 1.0]
-        )
-
-    def test_odd_reflection(self):
-        s = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(
-            fourier.extend_poles(s, -1.0), [1.0, 2.0, 3.0, -2.0, -1.0]
-        )
-
-    def test_per_column_parity(self):
-        s = np.arange(6.0).reshape(3, 2)
-        out = fourier.extend_poles(s, np.array([1.0, -1.0]), axis=0)
-        assert out.shape == (5, 2)
-        np.testing.assert_array_equal(out[3], [s[1, 0], -s[1, 1]])
-        np.testing.assert_array_equal(out[4], [s[0, 0], -s[0, 1]])
-
-    def test_other_axis(self):
-        s = np.arange(6.0).reshape(2, 3)
-        out = fourier.extend_poles(s, 1.0, axis=1)
-        assert out.shape == (2, 5)
-        np.testing.assert_array_equal(out[:, 3], s[:, 1])
-
-
-class TestBetaBinPhase:
-    def test_shape_and_center(self):
-        ramp = fourier.beta_bin_phase(5, +1)
-        assert ramp.shape == (9,)
-        assert ramp[4] == 1.0 + 0.0j
-
-    def test_sign_convention(self):
-        L = 4
-        ramp = fourier.beta_bin_phase(L, -1)
-        mp = np.arange(-(L - 1), L)
-        np.testing.assert_allclose(ramp, np.exp(-1j * mp * math.pi / (2 * L - 1)))
-
-    def test_signs_are_conjugate(self):
-        np.testing.assert_allclose(
-            fourier.beta_bin_phase(6, +1), np.conj(fourier.beta_bin_phase(6, -1))
-        )
 
 
 class TestWeightedConvolve:

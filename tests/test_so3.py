@@ -309,6 +309,31 @@ class TestBinKernel:
         assert expected < len(ns) * K * K
 
 
+class TestCountedWork:
+    """The O(L^3 log L) claim on counted FFT work, which no machine drift moves."""
+
+    def test_fft_flops_grow_as_l3_log_l(self, tracer):
+        rng = np.random.default_rng(3)
+        Ls = (16, 32, 64, 128)
+        flops = []
+        for L in Ls:
+            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            tr = tracer.Tracer()
+            tr.install()
+            try:
+                scurve.so3_forward_curvelet(
+                    scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L))
+                )
+            finally:
+                tr.uninstall()
+            flops.append(tr.fft["so3"]["flop"] + tr.fft["fourier"]["flop"])
+        points = list(zip(Ls, flops))
+        for (L0, f0), (L1, f1) in zip(points, points[1:]):
+            assert math.log(f1 / f0) / math.log(L1 / L0) < 3.5
+        ratios = [f / (L**3 * math.log2(L)) for L, f in zip(Ls, flops)]
+        assert all(ratios[0] / 2 <= r <= 2 * ratios[0] for r in ratios)
+
+
 class TestScaling:
     def test_cost_grows_slower_than_l_to_3_5(self, rng):
         def timed(L):

@@ -62,6 +62,11 @@ class TestSmoothStep:
         with pytest.raises(ValueError):
             tiling.smooth_step_k(2.0, 0.7, tol=0.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_is_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            tiling.smooth_step_k(lam, 0.5)
+
 
 class TestParams:
     def test_default_scale_range(self):
@@ -87,6 +92,11 @@ class TestParams:
             scurve.TilingParams(8, 0, 2.0, 5)  # j_min above default j_max
         with pytest.raises(ValueError):
             scurve.TilingParams(32, 0, 2.0, 0, 2)  # finest kernel short of L-1
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda_is_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and exceed 1"):
+            scurve.TilingParams(8, lam=lam)
         with pytest.raises(ValueError):
             scurve.TilingParams(32, 0, 2.0, 0, 9)  # coarsest kernel past L-1
         with pytest.raises(ValueError):

@@ -14,32 +14,32 @@ import oracles
 
 class TestDSum:
     def test_degree_zero_is_identity(self):
-        assert wigner.wigner_d_sum(0, 0, 0, 1.234) == 1.0
+        assert oracles.wigner_d_sum(0, 0, 0, 1.234) == 1.0
 
     def test_corner_element_closed_form(self):
         # d^2_{22}(beta) = cos^4(beta/2)
         for beta in (0.0, 0.3, math.pi / 4, 1.9, math.pi):
-            got = wigner.wigner_d_sum(2, 2, 2, beta)
+            got = oracles.wigner_d_sum(2, 2, 2, beta)
             assert got == pytest.approx(math.cos(beta / 2) ** 4, abs=1e-15)
-        assert wigner.wigner_d_sum(2, 2, 2, math.pi / 4) == pytest.approx(
+        assert oracles.wigner_d_sum(2, 2, 2, math.pi / 4) == pytest.approx(
             0.7285533905932737, abs=1e-15
         )
 
     def test_center_element_vanishes_at_half_pi(self):
         # d^1_{00} = cos(beta); the rational path cancels it exactly
-        assert wigner.wigner_d_sum(1, 0, 0, math.pi / 2) == 0.0
+        assert oracles.wigner_d_sum(1, 0, 0, math.pi / 2) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            wigner.wigner_d_sum(-1, 0, 0, 0.5)
+            oracles.wigner_d_sum(-1, 0, 0, 0.5)
         with pytest.raises(ValueError):
-            wigner.wigner_d_sum(2, 3, 0, 0.5)
+            oracles.wigner_d_sum(2, 3, 0, 0.5)
         with pytest.raises(ValueError):
-            wigner.wigner_d_sum(2, 0, -3, 0.5)
+            oracles.wigner_d_sum(2, 0, -3, 0.5)
         with pytest.raises(ValueError):
-            wigner.wigner_d_sum(2, 0, 0, -0.1)
+            oracles.wigner_d_sum(2, 0, 0, -0.1)
         with pytest.raises(ValueError):
-            wigner.wigner_d_sum(2, 0, 0, 3.2)
+            oracles.wigner_d_sum(2, 0, 0, 3.2)
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
@@ -48,12 +48,12 @@ class TestDSum:
         m = data.draw(st.integers(-ell, ell))
         n = data.draw(st.integers(-ell, ell))
         beta = data.draw(st.floats(0.0, math.pi, allow_nan=False))
-        ref = wigner.wigner_d_sum(ell, m, n, beta)
+        ref = oracles.wigner_d_sum(ell, m, n, beta)
         sign = -1.0 if (m - n) % 2 else 1.0
-        assert wigner.wigner_d_sum(ell, -m, -n, beta) == pytest.approx(
+        assert oracles.wigner_d_sum(ell, -m, -n, beta) == pytest.approx(
             sign * ref, abs=1e-13
         )
-        assert wigner.wigner_d_sum(ell, n, m, beta) == pytest.approx(
+        assert oracles.wigner_d_sum(ell, n, m, beta) == pytest.approx(
             sign * ref, abs=1e-13
         )
 
@@ -62,7 +62,7 @@ class TestDSum:
     def test_rows_are_unit_vectors(self, ell, beta):
         m = ell // 2
         total = sum(
-            wigner.wigner_d_sum(ell, m, n, beta) ** 2 for n in range(-ell, ell + 1)
+            oracles.wigner_d_sum(ell, m, n, beta) ** 2 for n in range(-ell, ell + 1)
         )
         assert total == pytest.approx(1.0, abs=1e-13)
 
@@ -87,8 +87,19 @@ class TestHalfPiTable:
             ell = int(rng.integers(0, 33))
             mp = int(rng.integers(-ell, ell + 1))
             m = int(rng.integers(-ell, ell + 1))
-            ref = wigner.wigner_d_sum(ell, mp, m, math.pi / 2)
+            ref = oracles.wigner_d_sum(ell, mp, m, math.pi / 2)
             assert table.value(ell, mp, m) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("ell", [127, 255])
+    def test_matches_exact_sum_at_high_degree(self, ell):
+        # the recursion runs ell steps deep, far past test_matches_exact_sum
+        table = wigner.halfpi_table(ell + 1)
+        rng = np.random.default_rng(ell)
+        pairs = [(a, b) for a in (-ell, ell) for b in (-ell, ell)] + [(0, 0)]
+        pairs += [tuple(int(k) for k in rng.integers(-ell, ell + 1, 2)) for _ in range(40)]
+        for mp, m in pairs:
+            ref = oracles.wigner_d_sum(ell, mp, m, math.pi / 2)
+            assert table.value(ell, mp, m) == pytest.approx(ref, abs=1e-12), (mp, m)
 
     def test_transpose_symmetry(self):
         table = wigner.halfpi_table(65)
@@ -124,7 +135,7 @@ class TestDMatrix:
                 d = wigner.wigner_d_matrix(ell, beta)
                 for mi, m in enumerate(range(-ell, ell + 1)):
                     for ni, n in enumerate(range(-ell, ell + 1)):
-                        ref = wigner.wigner_d_sum(ell, m, n, beta)
+                        ref = oracles.wigner_d_sum(ell, m, n, beta)
                         assert d[mi, ni] == pytest.approx(ref, abs=1e-13)
 
     def test_rejects_negative_degree(self):
@@ -139,10 +150,10 @@ class TestEdgeColumns:
                 pos, neg = wigner.wigner_d_edge_columns(ell, beta)
                 for ki, k in enumerate(range(-ell, ell + 1)):
                     assert pos[ki] == pytest.approx(
-                        wigner.wigner_d_sum(ell, k, ell, beta), abs=1e-14
+                        oracles.wigner_d_sum(ell, k, ell, beta), abs=1e-14
                     )
                     assert neg[ki] == pytest.approx(
-                        wigner.wigner_d_sum(ell, k, -ell, beta), abs=1e-14
+                        oracles.wigner_d_sum(ell, k, -ell, beta), abs=1e-14
                     )
 
     def test_identity_rotation(self):
@@ -164,51 +175,51 @@ class TestEdgeColumns:
 
 class TestWignerD:
     def test_trivial_rotation(self):
-        rho = wigner.EulerAngles(0.0, 0.0, 0.0)
-        assert wigner.wigner_D(0, 0, 0, rho) == 1.0 + 0.0j
+        rho = oracles.EulerAngles(0.0, 0.0, 0.0)
+        assert oracles.wigner_D(0, 0, 0, rho) == 1.0 + 0.0j
 
     def test_frozen_zero(self):
-        rho = wigner.EulerAngles(0.3, math.pi / 2, 0.7)
-        assert wigner.wigner_D(1, 0, 0, rho) == 0.0 + 0.0j
+        rho = oracles.EulerAngles(0.3, math.pi / 2, 0.7)
+        assert oracles.wigner_D(1, 0, 0, rho) == 0.0 + 0.0j
 
     def test_conjugate_symmetry(self, rng):
         for _ in range(40):
             ell = int(rng.integers(0, 9))
             m = int(rng.integers(-ell, ell + 1))
             n = int(rng.integers(-ell, ell + 1))
-            rho = wigner.EulerAngles(
+            rho = oracles.EulerAngles(
                 rng.uniform(0, 2 * math.pi),
                 rng.uniform(0, math.pi),
                 rng.uniform(0, 2 * math.pi),
             )
-            lhs = np.conj(wigner.wigner_D(ell, m, n, rho))
-            rhs = wigner.wigner_D(ell, -m, -n, rho)
+            lhs = np.conj(oracles.wigner_D(ell, m, n, rho))
+            rhs = oracles.wigner_D(ell, -m, -n, rho)
             sign = -1.0 if (m + n) % 2 else 1.0
             assert lhs == pytest.approx(sign * rhs, abs=1e-13)
 
 
 class TestEulerAngles:
     def test_normalises_periodic_angles(self):
-        rho = wigner.EulerAngles(7.0, 1.0, -1.0)
+        rho = oracles.EulerAngles(7.0, 1.0, -1.0)
         assert rho.alpha == pytest.approx(7.0 - 2 * math.pi)
         assert rho.beta == 1.0
         assert rho.gamma == pytest.approx(2 * math.pi - 1.0)
 
     def test_rejects_folded_colatitude(self):
         with pytest.raises(ValueError):
-            wigner.EulerAngles(0.0, -0.1, 0.0)
+            oracles.EulerAngles(0.0, -0.1, 0.0)
         with pytest.raises(ValueError):
-            wigner.EulerAngles(0.0, 3.2, 0.0)
+            oracles.EulerAngles(0.0, 3.2, 0.0)
 
 
 class TestSpinHarmonics:
     def test_monopole(self):
-        got = wigner.spin_sph_harm(0, 0, 0, (0.4, 1.1))
+        got = oracles.spin_sph_harm(0, 0, 0, (0.4, 1.1))
         assert got == pytest.approx(1.0 / math.sqrt(4 * math.pi), abs=1e-15)
 
     def test_dipole(self):
         expect = math.sqrt(3 / (4 * math.pi)) * math.cos(math.pi / 3)
-        got = wigner.spin_sph_harm(1, 0, 0, (math.pi / 3, 0.0))
+        got = oracles.spin_sph_harm(1, 0, 0, (math.pi / 3, 0.0))
         assert got == pytest.approx(expect, abs=1e-15)
 
     def test_conjugation_identity(self, rng):
@@ -217,14 +228,14 @@ class TestSpinHarmonics:
             s = int(rng.integers(-ell, ell + 1))
             m = int(rng.integers(-ell, ell + 1))
             omega = (rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            lhs = np.conj(wigner.spin_sph_harm(ell, m, s, omega))
-            rhs = wigner.spin_sph_harm(ell, -m, -s, omega)
+            lhs = np.conj(oracles.spin_sph_harm(ell, m, s, omega))
+            rhs = oracles.spin_sph_harm(ell, -m, -s, omega)
             sign = -1.0 if (s + m) % 2 else 1.0
             assert lhs == pytest.approx(sign * rhs, abs=1e-13)
 
     def test_rejects_order_out_of_range(self):
         with pytest.raises(ValueError):
-            wigner.spin_sph_harm(1, 0, 2, (0.3, 0.3))
+            oracles.spin_sph_harm(1, 0, 2, (0.3, 0.3))
 
 
 class TestQuadratureWeights:
