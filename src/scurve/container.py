@@ -46,9 +46,6 @@ MAGIC = b"SCRV1"
 
 _HEADER_CAP = 1 << 24
 _DTYPES = {"<f8": np.dtype("<f8"), "<c16": np.dtype("<c16")}
-_RESERVED = frozenset(
-    ("kind", "L", "spin", "lambda", "J0", "J", "frame", "multires", "real", "sections")
-)
 
 
 class ContainerError(RuntimeError):
@@ -57,15 +54,6 @@ class ContainerError(RuntimeError):
 
 def _payload_code(values: np.ndarray) -> str:
     return "<c16" if np.iscomplexobj(values) else "<f8"
-
-
-def _merge_extra(header: dict, extra) -> None:
-    if not extra:
-        return
-    clash = sorted(set(extra) & _RESERVED)
-    if clash:
-        raise ValueError(f"extra header keys collide with reserved names: {clash}")
-    header.update(extra)
 
 
 def _write_container(path, header: dict, arrays) -> None:
@@ -155,8 +143,8 @@ def read_container(path):
     return header, out
 
 
-def write_sphere(path, signal: SphereSignal, extra=None) -> None:
-    """Write one sphere signal; extra adds provenance keys to the header."""
+def write_sphere(path, signal: SphereSignal) -> None:
+    """Write one sphere signal."""
     header = {
         "kind": "sphere",
         "L": signal.grid.band_limit,
@@ -168,7 +156,6 @@ def write_sphere(path, signal: SphereSignal, extra=None) -> None:
         "multires": None,
         "real": signal.real,
     }
-    _merge_extra(header, extra)
     _write_container(path, header, [("values", signal.values)])
 
 
@@ -191,7 +178,7 @@ def read_sphere(path) -> SphereSignal:
         raise ContainerError(f"{path}: {exc}") from None
 
 
-def write_coeffs(path, coeffs: CurveletCoeffs, extra=None) -> None:
+def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
     """Write an analysis result: the scaling part plus every scale signal."""
     p = coeffs.params
     header = {
@@ -205,7 +192,6 @@ def write_coeffs(path, coeffs: CurveletCoeffs, extra=None) -> None:
         "multires": coeffs.multires,
         "real": coeffs.real,
     }
-    _merge_extra(header, extra)
     arrays = [("scaling", coeffs.scaling.values)]
     for j in range(p.j_min, p.j_max + 1):
         arrays.append((f"scale_{j}", coeffs.scale(j).values))

@@ -11,8 +11,8 @@ over centred colatitude bins.
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
 
 import numpy as np
 from scipy import fft as sfft
@@ -36,20 +36,13 @@ def fft_workers() -> int:
     return int(raw)
 
 
-_kernel_lock = threading.Lock()
-_kernel_cache: dict = {}
-
-
+@functools.lru_cache
 def _kernel_fft(L: int, pad: int) -> np.ndarray:
-    key = (L, pad)
-    with _kernel_lock:
-        hit = _kernel_cache.get(key)
-        if hit is None:
-            # v[q] = w(2(L-1) - q): the weight kernel laid out so that a
-            # plain convolution computes the correlation we need.
-            hit = sfft.fft(weight_kernel(2 * (L - 1))[::-1], n=pad)
-            _kernel_cache[key] = hit
-    return hit
+    # v[q] = w(2(L-1) - q): the weight kernel laid out so that a plain
+    # convolution computes the correlation we need.
+    kernel = sfft.fft(weight_kernel(2 * (L - 1))[::-1], n=pad)
+    kernel.setflags(write=False)
+    return kernel
 
 
 def weighted_convolve(spectrum: np.ndarray, axis: int = 0):

@@ -7,13 +7,15 @@ two-entry directionality pattern concentrated on m = +-ell.  The bands
 telescope, so the whole system resolves the identity; the residual of
 that identity is the construction's figure of merit and anything above
 1e-8 is treated as failure.
+
+The kernels come from one cumulative quadrature pass per build, with no
+state kept between builds: a tiling depends only on its TilingParams, so
+the same parameters give bitwise the same arrays in any process.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,80 +91,47 @@ def _segment_integral(lam, lo, hi, abs_tol=None, rel_tol=None, max_refine=30):
     )
 
 
-class _StepTable:
-    """Cumulative integrals of the squared bump, shared per (lambda, tol).
+_TOL = 1e-12
 
-    Stores K(t) = integral of s_lam(t')^2 dt'/t' from t to 1 at every t it
-    has ever been asked about, so repeated tilings at new band limits only
-    pay for the gaps between previously visited points.
+
+def _smooth_steps(lam: float, ts) -> np.ndarray:
+    """k_lambda at every t in ts, from one cumulative quadrature pass.
+
+    k_lambda(t) is the integral of s_lam(t')^2 dt'/t' from t to 1 over the
+    same integral from 1/lambda to 1: exactly 1 at t <= 1/lambda and 0 at
+    t >= 1.  The distinct points between split that range into gaps; each
+    gap is integrated once and the gaps are summed from t = 1 downward, so
+    the values depend only on lambda and ts.
     """
-
-    def __init__(self, lam: float, tol: float):
-        self.lam = lam
-        self.tol = tol
-        self.lock = threading.Lock()
-        self.den = _segment_integral(lam, math.log(1.0 / lam), 0.0, rel_tol=tol)
-        self.knots = [1.0]
-        self.cum = [0.0]
-
-    def _value_locked(self, t: float) -> float:
-        idx = bisect.bisect_right(self.knots, t)
-        if idx > 0 and self.knots[idx - 1] == t:
-            return self.cum[idx - 1]
-        anchor_t = self.knots[idx]
-        anchor_k = self.cum[idx]
-        k = anchor_k + _segment_integral(
-            self.lam, math.log(t), math.log(anchor_t), abs_tol=self.tol * self.den
+    ts = np.asarray(ts, dtype=float)
+    den = _segment_integral(lam, math.log(1.0 / lam), 0.0, rel_tol=_TOL)
+    if not 0.0 < den < math.inf:
+        raise QuadratureError(
+            f"the squared bump integrates to {den} for lambda={lam}; cannot normalise the step"
         )
-        self.knots.insert(idx, t)
-        self.cum.insert(idx, k)
-        return k
-
-    def values(self, ts) -> np.ndarray:
-        """k_lambda evaluated at each t, exact 1/0 outside the blend range."""
-        ts = np.asarray(ts, dtype=float)
-        out = np.empty(ts.shape)
-        lo = 1.0 / self.lam
-        out[ts <= lo] = 1.0
-        out[ts >= 1.0] = 0.0
-        mid = (ts > lo) & (ts < 1.0)
-        if np.any(mid):
-            pending = sorted(set(ts[mid].tolist()), reverse=True)
-            with self.lock:
-                got = {t: self._value_locked(t) / self.den for t in pending}
-            out[mid] = [got[t] for t in ts[mid].tolist()]
-        return np.clip(out, 0.0, 1.0, out=out)
+    knots, where = np.unique(ts, return_inverse=True)
+    vals = (knots <= 1.0 / lam).astype(float)
+    mid = (knots > 1.0 / lam) & (knots < 1.0)
+    logs = np.log(np.r_[knots[mid], 1.0])[::-1]
+    gaps = [_segment_integral(lam, lo, hi, abs_tol=_TOL * den) for hi, lo in zip(logs, logs[1:])]
+    vals[mid] = np.cumsum(gaps)[::-1] / den
+    return np.clip(vals, 0.0, 1.0)[where].reshape(ts.shape)
 
 
-_step_lock = threading.Lock()
-_step_tables: dict = {}
-
-
-def _step_table(lam: float, tol: float) -> _StepTable:
-    key = (float(lam), float(tol))
-    with _step_lock:
-        table = _step_tables.get(key)
-        if table is None:
-            table = _StepTable(*key)
-            _step_tables[key] = table
-    return table
-
-
-def smooth_step_k(lam: float, t: float, tol: float = 1e-12) -> float:
+def smooth_step_k(lam: float, t: float) -> float:
     """Smooth step from 1 (at t <= 1/lambda) down to 0 (at t >= 1)."""
     lam = float(lam)
     if not 1.0 < lam < math.inf:
         raise ValueError(f"dilation parameter must be finite and exceed 1, got {lam}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return float(_step_table(lam, tol).values([float(t)])[0])
+    return float(_smooth_steps(lam, float(t)))
 
 
 def _default_max_scale(L: int, lam: float) -> int:
+    # In log space: lam ** j overflows for a huge finite lam.
     j = 0
     if L > 2:
         j = max(0, math.ceil(math.log(L - 1) / math.log(lam) - 1e-9))
-    while lam ** (j + 1) < L:
+    while (j + 1) * math.log(lam) < math.log(L):
         j += 1
     return j
 
@@ -194,11 +163,11 @@ class TilingParams:
         if self.j_max < self.j_min:
             raise ValueError(f"j_max {self.j_max} below j_min {self.j_min}")
         # The finest kernel, supported on (lam^(j_max-1), lam^(j_max+1)),
-        # must reach degree L-1.
-        slack = 1.0 + 1e-12
-        if not (self.lam ** (self.j_max - 1) < L * slack):
+        # must reach degree L-1; compared in log space with 1e-12 slack.
+        log_lam, log_L = math.log(self.lam), math.log(L)
+        if not (self.j_max - 1) * log_lam < log_L + 1e-12:
             raise ValueError(f"j_max {self.j_max} too deep for band limit {L}")
-        if not (L <= self.lam ** (self.j_max + 1) * slack):
+        if not log_L <= (self.j_max + 1) * log_lam + 1e-12:
             raise ValueError(f"j_max {self.j_max} too shallow for band limit {L}")
 
     @property
@@ -224,31 +193,28 @@ class Tiling:
     angles: np.ndarray
 
 
-def build_tiling(params: TilingParams, tol: float = 1e-12) -> Tiling:
-    """Construct the tiling and verify it resolves the identity."""
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+def build_tiling(params: TilingParams) -> Tiling:
+    """Construct the tiling and verify it resolves the identity.
+
+    Row r of the step grid holds k_lambda(ell / lambda^(j_min + r)); each
+    kernel is the root of the difference of adjacent rows and the scaling
+    function comes from row 0, so the identity telescopes to round-off.
+    """
     p = params
     L = p.band_limit
     lam = p.lam
-    table = _step_table(lam, tol)
     ells = np.arange(L, dtype=float)
-    kernels = np.zeros((p.scale_count, L))
-    for idx, j in enumerate(range(p.j_min, p.j_max + 1)):
-        outer = table.values(ells * lam ** (-(j + 1.0)))
-        inner = table.values(ells * lam ** (-float(j)))
-        kernels[idx] = np.sqrt(np.maximum(outer - inner, 0.0))
-    scaling = np.sqrt((2.0 * ells + 1.0) / (4.0 * math.pi)) * np.sqrt(
-        table.values(ells * lam ** (-float(p.j_min)))
-    )
+    js = np.arange(p.j_min, p.j_max + 2, dtype=float)
+    steps = _smooth_steps(lam, ells * lam ** -js[:, None])
+    kernels = np.sqrt(np.maximum(steps[1:] - steps[:-1], 0.0))
+    scaling = np.sqrt((2.0 * ells + 1.0) / (4.0 * math.pi)) * np.sqrt(steps[0])
     root_half = 1.0 / math.sqrt(2.0)
     direction_pos = np.zeros(L)
     direction_neg = np.zeros(L)
     if L > 1:
         direction_pos[1:] = root_half
         direction_neg[1:] = alt_sign(np.arange(1, L)) * root_half
-    js = np.arange(p.j_min, p.j_max + 1, dtype=float)
-    args = np.clip(-float(p.spin) / lam**js, -1.0, 1.0)
+    args = np.clip(-float(p.spin) / lam ** js[:-1], -1.0, 1.0)
     angles = np.clip(np.arccos(args), 0.5 * math.pi, math.pi)
     for arr in (kernels, scaling, direction_pos, direction_neg, angles):
         arr.setflags(write=False)

@@ -36,12 +36,8 @@ __all__ = [
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def ipow(k: int) -> complex:
-    """i**k without trigonometric roundoff."""
-    return _IPOW[k % 4]
-
-
 def ipow_vec(k) -> np.ndarray:
+    """i**k for integer arrays, without trigonometric roundoff."""
     return np.asarray(_IPOW, dtype=complex)[np.mod(np.asarray(k), 4)]
 
 

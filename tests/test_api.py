@@ -1,6 +1,7 @@
 """Pins the package's public API, so a name added or dropped is a visible edit."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -72,6 +73,22 @@ def test_public_names_are_pinned():
     assert len(PUBLIC) == 55
     assert scurve.__all__ == PUBLIC
     assert fourier.__all__ == ["fft_workers", "weighted_convolve"]
+
+
+# Parameter lists kept free of tuning knobs (quadrature tolerance, extra
+# header keys); adding a parameter to one of these is a visible edit here.
+SIGNATURES = {
+    "build_tiling": ["params"],
+    "smooth_step_k": ["lam", "t"],
+    "write_sphere": ["path", "signal"],
+    "write_coeffs": ["path", "coeffs"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_pinned_signatures(name):
+    params = inspect.signature(getattr(scurve, name)).parameters
+    assert list(params) == SIGNATURES[name]
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,12 @@ class TestTiling:
         assert run(["tiling", "--L", "8", "--lambda", lam]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["1e200", "1e300"])
+    def test_huge_lambda_is_data_error(self, capsys, lam):
+        assert run(["tiling", "--L", "8", "--lambda", lam]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("scurve: error:") and err.count("\n") == 1
+
     def test_impossible_scale_range_is_data_error(self, capsys):
         assert run(["tiling", "--L", "8", "--jmin", "5"]) == 3
         assert "scurve: error:" in capsys.readouterr().err

@@ -52,18 +52,13 @@ class TestSphereContainer:
         container.write_sphere(b, container.read_sphere(a))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_extra_header_fields(self, tmp_path, rng):
+    def test_read_container_returns_unknown_header_keys(self, tmp_path):
         path = tmp_path / "f.scrv"
-        extra = {"rng": {"algorithm": "numpy-pcg64", "seed": 3}}
-        container.write_sphere(path, make_signal(4, 0, rng), extra=extra)
-        header, _ = container.read_container(path)
-        assert header["rng"] == extra["rng"]
-
-    def test_extra_cannot_mask_core_fields(self, tmp_path, rng):
-        with pytest.raises(ValueError):
-            container.write_sphere(
-                tmp_path / "f.scrv", make_signal(4, 0, rng), extra={"L": 99}
-            )
+        rng_note = {"algorithm": "numpy-pcg64", "seed": 3}
+        container._write_container(path, {"kind": "note", "rng": rng_note}, [])
+        header, sections = container.read_container(path)
+        assert header["rng"] == rng_note
+        assert sections == {}
 
 
 class TestCoeffContainer:

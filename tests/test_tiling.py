@@ -1,6 +1,10 @@
 """Checks for the harmonic tiling: kernels, directionality, widths."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,12 +63,16 @@ class TestSmoothStep:
     def test_validation(self):
         with pytest.raises(ValueError):
             tiling.smooth_step_k(1.0, 0.5)
-        with pytest.raises(ValueError):
-            tiling.smooth_step_k(2.0, 0.7, tol=0.0)
 
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_lambda_is_rejected(self, lam):
         with pytest.raises(ValueError, match="finite and exceed 1"):
+            tiling.smooth_step_k(lam, 0.5)
+
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    def test_huge_lambda_fails_cleanly(self, lam):
+        # the bump's normalising integral underflows to 0
+        with pytest.raises(tiling.QuadratureError, match="lambda"):
             tiling.smooth_step_k(lam, 0.5)
 
 
@@ -101,6 +109,13 @@ class TestParams:
             scurve.TilingParams(32, 0, 2.0, 0, 9)  # coarsest kernel past L-1
         with pytest.raises(ValueError):
             scurve.TilingParams(0, 0, 2.0, 0)
+
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    @pytest.mark.parametrize("j_max", [-1, 1, 5])
+    def test_huge_lambda_fails_cleanly(self, lam, j_max):
+        # lam ** j overflows a float; the checks must not
+        with pytest.raises((ValueError, tiling.QuadratureError)):
+            scurve.build_tiling(scurve.TilingParams(8, lam=lam, j_max=j_max))
 
 
 class TestKernels:
@@ -217,9 +232,34 @@ class TestAdmissibility:
         with pytest.raises(tiling.TilingError):
             scurve.build_tiling(params)
 
-    def test_build_validation(self):
-        with pytest.raises(ValueError):
-            scurve.build_tiling(scurve.TilingParams(8, 0, 2.0, 0), tol=-1.0)
+    @pytest.mark.parametrize(
+        "params", [(128, 2, 2.0, 2), (256, 0, 2.0, 2), (64, 0, 1.5, 0)]
+    )
+    def test_identity_to_round_off(self, params):
+        t = scurve.build_tiling(scurve.TilingParams(*params))
+        assert scurve.admissibility_residual(t) <= 1e-15
+
+
+class TestDeterminism:
+    def test_tiling_ignores_earlier_builds(self, tmp_path):
+        # a tiling built after another must equal the same tiling built in
+        # a fresh process: no quadrature state may carry over
+        params = (128, 0, 1.9, 2)
+        scurve.build_tiling(scurve.TilingParams(90, 0, 1.9, 1))
+        warm = scurve.build_tiling(scurve.TilingParams(*params))
+        out = tmp_path / "fresh.npz"
+        script = (
+            "import sys, numpy as np, scurve\n"
+            f"t = scurve.build_tiling(scurve.TilingParams{params})\n"
+            "np.savez(sys.argv[1], kernels=t.kernels, scaling=t.scaling)\n"
+        )
+        src = str(pathlib.Path(scurve.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        fresh = np.load(out)
+        assert np.array_equal(warm.kernels, fresh["kernels"])
+        assert np.array_equal(warm.scaling, fresh["scaling"])
 
 
 class TestFwhm:
