@@ -12,8 +12,10 @@ parabolic   ridge-width accuracy table over dyadic degrees
 
 Exit codes: 0 success, 2 usage error, 3 file or data error.  CSV output
 is RFC-4180 (CRLF line endings, header row first) and stable-ordered.
-The SCURVE_THREADS environment variable caps FFT parallelism.  Random
-test signals come from numpy's default PCG64 generator, seeded by
+The SCURVE_THREADS environment variable sets the worker thread count of
+the transforms (default: one per available core); the JSON notes of
+analyze, synthesize and bench --out report it as "workers".  Random test
+signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
 
@@ -30,6 +32,7 @@ import time
 import numpy as np
 
 from . import container
+from .fourier import fft_workers
 from .sphere import random_coeffs, sht_forward, sht_inverse
 from .tiling import (
     QuadratureError,
@@ -75,14 +78,14 @@ def _write_csv(stream, fields, rows) -> None:
     writer.writerows(rows)
 
 
-def _emit_table(out, fields, rows, command, args) -> None:
+def _emit_table(out, fields, rows, command, args, **extra) -> None:
     """CSV to stdout, or to a file plus a one-line JSON note on stdout."""
     if out is None:
         _write_csv(sys.stdout, fields, rows)
         return
     with open(out, "w", newline="") as fh:
         _write_csv(fh, fields, rows)
-    note = {"command": command, "wrote": out, "rows": len(rows)}
+    note = {"command": command, "wrote": out, "rows": len(rows), **extra}
     if hasattr(args, "seed"):
         note["rng"] = {"algorithm": _RNG_ALGORITHM, "seed": args.seed}
     print(json.dumps(note))
@@ -189,6 +192,7 @@ def cmd_analyze(args) -> int:
                 "j_min": params.j_min,
                 "j_max": params.j_max,
                 "real": coeffs.real,
+                "workers": fft_workers(),
             }
         )
     )
@@ -208,6 +212,7 @@ def cmd_synthesize(args) -> int:
                 "L": f.grid.band_limit,
                 "spin": f.spin,
                 "real": f.real,
+                "workers": fft_workers(),
             }
         )
     )
@@ -261,7 +266,9 @@ def cmd_bench(args) -> int:
             synthesize(analyze(f, t), t)
             times.append(time.perf_counter() - start)
         rows.append([L, statistics.median(times), min(times)])
-    _emit_table(args.out, ("L", "seconds", "min_seconds"), rows, "bench", args)
+    _emit_table(
+        args.out, ("L", "seconds", "min_seconds"), rows, "bench", args, workers=fft_workers()
+    )
     return 0
 
 

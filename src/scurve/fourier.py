@@ -26,11 +26,15 @@ __all__ = [
 
 
 def fft_workers() -> int:
-    """Worker count for the big FFT calls; SCURVE_THREADS caps it, default 1.
+    """Worker count for the whole-cube FFTs and the curvelet chunk pool.
 
-    A set value must be a positive integer; anything else raises ValueError.
+    SCURVE_THREADS sets it; unset, it is the number of cores this process
+    may run on.  A set value must be a positive integer; anything else
+    raises ValueError.
     """
-    raw = os.environ.get("SCURVE_THREADS", "1")
+    raw = os.environ.get("SCURVE_THREADS")
+    if raw is None:
+        return len(os.sched_getaffinity(0))
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"SCURVE_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
@@ -62,9 +66,9 @@ def weighted_convolve(spectrum: np.ndarray, axis: int = 0):
     kernel = _kernel_fft(L, pad)
     shape = [1] * spectrum.ndim
     shape[axis] = pad
-    transformed = sfft.fft(spectrum, n=pad, axis=axis, workers=fft_workers())
+    transformed = sfft.fft(spectrum, n=pad, axis=axis)
     transformed *= kernel.reshape(shape)
-    full = sfft.ifft(transformed, axis=axis, workers=fft_workers())
+    full = sfft.ifft(transformed, axis=axis, overwrite_x=True)
     sl = [slice(None)] * spectrum.ndim
     sl[axis] = slice(2 * L - 2, 4 * L - 3)
     return full[tuple(sl)]

@@ -18,16 +18,19 @@ reads only the alpha bins |m| <= ell, so the kernel is told the largest
 degree h its planes serve and transforms only the 2h+1 alpha columns
 |m| <= h.  The curvelet transforms batch gamma frequencies in order of
 |n| and pass each batch's largest |n|, which brings their beta work
-towards half of full width as L grows (0.64 at L = 32, 0.53 at L = 128);
+towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
 the sphere and general transforms read every degree and pass the full
-width.
+width.  The batches run on a pool of fft_workers() threads; each writes
+only its own gamma rows, so results are bitwise the same for any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -49,8 +52,9 @@ __all__ = [
 ]
 
 # Gamma frequencies are processed in batches so the extension and FFT work
-# runs on whole sub-cubes instead of one slice at a time.
-_CHUNK = 16
+# runs on whole sub-cubes instead of one slice at a time.  Batches of 8 keep
+# two pool workers' planes within what one worker held with batches of 16.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -193,11 +197,11 @@ class CurveletWignerCoeffs:
         return dense
 
 
-def _fft_gamma_inplace(arr: np.ndarray, inverse: bool, block: int = 8):
-    """FFT along axis 0, run over beta blocks to bound the transient copies."""
+def _fft_gamma_inplace(arr: np.ndarray, inverse: bool):
+    """FFT along axis 0, run over blocks of 8 betas to bound the transient copies."""
     fn = sfft.ifft if inverse else sfft.fft
-    for lo in range(0, arr.shape[1], block):
-        seg = np.s_[:, lo : lo + block, :]
+    for lo in range(0, arr.shape[1], 8):
+        seg = np.s_[:, lo : lo + 8, :]
         arr[seg] = fn(arr[seg], axis=0, norm="forward", workers=fft_workers())
 
 
@@ -223,6 +227,26 @@ def _gamma_order(L: int, real: bool) -> list:
     return sorted(range(0 if real else 1 - L, L), key=abs)
 
 
+@lru_cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="scurve")
+
+
+def _run_chunks(task, ns) -> None:
+    """Call task on each batch of _CHUNK gamma frequencies of ns.
+
+    The batches share fft_workers() threads, since pocketfft releases the
+    GIL; with one worker they run inline and no thread starts.
+    """
+    chunks = [ns[lo : lo + _CHUNK] for lo in range(0, len(ns), _CHUNK)]
+    workers = fft_workers()
+    if workers == 1:
+        for chunk in chunks:
+            task(chunk)
+    else:
+        list(_pool(workers).map(task, chunks))
+
+
 def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
 
@@ -240,7 +264,9 @@ def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
     E = W[np.ix_(ns % len(W), np.r_[0:L, L - 2 : -1 : -1], ms % Ka)]
     E[:, L:] *= alt_sign(ns[:, None] + ms)[:, None, :]
-    X = np.fft.fftshift(sfft.fft(E, axis=1, norm="forward", workers=fft_workers()), axes=1)
+    # In place and with E dropped, so a pool worker holds few stacks of planes.
+    X = np.fft.fftshift(sfft.fft(E, axis=1, norm="forward", overwrite_x=True), axes=1)
+    del E
     X *= np.exp(-1j * np.arange(1 - L, L) * (math.pi / (2 * L - 1)))[:, None]
     return (4.0 * math.pi**2) * weighted_convolve(X, axis=1)
 
@@ -256,10 +282,10 @@ def _bins_to_beta(X: np.ndarray, L: int, Ka: int) -> np.ndarray:
     for one alpha inversion.
     """
     h = X.shape[-1] // 2
-    B = sfft.ifft(np.fft.ifftshift(X, axes=-2), axis=-2, norm="forward", workers=fft_workers())
+    B = sfft.ifft(np.fft.ifftshift(X, axes=-2), axis=-2, norm="forward", overwrite_x=True)
     S = np.zeros(X.shape[:-2] + (L, Ka), dtype=complex)
     S[..., np.arange(-h, h + 1) % Ka] = B[..., :L, :]
-    return sfft.ifft(S, axis=-1, norm="forward", workers=fft_workers())
+    return sfft.ifft(S, axis=-1, norm="forward", overwrite_x=True)
 
 
 def _wigner_column(Y: np.ndarray, tab, n: int, ell: int) -> np.ndarray:
@@ -294,12 +320,13 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
     W1 = _analysis_spectrum(f.values, real=f.real)
     out = CurveletWignerCoeffs.zeros(L)
     tab = halfpi_table(L)
-    ns = _gamma_order(L, f.real)
-    for lo in range(0, len(ns), _CHUNK):
-        chunk = ns[lo : lo + _CHUNK]
+
+    def forward_chunk(chunk):
         Y = _beta_to_bins(W1, chunk, max(map(abs, chunk)))
         for i, n in enumerate(chunk):
             out.set_row(n, _wigner_column(Y[i], tab, n, abs(n)))
+
+    _run_chunks(forward_chunk, _gamma_order(L, f.real))
     if f.real:
         _impose_real_pairing(out.values)
     return out
@@ -339,13 +366,15 @@ def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) ->
     tab = halfpi_table(L)
     ns = _gamma_order(L, real)
     out = np.empty((len(ns), L, K), dtype=complex)
-    for lo in range(0, len(ns), _CHUNK):
-        chunk = ns[lo : lo + _CHUNK]
+
+    def inverse_chunk(chunk):
         h = max(map(abs, chunk))
         X = np.zeros((len(chunk), K, 2 * h + 1), dtype=complex)
         for i, n in enumerate(chunk):
             _column_bins(X[i], w.row(n), tab, n, abs(n))
         out[[n % K for n in chunk]] = _bins_to_beta(X, L, K)
+
+    _run_chunks(inverse_chunk, ns)
     if real:
         return SO3Signal(
             grid, sfft.irfft(out, n=K, axis=0, norm="forward", workers=fft_workers()), real=True

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import scurve
-from scurve import cli, container
+from scurve import cli, container, fourier
 
 
 def run(argv):
@@ -122,8 +122,10 @@ class TestAnalyzeSynthesize:
         note = json.loads(capsys.readouterr().out)
         assert note["wrote"] == str(coeff_path)
         assert note["spin"] == 2
+        assert note["workers"] == fourier.fft_workers()
         out_path = tmp_path / "g.scrv"
         assert run(["synthesize", str(coeff_path), "--out", str(out_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["workers"] == fourier.fft_workers()
         g = container.read_sphere(out_path)
         orig = scurve.sht_forward(f)
         back = scurve.sht_forward(g)
@@ -289,6 +291,14 @@ class TestBenchCommand:
         assert times[4] > 0.0
         assert times[32] >= times[4]
         assert all(float(r[2]) <= float(r[1]) for r in rows)
+
+    def test_note_reports_workers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCURVE_THREADS", "2")
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--L", "4", "--repeats", "1", "--out", str(out)]) == 0
+        note = json.loads(capsys.readouterr().out)
+        assert note["command"] == "bench"
+        assert note["workers"] == 2
 
     def test_spin_barely_changes_cost(self, capsys):
         assert run(["bench", "--L", "64", "--repeats", "5", "--jmin", "2"]) == 0

@@ -1,5 +1,7 @@
 """Checks for the shared FFT helpers."""
 
+import os
+
 import numpy as np
 import oracles
 import pytest
@@ -36,7 +38,7 @@ class TestWeightedConvolve:
 class TestFftWorkers:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("SCURVE_THREADS", raising=False)
-        assert fourier.fft_workers() == 1
+        assert fourier.fft_workers() == len(os.sched_getaffinity(0))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SCURVE_THREADS", "8")

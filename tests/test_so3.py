@@ -1,7 +1,9 @@
 """Checks for the rotation-group transforms."""
 
 import math
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,3 +353,63 @@ class TestScaling:
         t32, t128 = timed(32), timed(128)
         slope = math.log(t128 / t32) / math.log(128 / 32)
         assert slope <= 3.5
+
+
+class TestChunkPool:
+    """The gamma chunks run on fft_workers() threads without changing a bit."""
+
+    def test_outputs_do_not_depend_on_worker_count(self, monkeypatch, rng):
+        L = 32
+        grid = scurve.SO3Grid(L, L, L)
+        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        f = scurve.so3_inverse_curvelet(w, grid)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SCURVE_THREADS", threads)
+            inverse = scurve.so3_inverse_curvelet(w, grid).values
+            forward = scurve.so3_forward_curvelet(f).values
+            runs.append((inverse.tobytes(), forward.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_one_worker_starts_no_thread(self, monkeypatch, rng):
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        L = 32
+        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        before = threading.active_count()
+        scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))
+        assert threading.active_count() == before
+
+    def test_peak_grows_by_one_chunk_per_worker(self, monkeypatch, rng):
+        """Two workers hold one more chunk in flight than one worker, not more.
+
+        One chunk is measured as the traced peak of the widest forward
+        chunk on its own: its bin planes plus the padded convolution.
+        """
+        L = 64
+        grid = scurve.SO3Grid(L, L, L)
+        w = scurve.CurveletWignerCoeffs.random(L, rng)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def round_trip():
+            scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, grid))
+
+        peaks = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SCURVE_THREADS", threads)
+            round_trip()  # build the pool and the cached tables untraced
+            peaks[threads] = traced_peak(round_trip)
+        W1 = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, grid).values)
+        widest = so3._gamma_order(L, False)[-so3._CHUNK :]
+        one_chunk = traced_peak(lambda: so3._beta_to_bins(W1, widest, L - 1))
+        # The chunk's bin planes, their convolution padded to about twice
+        # the length and the weighted result: about four stacks of planes.
+        planes = so3._CHUNK * (2 * L - 1) ** 2 * 16
+        assert one_chunk <= 5 * planes
+        assert peaks["2"] <= peaks["1"] + one_chunk

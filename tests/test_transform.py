@@ -368,3 +368,20 @@ class TestRealPath:
         c = scurve.analyze(fc, t)
         with pytest.raises(ValueError):
             scurve.synthesize_real(c, t)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("spin, real", [(2, False), (0, True)])
+    def test_round_trip_does_not_depend_on_worker_count(self, monkeypatch, rng, spin, real):
+        L = 32
+        t = tiling_for(L, spin)
+        f = scurve.sht_inverse(scurve.random_coeffs(L, spin, rng, real=real))
+        assert f.real == real
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SCURVE_THREADS", threads)
+            c = scurve.analyze(f, t)
+            g = scurve.synthesize(c, t)
+            sigs = [c.scaling, *c.scales, g]
+            runs.append([sig.values.tobytes() for sig in sigs])
+        assert runs[0] == runs[1]
