@@ -13,9 +13,9 @@ parabolic   ridge-width accuracy table over dyadic degrees
 Exit codes: 0 success, 2 usage error, 3 file or data error.  CSV output
 is RFC-4180 (CRLF line endings, header row first) and stable-ordered.
 The SCURVE_THREADS environment variable sets the worker thread count of
-the transforms (default: one per available core); the JSON notes of
-analyze, synthesize and bench --out report it as "workers".  Random test
-signals come from numpy's default PCG64 generator, seeded by
+the transforms (default: one per available core, at most 2); the JSON
+notes of analyze, synthesize and bench --out report it as "workers".
+Random test signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
 

@@ -25,16 +25,27 @@ __all__ = [
 ]
 
 
+# Largest default worker count.  Each worker holds one more chunk's planes
+# in flight (30-50 MiB of peak RSS at L = 128, about four times that at
+# L = 256), and no more than two cores have been timed; SCURVE_THREADS may
+# still ask for more.
+_MAX_DEFAULT_WORKERS = 2
+
+
 def fft_workers() -> int:
     """Worker count for the whole-cube FFTs and the curvelet chunk pool.
 
     SCURVE_THREADS sets it; unset, it is the number of cores this process
-    may run on.  A set value must be a positive integer; anything else
-    raises ValueError.
+    may run on, at most _MAX_DEFAULT_WORKERS.  A set value must be a
+    positive integer; anything else raises ValueError.
     """
     raw = os.environ.get("SCURVE_THREADS")
     if raw is None:
-        return len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        return min(cores, _MAX_DEFAULT_WORKERS)
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"SCURVE_THREADS must be a positive integer, got {raw!r}")
     return int(raw)

@@ -28,6 +28,7 @@ count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -55,6 +56,9 @@ __all__ = [
 # runs on whole sub-cubes instead of one slice at a time.  Batches of 8 keep
 # two pool workers' planes within what one worker held with batches of 16.
 _CHUNK = 8
+
+# Beta rows per whole-cube gamma FFT call in _fft_gamma_inplace.
+_BETA_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -198,10 +202,10 @@ class CurveletWignerCoeffs:
 
 
 def _fft_gamma_inplace(arr: np.ndarray, inverse: bool):
-    """FFT along axis 0, run over blocks of 8 betas to bound the transient copies."""
+    """FFT along axis 0 in blocks of _BETA_BLOCK betas, to bound the transient copies."""
     fn = sfft.ifft if inverse else sfft.fft
-    for lo in range(0, arr.shape[1], 8):
-        seg = np.s_[:, lo : lo + 8, :]
+    for lo in range(0, arr.shape[1], _BETA_BLOCK):
+        seg = np.s_[:, lo : lo + _BETA_BLOCK, :]
         arr[seg] = fn(arr[seg], axis=0, norm="forward", workers=fft_workers())
 
 
@@ -230,6 +234,12 @@ def _gamma_order(L: int, real: bool) -> list:
 @lru_cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="scurve")
+
+
+# A forked child inherits the cached pool but none of its threads, so work
+# handed to it would never run; the child builds its own pool instead.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def _run_chunks(task, ns) -> None:
@@ -264,7 +274,9 @@ def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
     E = W[np.ix_(ns % len(W), np.r_[0:L, L - 2 : -1 : -1], ms % Ka)]
     E[:, L:] *= alt_sign(ns[:, None] + ms)[:, None, :]
-    # In place and with E dropped, so a pool worker holds few stacks of planes.
+    # In place and with E dropped, so a chunk holds fewer stacks of planes;
+    # at L = 128 this cuts peak RSS by 45 MiB on two workers and the round
+    # trip by a quarter on one core (BENCH_9.json, supplementary).
     X = np.fft.fftshift(sfft.fft(E, axis=1, norm="forward", overwrite_x=True), axes=1)
     del E
     X *= np.exp(-1j * np.arange(1 - L, L) * (math.pi / (2 * L - 1)))[:, None]

@@ -38,7 +38,20 @@ class TestWeightedConvolve:
 class TestFftWorkers:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("SCURVE_THREADS", raising=False)
-        assert fourier.fft_workers() == len(os.sched_getaffinity(0))
+        assert fourier.fft_workers() == min(len(os.sched_getaffinity(0)), 2)
+
+    def test_default_is_capped(self, monkeypatch):
+        monkeypatch.delenv("SCURVE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
+        assert fourier.fft_workers() == 2
+
+    @pytest.mark.parametrize("cpus, expected", [(1, 1), (8, 2), (None, 1)])
+    def test_default_without_affinity(self, monkeypatch, cpus, expected):
+        """Platforms without sched_getaffinity fall back on the CPU count."""
+        monkeypatch.delenv("SCURVE_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert fourier.fft_workers() == expected
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SCURVE_THREADS", "8")

@@ -1,6 +1,8 @@
 """Checks for the rotation-group transforms."""
 
 import math
+import multiprocessing
+import os
 import threading
 import time
 import tracemalloc
@@ -379,8 +381,28 @@ class TestChunkPool:
         scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))
         assert threading.active_count() == before
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_the_pool(self, monkeypatch, rng):
+        """A child forked after the pool started builds its own and finishes."""
+        monkeypatch.setenv("SCURVE_THREADS", "2")
+        L = 16
+        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        grid = scurve.SO3Grid(L, L, L)
+        expected = scurve.so3_inverse_curvelet(w, grid).values
+
+        def in_child():
+            assert np.array_equal(scurve.so3_inverse_curvelet(w, grid).values, expected)
+
+        child = multiprocessing.get_context("fork").Process(target=in_child)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+
     def test_peak_grows_by_one_chunk_per_worker(self, monkeypatch, rng):
-        """Two workers hold one more chunk in flight than one worker, not more.
+        """Each worker past the first holds one more chunk in flight, not more.
 
         One chunk is measured as the traced peak of the widest forward
         chunk on its own: its bin planes plus the padded convolution.
@@ -401,8 +423,8 @@ class TestChunkPool:
             scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, grid))
 
         peaks = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SCURVE_THREADS", threads)
+        for threads in (1, 2, 4):
+            monkeypatch.setenv("SCURVE_THREADS", str(threads))
             round_trip()  # build the pool and the cached tables untraced
             peaks[threads] = traced_peak(round_trip)
         W1 = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, grid).values)
@@ -412,4 +434,5 @@ class TestChunkPool:
         # the length and the weighted result: about four stacks of planes.
         planes = so3._CHUNK * (2 * L - 1) ** 2 * 16
         assert one_chunk <= 5 * planes
-        assert peaks["2"] <= peaks["1"] + one_chunk
+        assert peaks[2] <= peaks[1] + one_chunk
+        assert peaks[4] <= peaks[1] + 3 * one_chunk
