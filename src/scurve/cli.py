@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 usage error, 3 file or data error.  CSV output
 is RFC-4180 (CRLF line endings, header row first) and stable-ordered.
 The SCURVE_THREADS environment variable sets the worker thread count of
 the transforms (default: one per available core, at most 2); the JSON
-notes of analyze, synthesize and bench --out report it as "workers".
+notes of analyze, synthesize and bench --out report it as "workers";
+those of analyze and synthesize also give the process's peak resident
+memory as "peak_rss_mib".
 Random test signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
@@ -28,6 +30,11 @@ import math
 import statistics
 import sys
 import time
+
+try:
+    import resource
+except ImportError:  # not available on Windows
+    resource = None
 
 import numpy as np
 
@@ -175,6 +182,18 @@ def cmd_tiling(args) -> int:
     return 0
 
 
+def _peak_rss_note() -> dict:
+    """{"peak_rss_mib": peak RSS of this process}, or {} without resource.
+
+    ru_maxrss counts KiB on Linux and bytes on macOS.
+    """
+    if resource is None:
+        return {}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 1 if sys.platform == "darwin" else 1024
+    return {"peak_rss_mib": round(peak * unit / 2**20, 1)}
+
+
 def cmd_analyze(args) -> int:
     f = _load_sphere_input(args.input, args)
     params = _make_params(args, f.grid.band_limit, f.spin)
@@ -193,6 +212,7 @@ def cmd_analyze(args) -> int:
                 "j_max": params.j_max,
                 "real": coeffs.real,
                 "workers": fft_workers(),
+                **_peak_rss_note(),
             }
         )
     )
@@ -213,6 +233,7 @@ def cmd_synthesize(args) -> int:
                 "spin": f.spin,
                 "real": f.real,
                 "workers": fft_workers(),
+                **_peak_rss_note(),
             }
         )
     )

@@ -13,6 +13,11 @@ theta-major.
 
 Writes land in a temporary file next to the target and are renamed into
 place, so a reader never observes a half-written container.
+
+Reading or writing a container holds one copy of the payload: sections
+are written straight from the arrays' buffers, and read straight into
+their own arrays at the section offsets once the whole layout has been
+checked against the file size.
 """
 
 from __future__ import annotations
@@ -56,25 +61,34 @@ def _payload_code(values: np.ndarray) -> str:
     return "<c16" if np.iscomplexobj(values) else "<f8"
 
 
+def _byte_view(arr: np.ndarray) -> np.ndarray:
+    """Flat uint8 view of a C-contiguous array, sharing its memory."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def _write_container(path, header: dict, arrays) -> None:
-    """arrays is a list of (name, ndarray); the section table is derived."""
+    """arrays is a list of (name, ndarray); the section table is derived.
+
+    Each section is written straight from its array's buffer; only an
+    array that is not already C-contiguous little-endian is converted.
+    """
     sections = []
-    blobs = []
+    payload = []
     offset = 0
     for name, arr in arrays:
         code = _payload_code(arr)
-        blob = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
+        data = np.ascontiguousarray(arr, dtype=_DTYPES[code])
         sections.append(
             {
                 "name": name,
                 "dtype": code,
                 "shape": list(arr.shape),
                 "offset": offset,
-                "nbytes": len(blob),
+                "nbytes": data.nbytes,
             }
         )
-        blobs.append(blob)
-        offset += len(blob)
+        payload.append(data)
+        offset += data.nbytes
     head = json.dumps(dict(header, sections=sections), allow_nan=False).encode()
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scrv-")
@@ -83,8 +97,8 @@ def _write_container(path, header: dict, arrays) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(head)))
             fh.write(head)
-            for blob in blobs:
-                fh.write(blob)
+            for data in payload:
+                fh.write(_byte_view(data))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -96,24 +110,23 @@ def _write_container(path, header: dict, arrays) -> None:
         raise
 
 
-def read_container(path):
-    """Return (header, {section name: array}) after validating the layout."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
-        raise ContainerError(f"{path}: not an SCRV1 container")
-    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
-    start = len(MAGIC) + 4
-    if hlen > _HEADER_CAP or start + hlen > len(raw):
-        raise ContainerError(f"{path}: header length {hlen} exceeds file size")
-    try:
-        header = json.loads(raw[start : start + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: bad header: {exc}") from None
+def _read_exact(fh, buf, path) -> None:
+    """Fill the writable buffer buf from fh; ContainerError on a short read."""
+    view = memoryview(buf)
+    filled = 0
+    while filled < len(view):
+        got = fh.readinto(view[filled:])
+        if not got:
+            raise ContainerError(f"{path}: file ended before its stated length")
+        filled += got
+
+
+def _section_table(path, header: dict, payload_size: int) -> list:
+    """Validated (name, dtype, shape, offset) of every section."""
     if not isinstance(header, dict) or not isinstance(header.get("sections"), list):
         raise ContainerError(f"{path}: header carries no section table")
-    payload = raw[start + hlen :]
-    out = {}
+    table = []
+    names = set()
     for sec in header["sections"]:
         try:
             name = sec["name"]
@@ -129,17 +142,48 @@ def read_container(path):
             raise ContainerError(
                 f"{path}: section {name!r} shape, offset and nbytes must be non-negative integers"
             )
-        if name in out:
+        if name in names:
             raise ContainerError(f"{path}: duplicate section {name!r}")
         if code not in _DTYPES:
             raise ContainerError(f"{path}: unknown payload dtype {code!r}")
         dt = _DTYPES[code]
-        count = math.prod(shape)
-        if nbytes != count * dt.itemsize:
+        if nbytes != math.prod(shape) * dt.itemsize:
             raise ContainerError(f"{path}: section {name!r} length does not match its shape")
-        if offset + nbytes > len(payload):
+        if offset + nbytes > payload_size:
             raise ContainerError(f"{path}: section {name!r} exceeds the payload")
-        out[name] = np.frombuffer(payload, dt, count, offset).reshape(shape).copy()
+        names.add(name)
+        table.append((name, dt, shape, offset))
+    return table
+
+
+def read_container(path):
+    """Return (header, {section name: array}) after validating the layout.
+
+    The magic, the header and the whole section table are checked against
+    the file size before any array is allocated; each section is then read
+    straight into its own array, so the payload is held once.
+    """
+    start = len(MAGIC) + 4
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        lead = fh.read(start)
+        if len(lead) < start or lead[: len(MAGIC)] != MAGIC:
+            raise ContainerError(f"{path}: not an SCRV1 container")
+        (hlen,) = struct.unpack_from("<I", lead, len(MAGIC))
+        if hlen > _HEADER_CAP or start + hlen > size:
+            raise ContainerError(f"{path}: header length {hlen} exceeds file size")
+        raw = bytearray(hlen)
+        _read_exact(fh, raw, path)
+        try:
+            header = json.loads(raw.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContainerError(f"{path}: bad header: {exc}") from None
+        out = {}
+        for name, dt, shape, offset in _section_table(path, header, size - start - hlen):
+            arr = np.empty(shape, dt)
+            fh.seek(start + hlen + offset)
+            _read_exact(fh, _byte_view(arr), path)
+            out[name] = arr
     return header, out
 
 

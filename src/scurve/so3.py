@@ -212,11 +212,13 @@ def _fft_gamma_inplace(arr: np.ndarray, inverse: bool):
 def _analysis_spectrum(values: np.ndarray, real: bool = False) -> np.ndarray:
     """FFT over alpha and gamma, normalised to Fourier coefficients.
 
-    A real signal keeps only the gamma frequencies n >= 0 (rfft first).
+    A real signal keeps only the gamma frequencies n >= 0 (rfft first);
+    the alpha FFT then overwrites that fresh rfft output.  The caller's
+    values are never overwritten.
     """
     if real:
         values = sfft.rfft(values, axis=0, norm="forward", workers=fft_workers())
-    W1 = sfft.fft(values, axis=2, norm="forward", workers=fft_workers())
+    W1 = sfft.fft(values, axis=2, norm="forward", workers=fft_workers(), overwrite_x=real)
     if not real:
         _fft_gamma_inplace(W1, inverse=False)
     return W1

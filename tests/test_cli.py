@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -130,6 +131,37 @@ class TestAnalyzeSynthesize:
         orig = scurve.sht_forward(f)
         back = scurve.sht_forward(g)
         assert np.abs(back.values - orig.values).max() <= 1e-10
+
+    def test_notes_report_peak_rss(self, tmp_path, rng, capsys):
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 8, 0, rng)
+        coeff_path = tmp_path / "c.scrv"
+        assert run(["analyze", str(src), "--jmin", "1", "--out", str(coeff_path)]) == 0
+        analyzed = json.loads(capsys.readouterr().out)
+        assert run(["synthesize", str(coeff_path), "--out", str(tmp_path / "g.scrv")]) == 0
+        synthesized = json.loads(capsys.readouterr().out)
+        for note in (analyzed, synthesized):
+            assert isinstance(note["peak_rss_mib"], float)
+            assert note["peak_rss_mib"] > 0.0
+        # The peak of one process never falls.
+        assert synthesized["peak_rss_mib"] >= analyzed["peak_rss_mib"]
+
+    @pytest.mark.parametrize("platform, mib", [("linux", 3072.0), ("darwin", 3.0)])
+    def test_peak_rss_units(self, monkeypatch, platform, mib):
+        usage = types.SimpleNamespace(ru_maxrss=3 * 2**20)
+        fake = types.SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+        monkeypatch.setattr(cli, "resource", fake)
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        assert cli._peak_rss_note() == {"peak_rss_mib": mib}
+
+    def test_peak_rss_omitted_without_resource(self, tmp_path, rng, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 8, 0, rng)
+        assert run(["analyze", str(src), "--jmin", "1", "--out", str(tmp_path / "c")]) == 0
+        note = json.loads(capsys.readouterr().out)
+        assert "peak_rss_mib" not in note
+        assert note["workers"] == fourier.fft_workers()
 
     def test_real_input_stays_real(self, tmp_path, rng, capsys):
         src = tmp_path / "f.scrv"

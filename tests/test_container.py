@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -224,6 +226,109 @@ class TestContainerHardening:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.scrv"]
+
+
+class TestCopyFreeIO:
+    def test_byte_layout(self, tmp_path):
+        path = tmp_path / "f.scrv"
+        a = np.arange(6, dtype="<f8").reshape(2, 3) / 7.0
+        b = (np.arange(4) + 1j * np.arange(4, 8)).astype("<c16")
+        c = np.zeros((0, 5))
+        header = {"kind": "note", "L": 3}
+        container._write_container(path, header, [("a", a), ("b", b), ("c", c)])
+        sections = [
+            {"name": "a", "dtype": "<f8", "shape": [2, 3], "offset": 0, "nbytes": 48},
+            {"name": "b", "dtype": "<c16", "shape": [4], "offset": 48, "nbytes": 64},
+            {"name": "c", "dtype": "<f8", "shape": [0, 5], "offset": 112, "nbytes": 0},
+        ]
+        head = json.dumps(dict(header, sections=sections)).encode()
+        expected = (
+            container.MAGIC
+            + struct.pack("<I", len(head))
+            + head
+            + a.tobytes()
+            + b.tobytes()
+            + c.tobytes()
+        )
+        assert path.read_bytes() == expected
+
+    def test_noncontiguous_input_is_written_in_c_order(self, tmp_path):
+        path = tmp_path / "f.scrv"
+        a = np.arange(12.0).reshape(3, 4)
+        container._write_container(path, {"kind": "note"}, [("t", a.T)])
+        _, sections = container.read_container(path)
+        np.testing.assert_array_equal(sections["t"], a.T)
+
+    def test_sections_are_owned_writable_and_disjoint(self, tmp_path, rng):
+        path = tmp_path / "c.scrv"
+        c, _ = make_coeffs(16, 2, rng)
+        container.write_coeffs(path, c)
+        _, sections = container.read_container(path)
+        arrays = list(sections.values())
+        assert len(arrays) == 1 + len(c.scales)
+        for arr in arrays:
+            assert arr.flags.owndata
+            assert arr.flags.writeable
+            assert arr.flags.c_contiguous
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1 :]:
+                assert not np.shares_memory(x, y)
+
+    def test_short_read(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "f.scrv"
+        container.write_sphere(path, make_signal(4, 1, rng))
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = os.fstat
+
+        def grown(fd):
+            return types.SimpleNamespace(st_size=fstat(fd).st_size + 8)
+
+        # The file looks as long as it was, as if truncated after the check.
+        monkeypatch.setattr(container.os, "fstat", grown)
+        with pytest.raises(container.ContainerError, match="ended before"):
+            container.read_sphere(path)
+
+
+class TestContainerMemory:
+    """Reading or writing holds at most one copy of the payload."""
+
+    @pytest.fixture(scope="class")
+    def coeffs(self):
+        c, _ = make_coeffs(64, 0, np.random.default_rng(0), j_min=2, real=True)
+        return c
+
+    @staticmethod
+    def payload_bytes(c):
+        return c.scaling.values.nbytes + sum(s.values.nbytes for s in c.scales)
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    @pytest.fixture(scope="class")
+    def written(self, coeffs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("memory") / "c.scrv"
+        container.write_coeffs(path, coeffs)
+        return path
+
+    def test_write_peak(self, tmp_path, coeffs):
+        payload = self.payload_bytes(coeffs)
+        assert payload > 16 * 2**20
+        peak, _ = self.traced_peak(container.write_coeffs, tmp_path / "c.scrv", coeffs)
+        assert peak <= 0.1 * payload
+
+    def test_read_peak(self, written, coeffs):
+        payload = self.payload_bytes(coeffs)
+        peak, back = self.traced_peak(container.read_coeffs, written)
+        assert peak <= 1.1 * payload + 2**20
+        for a, b in zip(back.scales, coeffs.scales):
+            np.testing.assert_array_equal(a.values, b.values)
 
 
 def rewrite_header(path, mutate):

@@ -370,6 +370,28 @@ class TestRealPath:
             scurve.synthesize_real(c, t)
 
 
+class TestInputsUntouched:
+    """No transform writes into its caller's arrays, on either path."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_inputs_are_bitwise_unchanged(self, real, rng):
+        L = 16
+        t = tiling_for(L, 0, j_min=1)
+        f = scurve.sht_inverse(scurve.random_coeffs(L, 0, rng, real=real))
+        assert f.real == real
+        before = f.values.tobytes()
+        scurve.sht_forward(f)
+        c = scurve.analyze(f, t)
+        assert f.values.tobytes() == before
+        signals = [c.scaling, *c.scales]
+        saved = [s.values.tobytes() for s in signals]
+        for sig in c.scales:
+            assert sig.real == real
+            scurve.so3_forward_curvelet(sig)
+        scurve.synthesize(c, t)
+        assert [s.values.tobytes() for s in signals] == saved
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("spin, real", [(2, False), (0, True)])
     def test_round_trip_does_not_depend_on_worker_count(self, monkeypatch, rng, spin, real):
