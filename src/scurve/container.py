@@ -100,6 +100,11 @@ def _write_container(path, header: dict, arrays) -> None:
             for data in payload:
                 fh.write(_byte_view(data))
             fh.flush()
+            # mkstemp makes the file owner-only; give it the mode a plain
+            # open() would, 0o666 less the umask (read by setting it back).
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:

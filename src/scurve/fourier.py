@@ -15,7 +15,7 @@ import functools
 import os
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as sfft
 
 from .wigner import weight_kernel
 
@@ -33,11 +33,12 @@ _MAX_DEFAULT_WORKERS = 2
 
 
 def fft_workers() -> int:
-    """Worker count for the whole-cube FFTs and the curvelet chunk pool.
+    """Thread count of the so3 pool.
 
-    SCURVE_THREADS sets it; unset, it is the number of cores this process
-    may run on, at most _MAX_DEFAULT_WORKERS.  A set value must be a
-    positive integer; anything else raises ValueError.
+    The pool runs both the curvelet gamma chunks and the beta blocks of
+    the whole-cube FFTs.  SCURVE_THREADS sets it; unset, it is the number
+    of cores this process may run on, at most _MAX_DEFAULT_WORKERS.  A set
+    value must be a positive integer; anything else raises ValueError.
     """
     raw = os.environ.get("SCURVE_THREADS")
     if raw is None:
@@ -49,6 +50,19 @@ def fft_workers() -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"SCURVE_THREADS must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: the lengths pocketfft runs fastest."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 @functools.lru_cache
@@ -66,20 +80,19 @@ def weighted_convolve(spectrum: np.ndarray, axis: int = 0):
     spectrum holds centered bins m'' of length 2L-1 along axis; the result
     has the same shape with out[m'] = sum_m'' spectrum[m''] w(m'' - m').
     The convolution runs circularly at padded length >= 4L-3, which is
-    provably alias-free for the 2L-1 output bins kept.
+    provably alias-free for the 2L-1 output bins kept.  It runs along the
+    last axis of one zero-padded copy, transformed in place; the result is
+    a view of that copy.
     """
-    spectrum = np.asarray(spectrum)
-    K = spectrum.shape[axis]
+    spectrum = np.moveaxis(np.asarray(spectrum), axis, -1)
+    K = spectrum.shape[-1]
     L = (K + 1) // 2
     if K != 2 * L - 1:
         raise ValueError(f"expected odd bin count, got {K}")
-    pad = sfft.next_fast_len(4 * L - 3)
-    kernel = _kernel_fft(L, pad)
-    shape = [1] * spectrum.ndim
-    shape[axis] = pad
-    transformed = sfft.fft(spectrum, n=pad, axis=axis)
-    transformed *= kernel.reshape(shape)
-    full = sfft.ifft(transformed, axis=axis, overwrite_x=True)
-    sl = [slice(None)] * spectrum.ndim
-    sl[axis] = slice(2 * L - 2, 4 * L - 3)
-    return full[tuple(sl)]
+    pad = _next_fast_len(4 * L - 3)
+    buf = np.zeros(spectrum.shape[:-1] + (pad,), dtype=complex)
+    buf[..., :K] = spectrum
+    sfft.fft(buf, out=buf)
+    buf *= _kernel_fft(L, pad)
+    sfft.ifft(buf, out=buf)
+    return np.moveaxis(buf[..., 2 * L - 2 : 4 * L - 3], -1, axis)

@@ -20,9 +20,10 @@ degree h its planes serve and transforms only the 2h+1 alpha columns
 |n| and pass each batch's largest |n|, which brings their beta work
 towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
 the sphere and general transforms read every degree and pass the full
-width.  The batches run on a pool of fft_workers() threads; each writes
-only its own gamma rows, so results are bitwise the same for any worker
-count.
+width.  The batches run on a pool of fft_workers() threads, and so do the
+whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
+batch or block writes only its own rows, so results are bitwise the same
+for any worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as sfft
 
 from .fourier import fft_workers, weighted_convolve
 from .wigner import alt_sign, halfpi_table, ipow_vec
@@ -57,7 +58,8 @@ __all__ = [
 # two pool workers' planes within what one worker held with batches of 16.
 _CHUNK = 8
 
-# Beta rows per whole-cube gamma FFT call in _fft_gamma_inplace.
+# Beta rows per block of the whole-cube FFTs, which bounds their transient
+# copies and shares them between the pool's threads.
 _BETA_BLOCK = 8
 
 
@@ -201,27 +203,41 @@ class CurveletWignerCoeffs:
         return dense
 
 
+def _beta_blocks(L: int) -> list:
+    """Slices of _BETA_BLOCK beta rows covering L rows."""
+    return [np.s_[:, lo : lo + _BETA_BLOCK] for lo in range(0, L, _BETA_BLOCK)]
+
+
 def _fft_gamma_inplace(arr: np.ndarray, inverse: bool):
-    """FFT along axis 0 in blocks of _BETA_BLOCK betas, to bound the transient copies."""
+    """FFT along axis 0, in place, one block of beta rows per pool task."""
+
     fn = sfft.ifft if inverse else sfft.fft
-    for lo in range(0, arr.shape[1], _BETA_BLOCK):
-        seg = np.s_[:, lo : lo + _BETA_BLOCK, :]
-        arr[seg] = fn(arr[seg], axis=0, norm="forward", workers=fft_workers())
+
+    def block(rows):
+        fn(arr[rows], axis=0, norm="forward", out=arr[rows])
+
+    _run_chunks(block, _beta_blocks(arr.shape[1]))
 
 
 def _analysis_spectrum(values: np.ndarray, real: bool = False) -> np.ndarray:
-    """FFT over alpha and gamma, normalised to Fourier coefficients.
+    """FFT over gamma and alpha, normalised to Fourier coefficients.
 
-    A real signal keeps only the gamma frequencies n >= 0 (rfft first);
-    the alpha FFT then overwrites that fresh rfft output.  The caller's
-    values are never overwritten.
+    One fft2 per block of beta rows; a real signal keeps only the gamma
+    frequencies n >= 0 (an rfft, then the alpha FFT in place).  The
+    caller's values are never overwritten.
     """
-    if real:
-        values = sfft.rfft(values, axis=0, norm="forward", workers=fft_workers())
-    W1 = sfft.fft(values, axis=2, norm="forward", workers=fft_workers(), overwrite_x=real)
-    if not real:
-        _fft_gamma_inplace(W1, inverse=False)
-    return W1
+    G, L, Ka = values.shape
+    W = np.empty((G // 2 + 1 if real else G, L, Ka), dtype=complex)
+
+    def block(rows):
+        if real:
+            sfft.rfft(values[rows], axis=0, norm="forward", out=W[rows])
+            sfft.fft(W[rows], axis=2, norm="forward", out=W[rows])
+        else:
+            sfft.fft2(values[rows], axes=(0, 2), norm="forward", out=W[rows])
+
+    _run_chunks(block, _beta_blocks(L))
+    return W
 
 
 def _gamma_order(L: int, real: bool) -> list:
@@ -244,19 +260,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _run_chunks(task, ns) -> None:
-    """Call task on each batch of _CHUNK gamma frequencies of ns.
+def _gamma_chunks(ns) -> list:
+    """Batches of _CHUNK gamma frequencies of ns."""
+    return [ns[lo : lo + _CHUNK] for lo in range(0, len(ns), _CHUNK)]
 
-    The batches share fft_workers() threads, since pocketfft releases the
+
+def _run_chunks(task, items) -> None:
+    """Call task on each work item: a gamma batch or a block of beta rows.
+
+    The items share fft_workers() threads, since pocketfft releases the
     GIL; with one worker they run inline and no thread starts.
     """
-    chunks = [ns[lo : lo + _CHUNK] for lo in range(0, len(ns), _CHUNK)]
     workers = fft_workers()
     if workers == 1:
-        for chunk in chunks:
-            task(chunk)
+        for item in items:
+            task(item)
     else:
-        list(_pool(workers).map(task, chunks))
+        list(_pool(workers).map(task, items))
 
 
 def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
@@ -268,21 +288,31 @@ def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     keep only those 2h+1 alpha columns, gathered before any beta work.
     Each plane is extended through the poles with parity (-1)^(m + n),
     transformed along beta, recentred, stripped of the node offset and
-    weighted by sin(beta); the result has shape (len(ns), 2L-1, 2h+1).
+    weighted by sin(beta).  The planes are gathered beta-last, so all of
+    that runs along the contiguous last axis; the result is a (len(ns),
+    2L-1, 2h+1) transposed view.
     """
     L, Ka = W.shape[1:]
-    ns = np.asarray(ns)
     ms = np.arange(-h, h + 1)
-    # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
-    E = W[np.ix_(ns % len(W), np.r_[0:L, L - 2 : -1 : -1], ms % Ka)]
-    E[:, L:] *= alt_sign(ns[:, None] + ms)[:, None, :]
+    E = np.empty((len(ns), 2 * h + 1, 2 * L - 1), dtype=complex)
+    for i, n in enumerate(ns):
+        P = W[n % len(W)][:, ms % Ka].T
+        E[i, :, :L] = P
+        # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
+        np.multiply(P[:, L - 2 :: -1], alt_sign(n + ms)[:, None], out=E[i, :, L:])
     # In place and with E dropped, so a chunk holds fewer stacks of planes;
-    # at L = 128 this cuts peak RSS by 45 MiB on two workers and the round
+    # at L = 128 this cut peak RSS by 45 MiB on two workers and the round
     # trip by a quarter on one core (BENCH_9.json, supplementary).
-    X = np.fft.fftshift(sfft.fft(E, axis=1, norm="forward", overwrite_x=True), axes=1)
+    sfft.fft(E, norm="forward", out=E)
+    # Recentre the bins (an fftshift) and strip the node offset in one pass.
+    phase = np.exp(-1j * np.arange(1 - L, L) * (math.pi / (2 * L - 1)))
+    X = np.empty_like(E)
+    np.multiply(E[..., L:], phase[: L - 1], out=X[..., : L - 1])
+    np.multiply(E[..., :L], phase[L - 1 :], out=X[..., L - 1 :])
     del E
-    X *= np.exp(-1j * np.arange(1 - L, L) * (math.pi / (2 * L - 1)))[:, None]
-    return (4.0 * math.pi**2) * weighted_convolve(X, axis=1)
+    Y = weighted_convolve(X, axis=-1)
+    Y *= 4.0 * math.pi**2
+    return Y.swapaxes(1, 2)
 
 
 def _bins_to_beta(X: np.ndarray, L: int, Ka: int) -> np.ndarray:
@@ -296,10 +326,15 @@ def _bins_to_beta(X: np.ndarray, L: int, Ka: int) -> np.ndarray:
     for one alpha inversion.
     """
     h = X.shape[-1] // 2
-    B = sfft.ifft(np.fft.ifftshift(X, axes=-2), axis=-2, norm="forward", overwrite_x=True)
+    # Undo the recentring (an ifftshift) while copying beta-last, so the
+    # beta transform runs along the contiguous last axis.
+    B = np.empty(X.shape[:-2] + (2 * h + 1, 2 * L - 1), dtype=complex)
+    B[..., :L] = X[..., L - 1 :, :].swapaxes(-1, -2)
+    B[..., L:] = X[..., : L - 1, :].swapaxes(-1, -2)
+    sfft.ifft(B, norm="forward", out=B)
     S = np.zeros(X.shape[:-2] + (L, Ka), dtype=complex)
-    S[..., np.arange(-h, h + 1) % Ka] = B[..., :L, :]
-    return sfft.ifft(S, axis=-1, norm="forward", overwrite_x=True)
+    S[..., np.arange(-h, h + 1) % Ka] = B[..., :L].swapaxes(-1, -2)
+    return sfft.ifft(S, norm="forward", out=S)
 
 
 def _wigner_column(Y: np.ndarray, tab, n: int, ell: int) -> np.ndarray:
@@ -340,7 +375,7 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
         for i, n in enumerate(chunk):
             out.set_row(n, _wigner_column(Y[i], tab, n, abs(n)))
 
-    _run_chunks(forward_chunk, _gamma_order(L, f.real))
+    _run_chunks(forward_chunk, _gamma_chunks(_gamma_order(L, f.real)))
     if f.real:
         _impose_real_pairing(out.values)
     return out
@@ -388,11 +423,15 @@ def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) ->
             _column_bins(X[i], w.row(n), tab, n, abs(n))
         out[[n % K for n in chunk]] = _bins_to_beta(X, L, K)
 
-    _run_chunks(inverse_chunk, ns)
+    _run_chunks(inverse_chunk, _gamma_chunks(ns))
     if real:
-        return SO3Signal(
-            grid, sfft.irfft(out, n=K, axis=0, norm="forward", workers=fft_workers()), real=True
-        )
+        values = np.empty((K, L, K))
+
+        def irfft_block(rows):
+            sfft.irfft(out[rows], n=K, axis=0, norm="forward", out=values[rows])
+
+        _run_chunks(irfft_block, _beta_blocks(L))
+        return SO3Signal(grid, values, real=True)
     _fft_gamma_inplace(out, inverse=True)
     return SO3Signal(grid, out)
 

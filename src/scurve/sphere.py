@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as sfft
 
 # weighted_convolve is not called here: the transforms reach it through
 # the shared bin kernel in so3.  It stays bound because perfbench/tracer.py
 # wraps scurve.sphere.weighted_convolve by name.
-from .fourier import fft_workers, weighted_convolve  # noqa: F401
+from .fourier import weighted_convolve  # noqa: F401
 from .so3 import _beta_to_bins, _bins_to_beta, _check_real, _column_bins, _wigner_column
 from .wigner import alt_sign, halfpi_table
 
@@ -189,7 +189,7 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     s = f.spin
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
-    W = sfft.fft(f.values, axis=1, norm="forward", workers=fft_workers())
+    W = sfft.fft(f.values, norm="forward")
     Y = _beta_to_bins(W[None], [-s], L - 1)[0]
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)

@@ -73,17 +73,25 @@ def _composite_simpson(lam: float, lo: float, hi: float, panels: int) -> float:
     return (h / 3.0) * (g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-2:2].sum())
 
 
-def _segment_integral(lam, lo, hi, abs_tol=None, rel_tol=None, max_refine=30):
-    """Simpson with panel doubling until the Richardson estimate converges."""
+def _segment_integral(lam, lo, hi, abs_tol=None, rel_tol=None, max_refine=16):
+    """Simpson with panel doubling until the Richardson estimate converges.
+
+    Coarse panels can all miss a narrow bump, so a zero estimate converges
+    only where the integrand is zero in floating point at the point of
+    [lo, hi] nearest the bump's peak; elsewhere refinement goes on.
+    """
     if hi <= lo:
         return 0.0
+    # The bump peaks at x = 0, that is t = (lam + 1) / (2 lam).
+    peak = math.log(0.5 + 0.5 / lam)
+    positive = _bump_sq(lam, np.array([min(max(peak, lo), hi)]))[0] > 0.0
     panels = 8
     prev = _composite_simpson(lam, lo, hi, panels)
     for _ in range(max_refine):
         panels *= 2
         cur = _composite_simpson(lam, lo, hi, panels)
         gate = abs_tol if abs_tol is not None else rel_tol * abs(cur)
-        if abs(cur - prev) <= 15.0 * gate:
+        if abs(cur - prev) <= 15.0 * gate and (cur > 0.0 or not positive):
             return cur
         prev = cur
     raise QuadratureError(
@@ -104,6 +112,12 @@ def _smooth_steps(lam: float, ts) -> np.ndarray:
     the values depend only on lambda and ts.
     """
     ts = np.asarray(ts, dtype=float)
+    if 2.0 * lam / (lam - 1.0) == 2.0:
+        # From about lambda = 2**53 the bump's scale factor rounds to 2,
+        # so lambda no longer shapes the bump that the steps integrate.
+        raise QuadratureError(
+            f"lambda={lam} is beyond what the squared bump resolves in double precision"
+        )
     den = _segment_integral(lam, math.log(1.0 / lam), 0.0, rel_tol=_TOL)
     if not 0.0 < den < math.inf:
         raise QuadratureError(

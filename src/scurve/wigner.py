@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 __all__ = [
     "HalfPiTable",
@@ -53,18 +52,21 @@ def _check_orders(ell: int, m: int, n: int) -> None:
         raise ValueError(f"orders ({m}, {n}) out of range for degree {ell}")
 
 
-def _halfpi_edge_row(ell: int) -> np.ndarray:
-    """d^ell_{ell, m}(pi/2) for all m, via the log closed form."""
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+
+
+def _halfpi_edge_row(ell: int, logf: np.ndarray) -> np.ndarray:
+    """d^ell_{ell, m}(pi/2) for all m, via the log closed form; logf covers 2 ell."""
     m = np.arange(-ell, ell + 1)
-    mf = m.astype(np.float64)
-    logs = (
-        0.5 * (gammaln(2 * ell + 1) - gammaln(ell + mf + 1) - gammaln(ell - mf + 1))
-        - ell * math.log(2.0)
-    )
+    logs = 0.5 * (logf[2 * ell] - logf[ell + m] - logf[ell - m]) - ell * math.log(2.0)
     return alt_sign(ell - m) * np.exp(logs)
 
 
-def _next_halfpi_plane(ell: int, prev: np.ndarray, prev2: np.ndarray) -> np.ndarray:
+def _next_halfpi_plane(
+    ell: int, prev: np.ndarray, prev2: np.ndarray, logf: np.ndarray
+) -> np.ndarray:
     size = 2 * ell + 1
     cur = np.empty((size, size))
     mp = np.arange(-(ell - 1), ell, dtype=np.float64)[:, None]
@@ -80,7 +82,7 @@ def _next_halfpi_plane(ell: int, prev: np.ndarray, prev2: np.ndarray) -> np.ndar
     # Boundary rows from the closed form, boundary columns from the
     # transpose symmetry d_{m'm} = (-1)^{m'-m} d_{mm'}; the recursion above
     # never touches them, so no division by the vanishing edge factors.
-    top = _halfpi_edge_row(ell)
+    top = _halfpi_edge_row(ell, logf)
     ms = np.arange(-ell, ell + 1)
     flip = alt_sign(ell + ms)
     cur[-1, :] = top
@@ -119,8 +121,9 @@ def build_halfpi_table(L: int) -> HalfPiTable:
         planes.append(
             np.array([[0.5, r, 0.5], [-r, 0.0, r], [0.5, -r, 0.5]])
         )
+    logf = _log_factorials(2 * L)
     for ell in range(2, L):
-        planes.append(_next_halfpi_plane(ell, planes[ell - 1], planes[ell - 2]))
+        planes.append(_next_halfpi_plane(ell, planes[ell - 1], planes[ell - 2], logf))
     for p in planes:
         p.setflags(write=False)
     return HalfPiTable(L, tuple(planes))
@@ -186,13 +189,17 @@ def wigner_d_edge_columns(ell: int, beta: float):
     if ell < 0:
         raise ValueError(f"degree must be non-negative, got {ell}")
     k = np.arange(-ell, ell + 1)
-    kf = k.astype(np.float64)
-    half_log_binom = 0.5 * (
-        gammaln(2 * ell + 1) - gammaln(ell + kf + 1) - gammaln(ell - kf + 1)
-    )
+    logf = _log_factorials(2 * ell)
+    half_log_binom = 0.5 * (logf[2 * ell] - logf[ell + k] - logf[ell - k])
     s = math.sin(0.5 * float(beta))
     c = math.cos(0.5 * float(beta))
-    pos = np.exp(half_log_binom + xlogy(ell - kf, s) + xlogy(ell + kf, c))
-    neg = np.exp(half_log_binom + xlogy(ell + kf, s) + xlogy(ell - kf, c))
+    pos = np.exp(half_log_binom + _klog(ell - k, s) + _klog(ell + k, c))
+    neg = np.exp(half_log_binom + _klog(ell + k, s) + _klog(ell - k, c))
     neg *= alt_sign(ell - k)
     return pos, neg
+
+
+def _klog(k: np.ndarray, x: float) -> np.ndarray:
+    """k log x for non-negative integers k, taking 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k == 0, 0.0, k * np.log(x))

@@ -6,9 +6,13 @@ show up when the traced benchmark crashes.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
+import numpy.fft
 import pytest
-import scipy.fft
 
 
 def test_every_target_resolves(tracer):
@@ -19,7 +23,22 @@ def test_every_target_resolves(tracer):
 
 @pytest.mark.parametrize("modname", ["so3", "sphere", "fourier"])
 def test_fft_modules_bind_sfft(modname):
-    assert importlib.import_module(f"scurve.{modname}").sfft is scipy.fft
+    assert importlib.import_module(f"scurve.{modname}").sfft is numpy.fft
+
+
+def test_import_loads_no_scipy():
+    """scipy stays out of the runtime: importing it would cost the CLI ~0.25 s per process."""
+    script = (
+        "import sys, scurve, scurve.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_install_and_uninstall_restore_bindings(tracer):

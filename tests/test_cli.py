@@ -101,7 +101,7 @@ class TestTiling:
         assert run(["tiling", "--L", "8", "--lambda", lam]) == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["1e200", "1e300"])
+    @pytest.mark.parametrize("lam", ["1e60", "1e200", "1e300"])
     def test_huge_lambda_is_data_error(self, capsys, lam):
         assert run(["tiling", "--L", "8", "--lambda", lam]) == 3
         err = capsys.readouterr().err

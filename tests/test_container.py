@@ -63,6 +63,17 @@ class TestSphereContainer:
         assert sections == {}
 
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_follows_umask(self, tmp_path, rng, umask, mode):
+        path = tmp_path / "f.scrv"
+        old = os.umask(umask)
+        try:
+            container.write_sphere(path, make_signal(4, 0, rng))
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode
+
+
 class TestCoeffContainer:
     def test_round_trip(self, tmp_path, rng):
         path = tmp_path / "c.scrv"

@@ -35,6 +35,26 @@ class TestWeightedConvolve:
             fourier.weighted_convolve(np.zeros(4, dtype=complex))
 
 
+class TestNextFastLen:
+    def test_matches_brute_force_search(self):
+        # every 11-smooth number up to past 2100, from products of prime powers
+        smooth = {1}
+        for p in (2, 3, 5, 7, 11):
+            grown = set(smooth)
+            for k in smooth:
+                while k * p <= 4096:
+                    k *= p
+                    grown.add(k)
+            smooth = grown
+        ordered = sorted(smooth)
+        for n in range(1, 2101):
+            assert fourier._next_fast_len(n) == next(k for k in ordered if k >= n)
+
+    @pytest.mark.parametrize("n, expected", [(509, 512), (257, 264), (61, 63)])
+    def test_pad_lengths(self, n, expected):
+        assert fourier._next_fast_len(n) == expected
+
+
 class TestFftWorkers:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("SCURVE_THREADS", raising=False)

@@ -75,6 +75,33 @@ class TestSmoothStep:
         with pytest.raises(tiling.QuadratureError, match="lambda"):
             tiling.smooth_step_k(lam, 0.5)
 
+    def test_beyond_double_precision_lambda_is_rejected(self):
+        # 2 lam / (lam - 1) rounds to 2 from about 2**53 on
+        assert 0.0 < tiling.smooth_step_k(2.0**52, 0.5) < 1.0
+        with pytest.raises(tiling.QuadratureError, match="lambda"):
+            tiling.smooth_step_k(2.0**54, 0.5)
+
+
+class TestQuadrature:
+    LO = math.log(1e-60)
+
+    def test_zero_estimate_does_not_converge(self):
+        # the 8- and 16-panel sums both miss the bump and read exactly 0
+        assert tiling._composite_simpson(1e60, self.LO, 0.0, 8) == 0.0
+        assert tiling._composite_simpson(1e60, self.LO, 0.0, 16) == 0.0
+        with pytest.raises(tiling.QuadratureError, match="did not converge"):
+            tiling._segment_integral(1e60, self.LO, 0.0, rel_tol=1e-12, max_refine=1)
+
+    def test_refinement_finds_the_bump(self):
+        # far above its support edge the bump barely depends on lambda
+        wide = tiling._segment_integral(1e60, self.LO, 0.0, rel_tol=1e-12)
+        ref = tiling._segment_integral(1e15, math.log(1e-15), 0.0, rel_tol=1e-12)
+        assert wide == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_integrand_converges_to_zero(self):
+        # below the support edge the bump is exactly zero
+        assert tiling._segment_integral(2.0, -3.0, -1.0, abs_tol=1e-12) == 0.0
+
 
 class TestParams:
     def test_default_scale_range(self):
