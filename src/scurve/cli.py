@@ -16,7 +16,14 @@ The SCURVE_THREADS environment variable sets the worker thread count of
 the transforms (default: one per available core, at most 2); the JSON
 notes of analyze, synthesize and bench --out report it as "workers";
 those of analyze and synthesize also give the process's peak resident
-memory as "peak_rss_mib".
+memory as "peak_rss_mib", next to the estimate the command made of it
+beforehand, "estimated_peak_mib".
+analyze, synthesize and sparsity hold one scale signal at a time: they
+stream the scales into or out of the container, or reduce each to its
+histogram.  Before building the tiling they estimate their peak memory
+from the band limit, the real flag and the worker count; when that
+exceeds the memory available (MemAvailable, lowered by a cgroup-v2
+memory.max), they exit 3 with both numbers and write nothing.
 Random test signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
@@ -40,6 +47,7 @@ import numpy as np
 
 from . import container
 from .fourier import fft_workers
+from .so3 import _CHUNK
 from .sphere import random_coeffs, sht_forward, sht_inverse
 from .tiling import (
     QuadratureError,
@@ -50,12 +58,19 @@ from .tiling import (
     parabolic_accuracy_table,
 )
 from .transform import (
+    _analysis_stream,
+    _check_synthesizable,
+    _synthesis_from,
     analyze,
-    analyze_real,
     scale_band_limit,
     synthesize,
-    synthesize_real,
 )
+
+# analyze_real and synthesize_real are not called here: analyze and
+# synthesize stream the scales.  They stay bound because
+# perfbench/tracer.py wraps scurve.cli.analyze_real and
+# scurve.cli.synthesize_real by name.
+from .transform import analyze_real, synthesize_real  # noqa: F401
 
 __all__ = ["gini_coefficient", "main"]
 
@@ -194,12 +209,84 @@ def _peak_rss_note() -> dict:
     return {"peak_rss_mib": round(peak * unit / 2**20, 1)}
 
 
+# Peak-memory model of analyze, synthesize and sparsity; see
+# _estimated_peak_mib.  The baseline is the interpreter with numpy and
+# scurve imported (31 MiB) plus small arrays.  Each pool worker's bin
+# planes count as _PLANE_STACKS stacks of _CHUNK planes of (2L-1)^2
+# complex values: with 2.5, the estimate fell between the analyze and the
+# synthesize peaks that scripts/cli_peaks.py measured at L=128 and 256.
+_BASELINE_MIB = 35.0
+_PLANE_STACKS = 2.5
+
+
+def _estimated_peak_mib(band_limit: int, real: bool, workers: int) -> float:
+    """Estimated peak resident memory, in MiB, of one command at a band limit.
+
+    The command holds one scale at a time, so its peak is the largest
+    scale cube, that cube's spectrum over gamma and alpha (half of it on
+    the real path), the half-pi table, each worker's bin planes and the
+    interpreter baseline.
+    """
+    L = band_limit
+    K = 2 * L - 1
+    cube = K * L * K * (8 if real else 16)
+    spectrum = (L if real else K) * L * K * 16
+    table = 8 * L * (2 * L - 1) * (2 * L + 1) // 3  # sum of (2l+1)^2 doubles, l < L
+    planes = workers * _PLANE_STACKS * _CHUNK * K * K * 16
+    return (cube + spectrum + table + planes) / 2**20 + _BASELINE_MIB
+
+
+def _available_memory():
+    """Bytes this process may still use, or None when nothing says.
+
+    MemAvailable from /proc/meminfo, lowered by the memory.max of this
+    process's cgroup-v2 group where that file can be read.
+    """
+    limits = []
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+                    break
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as fh:
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{group.rstrip('/')}/memory.max") as fh:
+            raw = fh.read().strip()
+        if raw != "max":
+            limits.append(int(raw))
+    except (OSError, StopIteration, ValueError):
+        pass
+    return min(limits) if limits else None
+
+
+def _preflight(band_limit: int, real: bool) -> dict:
+    """{"estimated_peak_mib": ...}, or ValueError if that cannot fit.
+
+    Runs before the tiling, the half-pi table or any scale is built, so a
+    refused command allocates nothing large and writes nothing.
+    """
+    estimate = _estimated_peak_mib(band_limit, real, fft_workers())
+    available = _available_memory()
+    if available is not None and estimate * 2**20 > available:
+        raise ValueError(
+            f"estimated peak memory {estimate:.0f} MiB at band limit {band_limit} exceeds "
+            f"the {available / 2**20:.0f} MiB available"
+        )
+    return {"estimated_peak_mib": round(estimate, 1)}
+
+
 def cmd_analyze(args) -> int:
     f = _load_sphere_input(args.input, args)
     params = _make_params(args, f.grid.band_limit, f.spin)
+    estimate = _preflight(params.band_limit, f.real)
     t = build_tiling(params)
-    coeffs = analyze_real(f, t) if f.real else analyze(f, t)
-    container.write_coeffs(args.out, coeffs)
+    container._write_coeff_stream(
+        args.out, params, "unrotated", True, f.real, _analysis_stream(f, t, True)
+    )
     print(
         json.dumps(
             {
@@ -210,8 +297,9 @@ def cmd_analyze(args) -> int:
                 "lambda": params.lam,
                 "j_min": params.j_min,
                 "j_max": params.j_max,
-                "real": coeffs.real,
+                "real": f.real,
                 "workers": fft_workers(),
+                **estimate,
                 **_peak_rss_note(),
             }
         )
@@ -220,9 +308,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    coeffs = container.read_coeffs(args.input)
-    t = build_tiling(coeffs.params)
-    f = synthesize_real(coeffs, t) if coeffs.real else synthesize(coeffs, t)
+    with container._read_coeff_stream(args.input) as (params, frame, multires, real, signals):
+        estimate = _preflight(params.band_limit, real)
+        t = build_tiling(params)
+        _check_synthesizable(params, frame, t)
+        scaling = next(signals)
+        f = _synthesis_from(t, scaling, signals, multires, real)
     container.write_sphere(args.out, f)
     print(
         json.dumps(
@@ -233,6 +324,7 @@ def cmd_synthesize(args) -> int:
                 "spin": f.spin,
                 "real": f.real,
                 "workers": fft_workers(),
+                **estimate,
                 **_peak_rss_note(),
             }
         )
@@ -293,41 +385,42 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _scale_sparsity(j: int, mags: np.ndarray, bins: int, band_limit: int):
+    """Summary note and CSV rows of one scale's coefficient magnitudes."""
+    top = float(mags.max())
+    note = {"scale": j, "coefficients": int(mags.size), "max_abs": top}
+    if top == 0.0:
+        print(f"scurve: warning: scale {j} is identically zero; no histogram", file=sys.stderr)
+        note["gini"] = None
+        return note, []
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    counts, _ = np.histogram(mags / top, bins=bins, range=(0.0, 1.0))
+    note["gini"] = gini_coefficient(mags)
+    rows = [
+        [band_limit, j, b, float(edges[b]), float(edges[b + 1]), counts[b] / mags.size]
+        for b in range(bins)
+    ]
+    return note, rows
+
+
 def cmd_sparsity(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
     f = _load_sphere_input(args.input, args)
     params = _make_params(args, f.grid.band_limit, f.spin)
+    _preflight(params.band_limit, f.real)
     t = build_tiling(params)
-    coeffs = analyze(f, t)
-    edges = np.linspace(0.0, 1.0, args.bins + 1)
+    signals = _analysis_stream(f, t, True)
+    next(signals)  # the scaling signal; only the scales are histogrammed
     csv_rows = []
     scale_notes = []
     for j in range(params.j_min, params.j_max + 1):
-        mags = np.abs(coeffs.scale(j).values).ravel()
-        top = float(mags.max())
-        note = {"scale": j, "coefficients": int(mags.size), "max_abs": top}
-        if top == 0.0:
-            print(
-                f"scurve: warning: scale {j} is identically zero; no histogram",
-                file=sys.stderr,
-            )
-            note["gini"] = None
-        else:
-            counts, _ = np.histogram(mags / top, bins=args.bins, range=(0.0, 1.0))
-            note["gini"] = gini_coefficient(mags)
-            for b in range(args.bins):
-                csv_rows.append(
-                    [
-                        params.band_limit,
-                        j,
-                        b,
-                        float(edges[b]),
-                        float(edges[b + 1]),
-                        counts[b] / mags.size,
-                    ]
-                )
+        # Each scale is reduced to its note and rows before the next is built.
+        note, rows = _scale_sparsity(
+            j, np.abs(next(signals).values).ravel(), args.bins, params.band_limit
+        )
         scale_notes.append(note)
+        csv_rows += rows
     summary = {
         "L": params.band_limit,
         "spin": params.spin,

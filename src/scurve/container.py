@@ -14,16 +14,27 @@ theta-major.
 Writes land in a temporary file next to the target and are renamed into
 place, so a reader never observes a half-written container.
 
-Reading or writing a container holds one copy of the payload: sections
-are written straight from the arrays' buffers, and read straight into
-their own arrays at the section offsets once the whole layout has been
-checked against the file size.
+The sections must tile the payload: a reader rejects sections that
+overlap and payload bytes that belong to no section.
+
+Reading or writing a container holds at most one copy of the payload:
+sections are written straight from the arrays' buffers, and read
+straight into their own arrays at the section offsets once the whole
+layout has been checked against the file size.  A coefficient
+container's section table follows from its TilingParams and its
+multires and real flags, so the writer emits the header first and
+appends each section as it arrives, and the reader hands out one
+section at a time.  The command line uses both to hold one section at a
+time: `scurve analyze` writes each scale as the analysis yields it, and
+`scurve synthesize` reads each scale as the synthesis asks for it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
@@ -66,29 +77,42 @@ def _byte_view(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1).view(np.uint8)
 
 
-def _write_container(path, header: dict, arrays) -> None:
-    """arrays is a list of (name, ndarray); the section table is derived.
-
-    Each section is written straight from its array's buffer; only an
-    array that is not already C-contiguous little-endian is converted.
-    """
+def _layout(entries) -> list:
+    """Section table of (name, dtype code, shape) entries packed in order."""
     sections = []
-    payload = []
     offset = 0
-    for name, arr in arrays:
-        code = _payload_code(arr)
-        data = np.ascontiguousarray(arr, dtype=_DTYPES[code])
+    for name, code, shape in entries:
+        nbytes = math.prod(shape) * _DTYPES[code].itemsize
         sections.append(
-            {
-                "name": name,
-                "dtype": code,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": data.nbytes,
-            }
+            {"name": name, "dtype": code, "shape": list(shape), "offset": offset, "nbytes": nbytes}
         )
-        payload.append(data)
-        offset += data.nbytes
+        offset += nbytes
+    return sections
+
+
+def _section_data(path, sec: dict, arr) -> np.ndarray:
+    """arr as the C-contiguous little-endian bytes of its declared section."""
+    if arr is None:
+        raise ContainerError(f"{path}: no array for section {sec['name']!r}")
+    code = _payload_code(arr)
+    if code != sec["dtype"] or list(arr.shape) != sec["shape"]:
+        raise ContainerError(
+            f"{path}: section {sec['name']!r} is declared {sec['dtype']} {tuple(sec['shape'])}, "
+            f"got {code} {arr.shape}"
+        )
+    # Only an array that is not already C-contiguous little-endian is converted.
+    return np.ascontiguousarray(arr, dtype=_DTYPES[code])
+
+
+def _write_container(path, header: dict, sections: list, arrays) -> None:
+    """Write header and its declared section table, then each array in turn.
+
+    arrays may be a generator: the header goes out first, and each array
+    is written straight from its buffer as it arrives, checked against its
+    section's dtype and shape, and not referenced after.  A mismatch, a
+    missing or extra array, or any error raised by arrays leaves neither
+    the target nor a temporary file behind.
+    """
     head = json.dumps(dict(header, sections=sections), allow_nan=False).encode()
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scrv-")
@@ -97,8 +121,11 @@ def _write_container(path, header: dict, arrays) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(head)))
             fh.write(head)
-            for data in payload:
-                fh.write(_byte_view(data))
+            arrays = iter(arrays)
+            for sec in sections:
+                fh.write(_byte_view(_section_data(path, sec, next(arrays, None))))
+            if next(arrays, None) is not None:
+                raise ContainerError(f"{path}: more arrays than declared sections")
             fh.flush()
             # mkstemp makes the file owner-only; give it the mode a plain
             # open() would, 0o666 less the umask (read by setting it back).
@@ -126,12 +153,16 @@ def _read_exact(fh, buf, path) -> None:
         filled += got
 
 
-def _section_table(path, header: dict, payload_size: int) -> list:
-    """Validated (name, dtype, shape, offset) of every section."""
+def _section_table(path, header: dict, payload_size: int) -> dict:
+    """Validated {name: (dtype, shape, offset)} of every section, in table order.
+
+    The sections must tile the payload: none may overlap another, and
+    every payload byte must belong to one of them.
+    """
     if not isinstance(header, dict) or not isinstance(header.get("sections"), list):
         raise ContainerError(f"{path}: header carries no section table")
-    table = []
-    names = set()
+    table = {}
+    spans = []
     for sec in header["sections"]:
         try:
             name = sec["name"]
@@ -147,7 +178,7 @@ def _section_table(path, header: dict, payload_size: int) -> list:
             raise ContainerError(
                 f"{path}: section {name!r} shape, offset and nbytes must be non-negative integers"
             )
-        if name in names:
+        if name in table:
             raise ContainerError(f"{path}: duplicate section {name!r}")
         if code not in _DTYPES:
             raise ContainerError(f"{path}: unknown payload dtype {code!r}")
@@ -156,17 +187,29 @@ def _section_table(path, header: dict, payload_size: int) -> list:
             raise ContainerError(f"{path}: section {name!r} length does not match its shape")
         if offset + nbytes > payload_size:
             raise ContainerError(f"{path}: section {name!r} exceeds the payload")
-        names.add(name)
-        table.append((name, dt, shape, offset))
+        table[name] = (dt, shape, offset)
+        if nbytes:
+            spans.append((offset, nbytes, name))
+    end = 0
+    for offset, nbytes, name in sorted(spans):
+        if offset < end:
+            raise ContainerError(f"{path}: section {name!r} overlaps another section")
+        end = offset + nbytes
+    stray = payload_size - sum(nbytes for _, nbytes, _ in spans)
+    if stray:
+        raise ContainerError(f"{path}: {stray} payload bytes belong to no section")
     return table
 
 
-def read_container(path):
-    """Return (header, {section name: array}) after validating the layout.
+@contextlib.contextmanager
+def _open_container(path):
+    """Open a container and yield (header, table, read) until the block ends.
 
     The magic, the header and the whole section table are checked against
-    the file size before any array is allocated; each section is then read
-    straight into its own array, so the payload is held once.
+    the file size before any array is allocated.  read(name) then reads
+    that one section straight into a new array, so a caller that drops
+    each section before reading the next holds one at a time.  The file
+    is closed when the block exits.
     """
     start = len(MAGIC) + 4
     with open(path, "rb", buffering=0) as fh:
@@ -183,13 +226,29 @@ def read_container(path):
             header = json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ContainerError(f"{path}: bad header: {exc}") from None
-        out = {}
-        for name, dt, shape, offset in _section_table(path, header, size - start - hlen):
+        base = start + hlen
+        table = _section_table(path, header, size - base)
+
+        def read(name: str) -> np.ndarray:
+            if name not in table:
+                raise ContainerError(f"{path}: no section {name!r}")
+            dt, shape, offset = table[name]
             arr = np.empty(shape, dt)
-            fh.seek(start + hlen + offset)
+            fh.seek(base + offset)
             _read_exact(fh, _byte_view(arr), path)
-            out[name] = arr
-    return header, out
+            return arr
+
+        yield header, table, read
+
+
+def read_container(path):
+    """Return (header, {section name: array}) after validating the layout.
+
+    Each section is read straight into its own array, so the payload is
+    held once.
+    """
+    with _open_container(path) as (header, table, read):
+        return header, {name: read(name) for name in table}
 
 
 def write_sphere(path, signal: SphereSignal) -> None:
@@ -205,20 +264,22 @@ def write_sphere(path, signal: SphereSignal) -> None:
         "multires": None,
         "real": signal.real,
     }
-    _write_container(path, header, [("values", signal.values)])
+    values = signal.values
+    sections = _layout([("values", _payload_code(values), values.shape)])
+    _write_container(path, header, sections, [values])
 
 
 def read_sphere(path) -> SphereSignal:
-    header, sections = read_container(path)
-    if header.get("kind") != "sphere":
-        raise ContainerError(f"{path}: not a sphere container")
-    try:
-        L = int(header["L"])
-        spin = int(header["spin"])
-        real = bool(header["real"])
-        values = sections["values"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContainerError(f"{path}: incomplete sphere header: {exc}") from None
+    with _open_container(path) as (header, _, read):
+        if header.get("kind") != "sphere":
+            raise ContainerError(f"{path}: not a sphere container")
+        try:
+            L = int(header["L"])
+            spin = int(header["spin"])
+            real = bool(header["real"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContainerError(f"{path}: incomplete sphere header: {exc}") from None
+        values = read("values")
     if real and np.iscomplexobj(values):
         raise ContainerError(f"{path}: real-flagged payload stored as complex")
     try:
@@ -227,53 +288,96 @@ def read_sphere(path) -> SphereSignal:
         raise ContainerError(f"{path}: {exc}") from None
 
 
-def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
-    """Write an analysis result: the scaling part plus every scale signal."""
-    p = coeffs.params
+def _coeff_sections(params: TilingParams, multires: bool) -> list:
+    """(section name, grid) of the scaling signal, then of each scale from j_min up."""
+    L = params.band_limit
+    sections = [("scaling", SphereGrid(scaling_band_limit(params) if multires else L))]
+    for j in range(params.j_min, params.j_max + 1):
+        Lj = scale_band_limit(params, j) if multires else L
+        sections.append((f"scale_{j}", SO3Grid(Lj, Lj, Lj)))
+    return sections
+
+
+def _write_coeff_stream(path, params: TilingParams, frame, multires: bool, real: bool, signals):
+    """Write a coefficient container from the scaling signal, then each scale signal.
+
+    The section table follows from the parameters and the flags, so the
+    header goes out first and signals may be a generator such as the
+    analysis stream: each signal is written as it arrives and dropped.
+    """
     header = {
         "kind": "curvelet",
-        "L": p.band_limit,
-        "spin": p.spin,
-        "lambda": p.lam,
-        "J0": p.j_min,
-        "J": p.j_max,
-        "frame": coeffs.frame,
-        "multires": coeffs.multires,
-        "real": coeffs.real,
+        "L": params.band_limit,
+        "spin": params.spin,
+        "lambda": params.lam,
+        "J0": params.j_min,
+        "J": params.j_max,
+        "frame": frame,
+        "multires": multires,
+        "real": real,
     }
-    arrays = [("scaling", coeffs.scaling.values)]
-    for j in range(p.j_min, p.j_max + 1):
-        arrays.append((f"scale_{j}", coeffs.scale(j).values))
-    _write_container(path, header, arrays)
+    code = "<f8" if real else "<c16"
+    entries = [(name, code, grid.shape) for name, grid in _coeff_sections(params, multires)]
+    # map keeps no reference to a signal once its values are handed on.
+    arrays = map(operator.attrgetter("values"), signals)
+    _write_container(path, header, _layout(entries), arrays)
+
+
+def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
+    """Write an analysis result: the scaling part plus every scale signal."""
+    _write_coeff_stream(
+        path,
+        coeffs.params,
+        coeffs.frame,
+        coeffs.multires,
+        coeffs.real,
+        [coeffs.scaling, *coeffs.scales],
+    )
+
+
+@contextlib.contextmanager
+def _read_coeff_stream(path):
+    """Open a coefficient container and yield (params, frame, multires, real, signals).
+
+    signals yields the scaling signal, then each scale signal from j_min
+    up, reading one section per step; the file closes when the block ends.
+    """
+    with _open_container(path) as (header, _, read):
+        if header.get("kind") != "curvelet":
+            raise ContainerError(f"{path}: not a curvelet-coefficient container")
+        try:
+            params = TilingParams(
+                int(header["L"]),
+                int(header["spin"]),
+                float(header["lambda"]),
+                int(header["J0"]),
+                int(header["J"]),
+            )
+            frame = header["frame"]
+            multires = bool(header["multires"])
+            real = bool(header["real"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContainerError(f"{path}: incomplete coefficient header: {exc}") from None
+
+        def signals():
+            try:
+                for name, grid in _coeff_sections(params, multires):
+                    if isinstance(grid, SphereGrid):
+                        yield SphereSignal(grid, 0, read(name), real=real)
+                    else:
+                        yield SO3Signal(grid, read(name), real=real)
+            except ValueError as exc:
+                raise ContainerError(f"{path}: {exc}") from None
+
+        yield params, frame, multires, real, signals()
 
 
 def read_coeffs(path) -> CurveletCoeffs:
-    header, sections = read_container(path)
-    if header.get("kind") != "curvelet":
-        raise ContainerError(f"{path}: not a curvelet-coefficient container")
+    with _read_coeff_stream(path) as (params, frame, multires, real, signals):
+        scaling, *scales = signals
     try:
-        params = TilingParams(
-            int(header["L"]),
-            int(header["spin"]),
-            float(header["lambda"]),
-            int(header["J0"]),
-            int(header["J"]),
-        )
-        frame = header["frame"]
-        multires = bool(header["multires"])
-        real = bool(header["real"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ContainerError(f"{path}: incomplete coefficient header: {exc}") from None
-    L = params.band_limit
-    try:
-        low = scaling_band_limit(params) if multires else L
-        scaling = SphereSignal(SphereGrid(low), 0, sections["scaling"], real=real)
-        scales = []
-        for j in range(params.j_min, params.j_max + 1):
-            Lj = scale_band_limit(params, j) if multires else L
-            scales.append(SO3Signal(SO3Grid(Lj, Lj, Lj), sections[f"scale_{j}"], real=real))
         return CurveletCoeffs(params, frame, scaling, scales, multires, real)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ContainerError(f"{path}: {exc}") from None
 
 

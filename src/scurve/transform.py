@@ -146,12 +146,13 @@ def _stages(real: bool):
     return sht_forward, sht_inverse, so3_forward_curvelet, so3_inverse_curvelet
 
 
-def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:
-    """Decompose a band-limited spin signal into directional scale signals.
+def _analysis_stream(f: SphereSignal, t: Tiling, multires: bool):
+    """Yield the scaling signal, then each scale signal from j_min up.
 
-    A real-flagged signal yields real-flagged coefficients: its scale
-    signals are real on the rotation group, so the Wigner stages run on
-    half the orientation spectrum and cost roughly half as much.
+    This is the section order of a coefficient container.  Each scale is
+    built from the harmonic coefficients on its own, and the generator
+    keeps no reference to a signal it has yielded, so a consumer that
+    drops each one before asking for the next holds one scale at a time.
     """
     _check_signal(f, t)
     p = t.params
@@ -159,44 +160,56 @@ def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs
     real = f.real
     sht_fwd, sht_inv, _, so3_inv = _stages(real)
     flm = sht_fwd(f)
-    scales = []
-    for j in range(p.j_min, p.j_max + 1):
-        Lj = scale_band_limit(p, j) if multires else L
-        w = _scale_wigner(flm, t, j, Lj)
-        scales.append(so3_inv(w, SO3Grid(Lj, Lj, Lj)))
     Ls = scaling_band_limit(p) if multires else L
     scaling_vals = _scaling_weights(t, Ls) * flm.values[: Ls * Ls]
-    scaling_sig = sht_inv(HarmonicCoeffs(Ls, 0, scaling_vals, real=real))
-    return CurveletCoeffs(p, "unrotated", scaling_sig, scales, multires, real=real)
+    yield sht_inv(HarmonicCoeffs(Ls, 0, scaling_vals, real=real))
+    for j in range(p.j_min, p.j_max + 1):
+        Lj = scale_band_limit(p, j) if multires else L
+        yield so3_inv(_scale_wigner(flm, t, j, Lj), SO3Grid(Lj, Lj, Lj))
 
 
-def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
-    """Reassemble the sphere signal from its scale signals; exact.
+def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:
+    """Decompose a band-limited spin signal into directional scale signals.
 
-    Real-flagged coefficients synthesise through the half-spectrum Wigner
-    transforms to a real-flagged signal.
+    A real-flagged signal yields real-flagged coefficients: its scale
+    signals are real on the rotation group, so the Wigner stages run on
+    half the orientation spectrum and cost roughly half as much.
+    """
+    scaling, *scales = _analysis_stream(f, t, multires)
+    return CurveletCoeffs(t.params, "unrotated", scaling, scales, multires, real=f.real)
+
+
+def _check_synthesizable(params: TilingParams, frame: str, t: Tiling) -> None:
+    if params != t.params:
+        raise ValueError("coefficients were built for a different tiling")
+    if frame != "unrotated":
+        raise ValueError("synthesis needs unrotated coefficients; apply rotate_from_north first")
+
+
+def _synthesis_from(t: Tiling, scaling: SphereSignal, scales, multires: bool, real: bool):
+    """Synthesis from the scaling signal and an iterator of scale signals.
+
+    The scales are taken from j_min up, one at a time, and each is dropped
+    once its Wigner rows are summed, so an iterator that reads them from
+    a file holds one scale at a time.
     """
     p = t.params
-    if c.params != p:
-        raise ValueError("coefficients were built for a different tiling")
-    if c.frame != "unrotated":
-        raise ValueError("synthesis needs unrotated coefficients; apply rotate_from_north first")
     L = p.band_limit
-    real = c.real
     sht_fwd, sht_inv, so3_fwd, _ = _stages(real)
     acc = np.zeros(L * L, dtype=complex)
     for j in range(p.j_min, p.j_max + 1):
-        sig = c.scale(j)
-        expected = scale_band_limit(p, j) if c.multires else L
+        sig = next(scales)
+        expected = scale_band_limit(p, j) if multires else L
         if sig.grid.L != expected:
             raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {expected}")
         w = so3_fwd(sig)
+        del sig  # the cube goes before the next scale is read
         pos, neg = curvelet_harmonics(t, j)
         ell, col = _sheet_index(w.band_limit)
         acc[1 : w.band_limit**2] += (
             w.values[0, ell, col] * pos[ell] + w.values[1, ell, col] * neg[ell]
         )
-    slm = sht_fwd(c.scaling)
+    slm = sht_fwd(scaling)
     Ls = slm.band_limit
     acc[: Ls * Ls] += _scaling_weights(t, Ls) * slm.values
     acc[: p.spin * p.spin] = 0.0
@@ -205,6 +218,16 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
         # digit; re-impose it exactly before handing the coefficients on.
         _impose_real_symmetry(acc)
     return sht_inv(HarmonicCoeffs(L, p.spin, acc, real=real))
+
+
+def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
+    """Reassemble the sphere signal from its scale signals; exact.
+
+    Real-flagged coefficients synthesise through the half-spectrum Wigner
+    transforms to a real-flagged signal.
+    """
+    _check_synthesizable(c.params, c.frame, t)
+    return _synthesis_from(t, c.scaling, iter(c.scales), c.multires, c.real)
 
 
 def analyze_real(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -202,6 +203,138 @@ class TestAnalyzeSynthesize:
         monkeypatch.setenv("SCURVE_THREADS", "lots")
         assert run(["analyze", str(src), "--out", str(tmp_path / "c.scrv")]) == 3
         assert "SCURVE_THREADS" in capsys.readouterr().err
+
+
+class TestStreaming:
+    """analyze and synthesize hold one scale at a time and write the library's bytes."""
+
+    @pytest.mark.parametrize("spin, real", [(0, True), (2, False)], ids=["real", "spin2"])
+    def test_outputs_match_the_library(self, tmp_path, rng, capsys, spin, real):
+        src = tmp_path / "f.scrv"
+        f = write_sphere_file(src, 16, spin, rng, real=real)
+        t = scurve.build_tiling(scurve.TilingParams(16, spin, 2.0, 1))
+        streamed, collected = tmp_path / "streamed.scrv", tmp_path / "collected.scrv"
+        assert run(["analyze", str(src), "--jmin", "1", "--out", str(streamed)]) == 0
+        container.write_coeffs(collected, scurve.analyze(f, t))
+        assert streamed.read_bytes() == collected.read_bytes()
+        g_streamed, g_collected = tmp_path / "g1.scrv", tmp_path / "g2.scrv"
+        assert run(["synthesize", str(streamed), "--out", str(g_streamed)]) == 0
+        container.write_sphere(g_collected, scurve.synthesize(container.read_coeffs(collected), t))
+        assert g_streamed.read_bytes() == g_collected.read_bytes()
+
+    def test_full_resolution_container_synthesizes(self, tmp_path, rng, capsys):
+        f = scurve.sht_inverse(scurve.random_coeffs(16, 2, rng))
+        t = scurve.build_tiling(scurve.TilingParams(16, 2, 2.0, 1))
+        c = scurve.analyze(f, t, multires=False)
+        coeff_path, out_path = tmp_path / "c.scrv", tmp_path / "g.scrv"
+        container.write_coeffs(coeff_path, c)
+        assert run(["synthesize", str(coeff_path), "--out", str(out_path)]) == 0
+        np.testing.assert_array_equal(
+            container.read_sphere(out_path).values, scurve.synthesize(c, t).values
+        )
+
+    def test_north_frame_is_data_error(self, tmp_path, rng, capsys):
+        f = scurve.sht_inverse(scurve.random_coeffs(8, 0, rng))
+        t = scurve.build_tiling(scurve.TilingParams(8, 0, 2.0, 0))
+        c = scurve.analyze(f, t)
+        c.frame = "north"
+        container.write_coeffs(tmp_path / "c.scrv", c)
+        assert run(["synthesize", str(tmp_path / "c.scrv"), "--out", str(tmp_path / "g")]) == 3
+        assert "unrotated" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
+    def test_peaks_stay_below_the_in_memory_path(self, tmp_path, capsys, monkeypatch):
+        """tracemalloc peaks at L=64, real, one worker.
+
+        The in-memory path holds every scale at once; the commands hold
+        one, so each must save at least most of the payload beyond its
+        largest section.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 64, 0, np.random.default_rng(0), real=True)
+        params = scurve.TilingParams(64, 0, 2.0, 0)
+        collected, streamed = tmp_path / "collected.scrv", tmp_path / "streamed.scrv"
+
+        def library_analyze():
+            f = container.read_sphere(src)
+            container.write_coeffs(collected, scurve.analyze(f, scurve.build_tiling(params)))
+
+        def library_synthesize():
+            c = container.read_coeffs(collected)
+            g = scurve.synthesize(c, scurve.build_tiling(params))
+            container.write_sphere(tmp_path / "g1.scrv", g)
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Builds the shared half-pi table, so no traced run below pays for it.
+        library_analyze()
+        sizes = [a.nbytes for a in container.read_container(collected)[1].values()]
+        saving = 0.8 * (sum(sizes) - max(sizes))
+        assert saving > 4 * 2**20
+        pairs = [
+            (library_analyze, ["analyze", str(src), "--out", str(streamed)]),
+            (library_synthesize, ["synthesize", str(streamed), "--out", str(tmp_path / "g2.scrv")]),
+        ]
+        for library, argv in pairs:
+            in_memory = traced_peak(library)
+            commanded = traced_peak(lambda: run(argv))
+            assert in_memory - commanded >= saving, (argv[0], in_memory, commanded)
+        capsys.readouterr()
+
+
+class TestPreflight:
+    """The memory estimate runs before the tiling and refuses what cannot fit."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, rng, capsys):
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 8, 0, rng, real=True)
+        coeffs = tmp_path / "c.scrv"
+        assert run(["analyze", str(src), "--out", str(coeffs)]) == 0
+        capsys.readouterr()
+        return src, coeffs
+
+    @staticmethod
+    def argv(command, inputs, out):
+        src, coeffs = inputs
+        return [command, str(coeffs if command == "synthesize" else src), "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["analyze", "synthesize", "sparsity"])
+    def test_refuses_what_cannot_fit(self, tmp_path, inputs, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2**20)
+        before = sorted(tmp_path.iterdir())
+        assert run(self.argv(command, inputs, tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "estimated peak memory" in err and "1 MiB available" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["analyze", "synthesize", "sparsity"])
+    def test_runs_when_memory_is_unknown(self, tmp_path, inputs, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_available_memory", lambda: None)
+        assert run(self.argv(command, inputs, tmp_path / "out")) == 0
+
+    def test_notes_report_the_estimate(self, tmp_path, inputs, capsys):
+        assert run(self.argv("synthesize", inputs, tmp_path / "g.scrv")) == 0
+        note = json.loads(capsys.readouterr().out)
+        expected = cli._estimated_peak_mib(8, True, fourier.fft_workers())
+        assert note["estimated_peak_mib"] == round(expected, 1)
+
+    def test_estimate_grows_with_band_limit_and_workers(self):
+        est = cli._estimated_peak_mib
+        assert est(256, True, 2) > est(128, True, 2) > est(64, True, 2)
+        assert est(128, False, 2) > est(128, True, 2)
+        assert est(128, True, 2) > est(128, True, 1)
+
+    def test_available_memory_is_bytes_or_unknown(self):
+        value = cli._available_memory()
+        assert value is None or (isinstance(value, int) and value > 0)
 
 
 class TestPgmIngestion:

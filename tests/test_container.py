@@ -57,7 +57,7 @@ class TestSphereContainer:
     def test_read_container_returns_unknown_header_keys(self, tmp_path):
         path = tmp_path / "f.scrv"
         rng_note = {"algorithm": "numpy-pcg64", "seed": 3}
-        container._write_container(path, {"kind": "note", "rng": rng_note}, [])
+        container._write_container(path, {"kind": "note", "rng": rng_note}, [], [])
         header, sections = container.read_container(path)
         assert header["rng"] == rng_note
         assert sections == {}
@@ -219,6 +219,23 @@ class TestContainerHardening:
         with pytest.raises(container.ContainerError, match="real-flagged"):
             container.read_sphere(path)
 
+    def test_overlapping_sections(self, tmp_path):
+        path = tmp_path / "f.scrv"
+        a, b = np.arange(4.0), np.arange(4.0, 8.0)
+        table = container._layout([("a", "<f8", (4,)), ("b", "<f8", (4,))])
+        container._write_container(path, {"kind": "note"}, table, [a, b])
+        # b now starts inside a; the payload still covers b's stated end.
+        rewrite_header(path, lambda h: h["sections"][1].__setitem__("offset", 16))
+        with pytest.raises(container.ContainerError, match="overlaps"):
+            container.read_container(path)
+
+    def test_trailing_bytes(self, tmp_path, rng):
+        path = tmp_path / "f.scrv"
+        self.write_valid(path, rng)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(container.ContainerError, match="8 payload bytes belong to no section"):
+            container.read_sphere(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             container.read_sphere(tmp_path / "absent.scrv")
@@ -246,7 +263,10 @@ class TestCopyFreeIO:
         b = (np.arange(4) + 1j * np.arange(4, 8)).astype("<c16")
         c = np.zeros((0, 5))
         header = {"kind": "note", "L": 3}
-        container._write_container(path, header, [("a", a), ("b", b), ("c", c)])
+        table = container._layout(
+            [("a", "<f8", a.shape), ("b", "<c16", b.shape), ("c", "<f8", c.shape)]
+        )
+        container._write_container(path, header, table, [a, b, c])
         sections = [
             {"name": "a", "dtype": "<f8", "shape": [2, 3], "offset": 0, "nbytes": 48},
             {"name": "b", "dtype": "<c16", "shape": [4], "offset": 48, "nbytes": 64},
@@ -266,7 +286,9 @@ class TestCopyFreeIO:
     def test_noncontiguous_input_is_written_in_c_order(self, tmp_path):
         path = tmp_path / "f.scrv"
         a = np.arange(12.0).reshape(3, 4)
-        container._write_container(path, {"kind": "note"}, [("t", a.T)])
+        container._write_container(
+            path, {"kind": "note"}, container._layout([("t", "<f8", a.T.shape)]), [a.T]
+        )
         _, sections = container.read_container(path)
         np.testing.assert_array_equal(sections["t"], a.T)
 
@@ -298,6 +320,59 @@ class TestCopyFreeIO:
         monkeypatch.setattr(container.os, "fstat", grown)
         with pytest.raises(container.ContainerError, match="ended before"):
             container.read_sphere(path)
+
+
+class TestStreamedWrite:
+    """A section stream that goes wrong leaves no file behind."""
+
+    table = container._layout([("a", "<f8", (3,)), ("b", "<f8", (2, 2))])
+
+    def write(self, path, arrays):
+        container._write_container(path, {"kind": "note"}, self.table, arrays)
+
+    @staticmethod
+    def assert_nothing_written(tmp_path):
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generator_is_written_in_order(self, tmp_path):
+        path = tmp_path / "f.scrv"
+        self.write(path, (np.full(shape, k, float) for k, shape in enumerate([(3,), (2, 2)])))
+        _, sections = container.read_container(path)
+        np.testing.assert_array_equal(sections["a"], np.zeros(3))
+        np.testing.assert_array_equal(sections["b"], np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "second",
+        [np.ones((4,)), np.ones((2, 2), complex)],
+        ids=["wrong-shape", "wrong-dtype"],
+    )
+    def test_mismatched_array(self, tmp_path, second):
+        with pytest.raises(container.ContainerError, match="'b' is declared"):
+            self.write(tmp_path / "f.scrv", iter([np.zeros(3), second]))
+        self.assert_nothing_written(tmp_path)
+
+    def test_stream_raises_after_first_section(self, tmp_path):
+        def arrays():
+            yield np.zeros(3)
+            raise RuntimeError("analysis failed")
+
+        with pytest.raises(RuntimeError, match="analysis failed"):
+            self.write(tmp_path / "f.scrv", arrays())
+        self.assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_array_count(self, tmp_path, count):
+        arrays = [np.zeros(3), np.zeros((2, 2)), np.zeros(1)][:count]
+        with pytest.raises(container.ContainerError, match="no array|more arrays"):
+            self.write(tmp_path / "f.scrv", arrays)
+        self.assert_nothing_written(tmp_path)
+
+    def test_write_coeffs_checks_layout(self, tmp_path, rng):
+        c, _ = make_coeffs(8, 0, rng, j_min=0)
+        c.scales[-1] = c.scales[0]
+        with pytest.raises(container.ContainerError, match="is declared"):
+            container.write_coeffs(tmp_path / "c.scrv", c)
+        self.assert_nothing_written(tmp_path)
 
 
 class TestContainerMemory:
