@@ -22,8 +22,9 @@ analyze, synthesize and sparsity hold one scale signal at a time: they
 stream the scales into or out of the container, or reduce each to its
 histogram.  Before building the tiling they estimate their peak memory
 from the band limit, the real flag and the worker count; when that
-exceeds the memory available (MemAvailable, lowered by a cgroup-v2
-memory.max), they exit 3 with both numbers and write nothing.
+exceeds what the process could reach (MemAvailable plus SwapFree,
+lowered by the room left in its cgroup-v2 group and the group's
+ancestors), they exit 3 with both numbers and write nothing.
 Random test signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
@@ -34,9 +35,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import statistics
 import sys
 import time
+from pathlib import Path
 
 try:
     import resource
@@ -47,7 +50,7 @@ import numpy as np
 
 from . import container
 from .fourier import fft_workers
-from .so3 import _CHUNK
+from .so3 import _curvelet_peak_bytes
 from .sphere import random_coeffs, sht_forward, sht_inverse
 from .tiling import (
     QuadratureError,
@@ -209,58 +212,87 @@ def _peak_rss_note() -> dict:
     return {"peak_rss_mib": round(peak * unit / 2**20, 1)}
 
 
-# Peak-memory model of analyze, synthesize and sparsity; see
-# _estimated_peak_mib.  The baseline is the interpreter with numpy and
-# scurve imported (31 MiB) plus small arrays.  Each pool worker's bin
-# planes count as _PLANE_STACKS stacks of _CHUNK planes of (2L-1)^2
-# complex values: with 2.5, the estimate fell between the analyze and the
-# synthesize peaks that scripts/cli_peaks.py measured at L=128 and 256.
+# The interpreter with numpy and scurve imported (31 MiB) plus small arrays.
 _BASELINE_MIB = 35.0
-_PLANE_STACKS = 2.5
 
 
 def _estimated_peak_mib(band_limit: int, real: bool, workers: int) -> float:
     """Estimated peak resident memory, in MiB, of one command at a band limit.
 
-    The command holds one scale at a time, so its peak is the largest
-    scale cube, that cube's spectrum over gamma and alpha (half of it on
-    the real path), the half-pi table, each worker's bin planes and the
-    interpreter baseline.
+    The command holds one scale at a time, so its peak is that of one
+    curvelet transform (so3._curvelet_peak_bytes) over the interpreter.
     """
-    L = band_limit
-    K = 2 * L - 1
-    cube = K * L * K * (8 if real else 16)
-    spectrum = (L if real else K) * L * K * 16
-    table = 8 * L * (2 * L - 1) * (2 * L + 1) // 3  # sum of (2l+1)^2 doubles, l < L
-    planes = workers * _PLANE_STACKS * _CHUNK * K * K * 16
-    return (cube + spectrum + table + planes) / 2**20 + _BASELINE_MIB
+    return _curvelet_peak_bytes(band_limit, real, workers) / 2**20 + _BASELINE_MIB
 
 
-def _available_memory():
-    """Bytes this process may still use, or None when nothing says.
+def _read_number(path) -> int | None:
+    """The integer in a cgroup file, or None for "max"."""
+    with open(path) as fh:
+        raw = fh.read().strip()
+    return None if raw == "max" else int(raw)
 
-    MemAvailable from /proc/meminfo, lowered by the memory.max of this
-    process's cgroup-v2 group where that file can be read.
+
+def _cgroup_room(group: Path, swap_free: int) -> int | None:
+    """Bytes a cgroup-v2 group can still take, or None if it sets no limit.
+
+    memory.max less memory.current, with the group's page cache (the
+    "file" line of memory.stat) counted as free, plus the swap the group
+    may still use.
     """
-    limits = []
     try:
-        with open("/proc/meminfo") as fh:
+        limit = _read_number(group / "memory.max")
+        if limit is None:
+            return None
+        used = _read_number(group / "memory.current")
+    except (OSError, ValueError):
+        return None
+    try:
+        with open(group / "memory.stat") as fh:
+            used -= next(int(line.split()[1]) for line in fh if line.startswith("file "))
+    except (OSError, ValueError, IndexError, StopIteration):
+        pass
+    swap = swap_free
+    try:
+        swap_max = _read_number(group / "memory.swap.max")
+        if swap_max is not None:
+            swap = min(swap, max(0, swap_max - _read_number(group / "memory.swap.current")))
+    except (OSError, ValueError):
+        pass
+    return max(0, limit - used) + swap
+
+
+def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int | None:
+    """Bytes this process's resident memory may grow to, or None when nothing says.
+
+    Counted generously, so that only a command that clearly cannot fit
+    is refused: the host's MemAvailable plus SwapFree, lowered by the room
+    left in this process's cgroup-v2 group and in each ancestor group that
+    sets a memory.max, then raised by what the process already holds,
+    since the estimate counts that too.
+    """
+    try:
+        info = {}
+        with open(proc / "meminfo") as fh:
             for line in fh:
-                if line.startswith("MemAvailable:"):
-                    limits.append(int(line.split()[1]) * 1024)
-                    break
-    except (OSError, ValueError, IndexError):
-        pass
+                key, _, value = line.partition(":")
+                info[key] = int(value.split()[0]) * 1024
+        swap_free = info.get("SwapFree", 0)
+        room = [info["MemAvailable"] + swap_free]
+        with open(proc / "self" / "statm") as fh:
+            held = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
     try:
-        with open("/proc/self/cgroup") as fh:
-            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(f"/sys/fs/cgroup{group.rstrip('/')}/memory.max") as fh:
-            raw = fh.read().strip()
-        if raw != "max":
-            limits.append(int(raw))
-    except (OSError, StopIteration, ValueError):
-        pass
-    return min(limits) if limits else None
+        with open(proc / "self" / "cgroup") as fh:
+            parts = next(line[3:].strip() for line in fh if line.startswith("0::")).split("/")
+    except (OSError, StopIteration):
+        parts = []
+    parts = [part for part in parts if part]
+    for depth in range(len(parts), 0, -1):
+        group_room = _cgroup_room(cgroups.joinpath(*parts[:depth]), swap_free)
+        if group_room is not None:
+            room.append(group_room)
+    return min(room) + held
 
 
 def _preflight(band_limit: int, real: bool) -> dict:
@@ -284,8 +316,9 @@ def cmd_analyze(args) -> int:
     params = _make_params(args, f.grid.band_limit, f.spin)
     estimate = _preflight(params.band_limit, f.real)
     t = build_tiling(params)
-    container._write_coeff_stream(
-        args.out, params, "unrotated", True, f.real, _analysis_stream(f, t, True)
+    stream = _analysis_stream(f, t, True)
+    container.write_coeffs(
+        args.out, container._CoeffStream(params, "unrotated", True, f.real, stream)
     )
     print(
         json.dumps(

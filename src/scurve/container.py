@@ -21,23 +21,27 @@ Reading or writing a container holds at most one copy of the payload:
 sections are written straight from the arrays' buffers, and read
 straight into their own arrays at the section offsets once the whole
 layout has been checked against the file size.  A coefficient
-container's section table follows from its TilingParams and its
-multires and real flags, so the writer emits the header first and
-appends each section as it arrives, and the reader hands out one
-section at a time.  The command line uses both to hold one section at a
-time: `scurve analyze` writes each scale as the analysis yields it, and
-`scurve synthesize` reads each scale as the synthesis asks for it.
+container's section table follows from its TilingParams, its multires
+flag and its dtypes, which the real flag sets for coefficients still
+being computed, so the writer emits the header first and appends each
+section as it arrives, and the reader hands out one section at a time.
+The command line uses both to hold one section at a time: `scurve
+analyze` writes each scale as the analysis yields it, and `scurve
+synthesize` reads each scale as the synthesis asks for it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import operator
 import os
 import struct
 import tempfile
+from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,13 +302,35 @@ def _coeff_sections(params: TilingParams, multires: bool) -> list:
     return sections
 
 
-def _write_coeff_stream(path, params: TilingParams, frame, multires: bool, real: bool, signals):
-    """Write a coefficient container from the scaling signal, then each scale signal.
+class _CoeffStream(NamedTuple):
+    """An analysis still running: its parameters and flags, and its signals.
+
+    signals yields the scaling signal, then each scale signal from j_min
+    up, as the analysis stream does; write_coeffs writes each one as it
+    arrives, so the whole result never exists at once.
+    """
+
+    params: TilingParams
+    frame: str
+    multires: bool
+    real: bool
+    signals: Iterator
+
+
+def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
+    """Write an analysis result: the scaling part plus every scale signal.
 
     The section table follows from the parameters and the flags, so the
-    header goes out first and signals may be a generator such as the
-    analysis stream: each signal is written as it arrives and dropped.
+    header goes out first.  Each section takes its array's own dtype; for
+    a _CoeffStream, whose arrays do not exist yet, the real flag sets it.
     """
+    if isinstance(coeffs, _CoeffStream):
+        signals = coeffs.signals
+        codes = itertools.repeat("<f8" if coeffs.real else "<c16")
+    else:
+        signals = [coeffs.scaling, *coeffs.scales]
+        codes = [_payload_code(sig.values) for sig in signals]
+    params = coeffs.params
     header = {
         "kind": "curvelet",
         "L": params.band_limit,
@@ -312,27 +338,17 @@ def _write_coeff_stream(path, params: TilingParams, frame, multires: bool, real:
         "lambda": params.lam,
         "J0": params.j_min,
         "J": params.j_max,
-        "frame": frame,
-        "multires": multires,
-        "real": real,
+        "frame": coeffs.frame,
+        "multires": coeffs.multires,
+        "real": coeffs.real,
     }
-    code = "<f8" if real else "<c16"
-    entries = [(name, code, grid.shape) for name, grid in _coeff_sections(params, multires)]
+    entries = [
+        (name, code, grid.shape)
+        for (name, grid), code in zip(_coeff_sections(params, coeffs.multires), codes)
+    ]
     # map keeps no reference to a signal once its values are handed on.
     arrays = map(operator.attrgetter("values"), signals)
     _write_container(path, header, _layout(entries), arrays)
-
-
-def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
-    """Write an analysis result: the scaling part plus every scale signal."""
-    _write_coeff_stream(
-        path,
-        coeffs.params,
-        coeffs.frame,
-        coeffs.multires,
-        coeffs.real,
-        [coeffs.scaling, *coeffs.scales],
-    )
 
 
 @contextlib.contextmanager

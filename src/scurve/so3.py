@@ -62,6 +62,26 @@ _CHUNK = 8
 # copies and shares them between the pool's threads.
 _BETA_BLOCK = 8
 
+# Stacks of _CHUNK bin planes a pool worker holds at its peak in the
+# curvelet transforms: _beta_to_bins's extension and recentred copy, then
+# the convolution's padded buffer.  Fitted with scripts/cli_peaks.py.
+_PLANE_STACKS = 2.5
+
+
+def _curvelet_peak_bytes(L: int, real: bool, workers: int) -> int:
+    """Estimated peak bytes of one curvelet transform at band limit L.
+
+    One signal cube, its spectrum over gamma and alpha (half of it on the
+    real path), the half-pi table and each worker's bin planes, which is
+    what analysis or synthesis holds when it keeps one scale at a time.
+    """
+    K = 2 * L - 1
+    cube = K * L * K * (8 if real else 16)
+    spectrum = (L if real else K) * L * K * 16
+    table = 8 * L * (2 * L - 1) * (2 * L + 1) // 3  # sum of (2l+1)^2 doubles, l < L
+    planes = workers * _PLANE_STACKS * _CHUNK * K * K * 16
+    return int(cube + spectrum + table + planes)
+
 
 @dataclass(frozen=True)
 class SO3Grid:

@@ -222,6 +222,22 @@ class TestStreaming:
         container.write_sphere(g_collected, scurve.synthesize(container.read_coeffs(collected), t))
         assert g_streamed.read_bytes() == g_collected.read_bytes()
 
+    def test_analyze_writes_through_write_coeffs(self, tmp_path, rng, capsys, monkeypatch):
+        """The container write stays behind container.write_coeffs, which
+        perfbench/tracer.py times; the coefficients arrive as a stream."""
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 8, 0, rng, real=True)
+        seen = []
+        write = container.write_coeffs
+
+        def spy(path, coeffs):
+            seen.append(type(coeffs))
+            write(path, coeffs)
+
+        monkeypatch.setattr(container, "write_coeffs", spy)
+        assert run(["analyze", str(src), "--out", str(tmp_path / "c.scrv")]) == 0
+        assert seen == [container._CoeffStream]
+
     def test_full_resolution_container_synthesizes(self, tmp_path, rng, capsys):
         f = scurve.sht_inverse(scurve.random_coeffs(16, 2, rng))
         t = scurve.build_tiling(scurve.TilingParams(16, 2, 2.0, 1))
@@ -320,6 +336,15 @@ class TestPreflight:
         monkeypatch.setattr(cli, "_available_memory", lambda: None)
         assert run(self.argv(command, inputs, tmp_path / "out")) == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "synthesize", "sparsity"])
+    def test_budget_at_the_estimate(self, tmp_path, inputs, capsys, monkeypatch, command):
+        estimate = cli._estimated_peak_mib(8, True, fourier.fft_workers()) * 2**20
+        monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) - 1)
+        assert run(self.argv(command, inputs, tmp_path / "out")) == 3
+        assert "estimated peak memory" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) + 1)
+        assert run(self.argv(command, inputs, tmp_path / "out")) == 0
+
     def test_notes_report_the_estimate(self, tmp_path, inputs, capsys):
         assert run(self.argv("synthesize", inputs, tmp_path / "g.scrv")) == 0
         note = json.loads(capsys.readouterr().out)
@@ -331,6 +356,60 @@ class TestPreflight:
         assert est(256, True, 2) > est(128, True, 2) > est(64, True, 2)
         assert est(128, False, 2) > est(128, True, 2)
         assert est(128, True, 2) > est(128, True, 1)
+
+    @staticmethod
+    def fake_host(root, meminfo, cgroup="0::/a/b\n", groups=()):
+        """A /proc and a cgroup-v2 tree under root; groups maps a path to its files."""
+        proc = root / "proc"
+        (proc / "self").mkdir(parents=True)
+        (proc / "meminfo").write_text(
+            "".join(f"{key}: {kib} kB\n" for key, kib in meminfo.items())
+        )
+        (proc / "self" / "statm").write_text("900 25 10 1 0 30 0\n")
+        (proc / "self" / "cgroup").write_text(cgroup)
+        cgroups = root / "cgroup"
+        for group, files in dict(groups).items():
+            (cgroups / group).mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (cgroups / group / name).write_text(text)
+        return proc, cgroups
+
+    def test_available_memory_counts_swap(self, tmp_path):
+        proc, cgroups = self.fake_host(tmp_path, {"MemAvailable": 1000, "SwapFree": 500})
+        held = 25 * cli.os.sysconf("SC_PAGE_SIZE")
+        assert cli._available_memory(proc, cgroups) == 1500 * 1024 + held
+
+    def test_available_memory_reads_ancestor_groups(self, tmp_path):
+        mib = 2**20
+        groups = {
+            # The ancestor's limit binds: 800 MiB less 300 used, of which
+            # 100 MiB page cache, and no swap for the group.
+            "a": {
+                "memory.max": f"{800 * mib}\n",
+                "memory.current": f"{300 * mib}\n",
+                "memory.stat": f"anon {200 * mib}\nfile {100 * mib}\n",
+                "memory.swap.max": "0\n",
+                "memory.swap.current": "0\n",
+            },
+            "a/b": {"memory.max": "max\n", "memory.current": f"{250 * mib}\n"},
+        }
+        proc, cgroups = self.fake_host(
+            tmp_path, {"MemAvailable": 4096 * 1024, "SwapFree": 0}, groups=groups
+        )
+        held = 25 * cli.os.sysconf("SC_PAGE_SIZE")
+        assert cli._available_memory(proc, cgroups) == 600 * mib + held
+
+    def test_group_swap_raises_the_room(self, tmp_path):
+        mib = 2**20
+        groups = {"a/b": {"memory.max": f"{100 * mib}", "memory.current": f"{40 * mib}"}}
+        proc, cgroups = self.fake_host(
+            tmp_path, {"MemAvailable": 4096 * 1024, "SwapFree": 50 * 1024}, groups=groups
+        )
+        held = 25 * cli.os.sysconf("SC_PAGE_SIZE")
+        assert cli._available_memory(proc, cgroups) == 110 * mib + held
+
+    def test_available_memory_unknown_without_meminfo(self, tmp_path):
+        assert cli._available_memory(tmp_path / "absent", tmp_path) is None
 
     def test_available_memory_is_bytes_or_unknown(self):
         value = cli._available_memory()

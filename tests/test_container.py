@@ -107,6 +107,22 @@ class TestCoeffContainer:
         h = scurve.synthesize(c, t)
         np.testing.assert_array_equal(g.values, h.values)
 
+    def test_float_values_without_real_flag(self, tmp_path, rng):
+        """Each section takes its array's dtype, whatever the real flag says."""
+        path = tmp_path / "c.scrv"
+        r, _ = make_coeffs(8, 0, rng, j_min=0, real=True)
+        scaling = scurve.SphereSignal(r.scaling.grid, 0, r.scaling.values)
+        scales = [scurve.SO3Signal(s.grid, s.values) for s in r.scales]
+        c = scurve.CurveletCoeffs(r.params, r.frame, scaling, scales, r.multires)
+        container.write_coeffs(path, c)
+        header, _ = container.read_container(path)
+        assert {sec["dtype"] for sec in header["sections"]} == {"<f8"}
+        d = container.read_coeffs(path)
+        assert not d.real
+        for a, b in zip([d.scaling, *d.scales], [c.scaling, *c.scales]):
+            assert a.values.dtype == b.values.dtype == np.float64
+            np.testing.assert_array_equal(a.values, b.values)
+
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "f.scrv"
         container.write_sphere(path, make_signal(4, 0, rng))
