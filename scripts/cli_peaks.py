@@ -12,6 +12,11 @@ on the result, each as its own child process, twice:
   os.wait4) and the "estimated_peak_mib" of its JSON note;
 - once under tracemalloc, for the peak of the memory Python allocates.
 
+Beside the two peaks, "estimate_parts_mib" breaks the estimate into its
+components, as the measured library computes them: the gamma spectrum,
+the half-pi table, the workers' bin planes, their beta blocks of samples
+and the interpreter baseline (null for a checkout without the breakdown).
+
 glibc's heap placement alone can move resident memory by a few percent
 from run to run, which is why the tracemalloc peak is printed beside it.
 The library comes from DIR (default: this checkout's src/), so another
@@ -44,6 +49,20 @@ from scurve.cli import main
 code = main(sys.argv[1:])
 print(tracemalloc.get_traced_memory()[1])
 sys.exit(code)
+"""
+
+# Prints the components of the pre-flight estimate, in MiB, as JSON.
+_PARTS = """
+import json, sys
+try:
+    from scurve.cli import _BASELINE_MIB
+    from scurve.so3 import _curvelet_peak_parts
+except ImportError:
+    print("null")
+    sys.exit()
+L, real, workers = int(sys.argv[1]), sys.argv[2] == "1", int(sys.argv[3])
+parts = _curvelet_peak_parts(L, real, workers)
+print(json.dumps({**{k: round(v / 2**20, 1) for k, v in parts.items()}, "baseline": _BASELINE_MIB}))
 """
 
 
@@ -110,6 +129,11 @@ def measure(L: int, seed: int, src: Path, workdir: Path) -> list:
             raise SystemExit(f"traced scurve {name} at L={L} exited {code}")
         traced = int(text.strip().splitlines()[-1]) / 2**20
         estimate = note.get("estimated_peak_mib")
+        real = "1" if note.get("real", True) else "0"
+        code, text, _ = run_child(
+            [sys.executable, "-c", _PARTS, str(L), real, str(note.get("workers"))], env
+        )
+        parts = json.loads(text) if code == 0 else None
         rows.append(
             {
                 "command": name,
@@ -118,6 +142,7 @@ def measure(L: int, seed: int, src: Path, workdir: Path) -> list:
                 "peak_rss_mib": round(rss, 1),
                 "tracemalloc_peak_mib": round(traced, 1),
                 "estimated_peak_mib": estimate,
+                "estimate_parts_mib": parts,
                 "estimate_over_rss": None if estimate is None else round(estimate / rss, 3),
                 "output_mib": round(output.stat().st_size / 2**20, 1),
                 "sha256": sha,

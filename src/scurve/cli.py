@@ -18,13 +18,14 @@ notes of analyze, synthesize and bench --out report it as "workers";
 those of analyze and synthesize also give the process's peak resident
 memory as "peak_rss_mib", next to the estimate the command made of it
 beforehand, "estimated_peak_mib".
-analyze, synthesize and sparsity hold one scale signal at a time: they
-stream the scales into or out of the container, or reduce each to its
-histogram.  Before building the tiling they estimate their peak memory
-from the band limit, the real flag and the worker count; when that
-exceeds what the process could reach (MemAvailable plus SwapFree,
-lowered by the room left in its cgroup-v2 group and the group's
-ancestors), they exit 3 with both numbers and write nothing.
+analyze, synthesize and sparsity hold no whole scale signal: they stream
+each scale's samples, one block of beta rows at a time, into or out of
+the container, or reduce them to its histogram.  Before building the
+tiling they estimate their peak memory from the band limit, the real
+flag and the worker count; when that exceeds what the process could
+reach (MemAvailable plus SwapFree, lowered by the room left in its
+cgroup-v2 group, its cgroup-v1 memory group and their ancestors), they
+exit 3 with both numbers and write nothing.
 Random test signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import container
 from .fourier import fft_workers
-from .so3 import _curvelet_peak_bytes
+from .so3 import _curvelet_peak_parts
 from .sphere import random_coeffs, sht_forward, sht_inverse
 from .tiling import (
     QuadratureError,
@@ -219,36 +220,53 @@ _BASELINE_MIB = 35.0
 def _estimated_peak_mib(band_limit: int, real: bool, workers: int) -> float:
     """Estimated peak resident memory, in MiB, of one command at a band limit.
 
-    The command holds one scale at a time, so its peak is that of one
-    curvelet transform (so3._curvelet_peak_bytes) over the interpreter.
+    The command holds one scale's spectrum at a time and streams its
+    samples by blocks, so its peak is that of one block-streamed curvelet
+    transform (the sum of so3._curvelet_peak_parts) over the interpreter.
     """
-    return _curvelet_peak_bytes(band_limit, real, workers) / 2**20 + _BASELINE_MIB
+    parts = _curvelet_peak_parts(band_limit, real, workers)
+    return sum(parts.values()) / 2**20 + _BASELINE_MIB
+
+
+# A cgroup-v1 group without a limit reports a page-rounded number near
+# 2**63 where cgroup v2 writes "max".
+_UNLIMITED = 2**62
+
+# (limit, usage, page-cache line of memory.stat) of each cgroup version.
+_V2_FILES = ("memory.max", "memory.current", "file")
+_V1_FILES = ("memory.limit_in_bytes", "memory.usage_in_bytes", "total_cache")
 
 
 def _read_number(path) -> int | None:
-    """The integer in a cgroup file, or None for "max"."""
+    """The integer in a cgroup file, or None for no limit ("max", or 2**62 and up)."""
     with open(path) as fh:
         raw = fh.read().strip()
-    return None if raw == "max" else int(raw)
+    if raw == "max":
+        return None
+    value = int(raw)
+    return None if value >= _UNLIMITED else value
 
 
-def _cgroup_room(group: Path, swap_free: int) -> int | None:
-    """Bytes a cgroup-v2 group can still take, or None if it sets no limit.
+def _cgroup_room(group: Path, swap_free: int, files=_V2_FILES) -> int | None:
+    """Bytes a cgroup can still take, or None if it sets no limit.
 
-    memory.max less memory.current, with the group's page cache (the
-    "file" line of memory.stat) counted as free, plus the swap the group
-    may still use.
+    The limit less the usage (memory.max and memory.current in cgroup
+    v2, memory.limit_in_bytes and memory.usage_in_bytes in v1), with the
+    group's page cache from memory.stat counted as free, plus the swap the
+    group may still use (memory.swap.max in v2; v1 swap limits are not
+    read, so the host's SwapFree counts).
     """
+    limit_file, usage_file, cache_key = files
     try:
-        limit = _read_number(group / "memory.max")
+        limit = _read_number(group / limit_file)
         if limit is None:
             return None
-        used = _read_number(group / "memory.current")
+        used = _read_number(group / usage_file)
     except (OSError, ValueError):
         return None
     try:
         with open(group / "memory.stat") as fh:
-            used -= next(int(line.split()[1]) for line in fh if line.startswith("file "))
+            used -= next(int(line.split()[1]) for line in fh if line.startswith(cache_key + " "))
     except (OSError, ValueError, IndexError, StopIteration):
         pass
     swap = swap_free
@@ -261,14 +279,42 @@ def _cgroup_room(group: Path, swap_free: int) -> int | None:
     return max(0, limit - used) + swap
 
 
+def _memory_groups(proc: Path, cgroups: Path) -> list:
+    """(group directory, cgroup files) of this process's memory groups and their ancestors.
+
+    From /proc/self/cgroup: the cgroup-v2 group ("0::/path", under
+    cgroups) and a cgroup-v1 memory group ("N:memory:/path", under
+    cgroups/memory), each from the group itself up to its tree's root.
+    """
+    try:
+        with open(proc / "self" / "cgroup") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    groups = []
+    for line in lines:
+        controllers, sep, path = line.partition(":")[2].partition(":")
+        if not sep:
+            continue
+        if controllers == "":
+            root, files = cgroups, _V2_FILES
+        elif "memory" in controllers.split(","):
+            root, files = cgroups / controllers, _V1_FILES
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        groups += [(root.joinpath(*parts[:depth]), files) for depth in range(len(parts), -1, -1)]
+    return groups
+
+
 def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int | None:
     """Bytes this process's resident memory may grow to, or None when nothing says.
 
     Counted generously, so that only a command that clearly cannot fit
     is refused: the host's MemAvailable plus SwapFree, lowered by the room
-    left in this process's cgroup-v2 group and in each ancestor group that
-    sets a memory.max, then raised by what the process already holds,
-    since the estimate counts that too.
+    left in this process's cgroup-v2 group, its cgroup-v1 memory group
+    and each of their ancestors that sets a limit, then raised by what the
+    process already holds, since the estimate counts that too.
     """
     try:
         info = {}
@@ -282,14 +328,8 @@ def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int
             held = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
     except (OSError, KeyError, ValueError, IndexError):
         return None
-    try:
-        with open(proc / "self" / "cgroup") as fh:
-            parts = next(line[3:].strip() for line in fh if line.startswith("0::")).split("/")
-    except (OSError, StopIteration):
-        parts = []
-    parts = [part for part in parts if part]
-    for depth in range(len(parts), 0, -1):
-        group_room = _cgroup_room(cgroups.joinpath(*parts[:depth]), swap_free)
+    for group, files in _memory_groups(proc, cgroups):
+        group_room = _cgroup_room(group, swap_free, files)
         if group_room is not None:
             room.append(group_room)
     return min(room) + held
@@ -436,6 +476,23 @@ def _scale_sparsity(j: int, mags: np.ndarray, bins: int, band_limit: int):
     return note, rows
 
 
+def _magnitudes(pending) -> np.ndarray:
+    """Flat |samples| of a pending scale signal, filled block by block.
+
+    Each block of beta rows lands in a buffer of its own and only its
+    magnitudes are kept, so the samples are never held beside them.
+    """
+    mags = np.empty(pending.grid.shape)
+
+    def sink(rows, fill):
+        block = np.empty(mags[rows].shape, float if pending.real else complex)
+        fill(block)
+        np.abs(block, out=mags[rows])
+
+    pending.emit(sink=sink)
+    return mags.ravel()
+
+
 def cmd_sparsity(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
@@ -449,9 +506,7 @@ def cmd_sparsity(args) -> int:
     scale_notes = []
     for j in range(params.j_min, params.j_max + 1):
         # Each scale is reduced to its note and rows before the next is built.
-        note, rows = _scale_sparsity(
-            j, np.abs(next(signals).values).ravel(), args.bins, params.band_limit
-        )
+        note, rows = _scale_sparsity(j, _magnitudes(next(signals)), args.bins, params.band_limit)
         scale_notes.append(note)
         csv_rows += rows
     summary = {

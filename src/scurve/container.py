@@ -23,11 +23,19 @@ straight into their own arrays at the section offsets once the whole
 layout has been checked against the file size.  A coefficient
 container's section table follows from its TilingParams, its multires
 flag and its dtypes, which the real flag sets for coefficients still
-being computed, so the writer emits the header first and appends each
-section as it arrives, and the reader hands out one section at a time.
-The command line uses both to hold one section at a time: `scurve
-analyze` writes each scale as the analysis yields it, and `scurve
-synthesize` reads each scale as the synthesis asks for it.
+being computed, so the writer emits the header first and writes each
+section at its offset as it arrives.
+
+A scale section need not exist in memory at all.  Its samples run
+gamma-major, so one block of beta rows is one contiguous run of bytes
+per gamma row.  The writer takes a pending synthesis in place of an
+array and writes each beta block at its place as the inverse transform
+finishes it (one os.pwritev per gamma row); the reader hands out a
+scale as a stored section that a forward transform reads block by block
+(one os.preadv per gamma row).  The command line holds one beta block
+of a section at a time this way, not one section: `scurve analyze`
+writes each scale's blocks as the synthesis finishes them, and `scurve
+synthesize` reads each scale's blocks as the analysis asks for them.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ import contextlib
 import itertools
 import json
 import math
-import operator
 import os
 import struct
 import tempfile
@@ -48,7 +55,7 @@ import numpy as np
 from .so3 import SO3Grid, SO3Signal
 from .sphere import SphereGrid, SphereSignal
 from .tiling import TilingParams
-from .transform import CurveletCoeffs, scale_band_limit, scaling_band_limit
+from .transform import CurveletCoeffs, _PendingSignal, scale_band_limit, scaling_band_limit
 
 __all__ = [
     "MAGIC",
@@ -76,11 +83,6 @@ def _payload_code(values: np.ndarray) -> str:
     return "<c16" if np.iscomplexobj(values) else "<f8"
 
 
-def _byte_view(arr: np.ndarray) -> np.ndarray:
-    """Flat uint8 view of a C-contiguous array, sharing its memory."""
-    return arr.reshape(-1).view(np.uint8)
-
-
 def _layout(entries) -> list:
     """Section table of (name, dtype code, shape) entries packed in order."""
     sections = []
@@ -94,49 +96,120 @@ def _layout(entries) -> list:
     return sections
 
 
-def _section_data(path, sec: dict, arr) -> np.ndarray:
-    """arr as the C-contiguous little-endian bytes of its declared section."""
-    if arr is None:
+def _declared(data) -> tuple:
+    """(dtype code, shape) of an array or of a _PendingSignal's samples."""
+    if isinstance(data, _PendingSignal):
+        return ("<f8" if data.real else "<c16"), data.grid.shape
+    return _payload_code(data), data.shape
+
+
+def _write_at(fd: int, arr: np.ndarray, offset: int) -> None:
+    """Write all of the C-contiguous array arr at offset, retrying short writes."""
+    done = 0
+    while done < arr.nbytes:
+        part = arr if done == 0 else memoryview(arr).cast("B")[done:]
+        wrote = os.pwritev(fd, [part], offset + done)
+        if wrote <= 0:
+            raise OSError(f"write at offset {offset + done} made no progress")
+        done += wrote
+
+
+def _read_at(fd: int, arr: np.ndarray, offset: int, path) -> None:
+    """Fill the C-contiguous array arr from offset; ContainerError on a short read."""
+    done = 0
+    while done < arr.nbytes:
+        part = arr if done == 0 else memoryview(arr).cast("B")[done:]
+        got = os.preadv(fd, [part], offset + done)
+        if not got:
+            raise ContainerError(f"{path}: file ended before its stated length")
+        done += got
+
+
+def _block_rows(shape, rows) -> tuple:
+    """(gamma rows, first beta row, beta rows, alpha samples) of a beta block.
+
+    rows is one slice of so3._beta_blocks; the block runs over every gamma
+    row, and within each one its beta rows are contiguous bytes of a
+    gamma-major section.
+    """
+    G, L, K = shape
+    lo, hi, _ = rows[1].indices(L)
+    return G, lo, hi - lo, K
+
+
+def _section_sink(fd: int, sec: dict, start: int):
+    """A block sink that writes each beta block into its slot of section sec.
+
+    The block is computed into a buffer of its own, then written with one
+    os.pwritev per gamma row, so the section is never held whole.
+    """
+    shape = tuple(sec["shape"])
+    dt = _DTYPES[sec["dtype"]]
+    row = shape[1] * shape[2] * dt.itemsize
+
+    def sink(rows, fill):
+        G, lo, n, K = _block_rows(shape, rows)
+        # The transform writes native floats; the file holds little-endian ones.
+        block = np.empty((G, n, K), dt.newbyteorder("="))
+        fill(block)
+        block = np.ascontiguousarray(block, dtype=dt)
+        for g in range(G):
+            _write_at(fd, block[g], start + g * row + lo * K * dt.itemsize)
+
+    return sink
+
+
+def _write_section(fd: int, path, sec: dict, start: int, data) -> None:
+    """Write one declared section from an array or a _PendingSignal.
+
+    An array goes out straight from its buffer; a pending signal is run
+    with a sink that writes each beta block as it is finished.
+    """
+    if data is None:
         raise ContainerError(f"{path}: no array for section {sec['name']!r}")
-    code = _payload_code(arr)
-    if code != sec["dtype"] or list(arr.shape) != sec["shape"]:
+    code, shape = _declared(data)
+    if code != sec["dtype"] or list(shape) != sec["shape"]:
         raise ContainerError(
             f"{path}: section {sec['name']!r} is declared {sec['dtype']} {tuple(sec['shape'])}, "
-            f"got {code} {arr.shape}"
+            f"got {code} {tuple(shape)}"
         )
-    # Only an array that is not already C-contiguous little-endian is converted.
-    return np.ascontiguousarray(arr, dtype=_DTYPES[code])
+    if isinstance(data, _PendingSignal):
+        data.emit(sink=_section_sink(fd, sec, start))
+    else:
+        # Only an array that is not already C-contiguous little-endian is converted.
+        _write_at(fd, np.ascontiguousarray(data, dtype=_DTYPES[code]), start)
 
 
 def _write_container(path, header: dict, sections: list, arrays) -> None:
     """Write header and its declared section table, then each array in turn.
 
-    arrays may be a generator: the header goes out first, and each array
-    is written straight from its buffer as it arrives, checked against its
-    section's dtype and shape, and not referenced after.  A mismatch, a
-    missing or extra array, or any error raised by arrays leaves neither
-    the target nor a temporary file behind.
+    arrays may be a generator, and an item may be a _PendingSignal in
+    place of an array: the header goes out first, and each section is
+    written at its offset as it arrives, checked against its declared
+    dtype and shape, and not referenced after.  A mismatch, a missing or
+    extra array, or any error raised by arrays or a pending synthesis
+    leaves neither the target nor a temporary file behind.
     """
     head = json.dumps(dict(header, sections=sections), allow_nan=False).encode()
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scrv-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(head)))
-            fh.write(head)
+        try:
+            lead = MAGIC + struct.pack("<I", len(head)) + head
+            _write_at(fd, np.frombuffer(lead, np.uint8), 0)
             arrays = iter(arrays)
             for sec in sections:
-                fh.write(_byte_view(_section_data(path, sec, next(arrays, None))))
+                _write_section(fd, path, sec, len(lead) + sec["offset"], next(arrays, None))
             if next(arrays, None) is not None:
                 raise ContainerError(f"{path}: more arrays than declared sections")
-            fh.flush()
             # mkstemp makes the file owner-only; give it the mode a plain
             # open() would, 0o666 less the umask (read by setting it back).
             umask = os.umask(0o022)
             os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            os.fsync(fh.fileno())
+            os.fchmod(fd, 0o666 & ~umask)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -144,17 +217,6 @@ def _write_container(path, header: dict, sections: list, arrays) -> None:
         except OSError:
             pass
         raise
-
-
-def _read_exact(fh, buf, path) -> None:
-    """Fill the writable buffer buf from fh; ContainerError on a short read."""
-    view = memoryview(buf)
-    filled = 0
-    while filled < len(view):
-        got = fh.readinto(view[filled:])
-        if not got:
-            raise ContainerError(f"{path}: file ended before its stated length")
-        filled += got
 
 
 def _section_table(path, header: dict, payload_size: int) -> dict:
@@ -212,35 +274,45 @@ def _open_container(path):
     The magic, the header and the whole section table are checked against
     the file size before any array is allocated.  read(name) then reads
     that one section straight into a new array, so a caller that drops
-    each section before reading the next holds one at a time.  The file
-    is closed when the block exits.
+    each section before reading the next holds one at a time.
+    read(name, rows) reads only the beta rows of one slice of
+    so3._beta_blocks from a gamma-major section, with one os.preadv per
+    gamma row.  The file is closed when the block exits.
     """
     start = len(MAGIC) + 4
     with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
         lead = fh.read(start)
         if len(lead) < start or lead[: len(MAGIC)] != MAGIC:
             raise ContainerError(f"{path}: not an SCRV1 container")
         (hlen,) = struct.unpack_from("<I", lead, len(MAGIC))
         if hlen > _HEADER_CAP or start + hlen > size:
             raise ContainerError(f"{path}: header length {hlen} exceeds file size")
-        raw = bytearray(hlen)
-        _read_exact(fh, raw, path)
+        raw = np.empty(hlen, np.uint8)
+        _read_at(fd, raw, start, path)
         try:
-            header = json.loads(raw.decode())
+            header = json.loads(raw.tobytes().decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ContainerError(f"{path}: bad header: {exc}") from None
         base = start + hlen
         table = _section_table(path, header, size - base)
 
-        def read(name: str) -> np.ndarray:
+        def read(name: str, rows=None) -> np.ndarray:
             if name not in table:
                 raise ContainerError(f"{path}: no section {name!r}")
             dt, shape, offset = table[name]
-            arr = np.empty(shape, dt)
-            fh.seek(base + offset)
-            _read_exact(fh, _byte_view(arr), path)
-            return arr
+            if rows is None:
+                arr = np.empty(shape, dt)
+                _read_at(fd, arr, base + offset, path)
+                return arr
+            G, lo, n, K = _block_rows(shape, rows)
+            row = shape[1] * K * dt.itemsize
+            block = np.empty((G, n, K), dt)
+            for g in range(G):
+                at = base + offset + g * row + lo * K * dt.itemsize
+                _read_at(fd, block[g], at, path)
+            return block
 
         yield header, table, read
 
@@ -305,9 +377,10 @@ def _coeff_sections(params: TilingParams, multires: bool) -> list:
 class _CoeffStream(NamedTuple):
     """An analysis still running: its parameters and flags, and its signals.
 
-    signals yields the scaling signal, then each scale signal from j_min
-    up, as the analysis stream does; write_coeffs writes each one as it
-    arrives, so the whole result never exists at once.
+    signals yields the scaling signal, then a pending synthesis per scale
+    from j_min up, as the analysis stream does; write_coeffs writes each
+    scale block by block as it is synthesised, so neither the whole
+    result nor one whole scale ever exists at once.
     """
 
     params: TilingParams
@@ -317,12 +390,17 @@ class _CoeffStream(NamedTuple):
     signals: Iterator
 
 
+def _payload(signal):
+    """What the writer takes for a signal: its values, or a pending synthesis whole."""
+    return signal if isinstance(signal, _PendingSignal) else signal.values
+
+
 def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
     """Write an analysis result: the scaling part plus every scale signal.
 
     The section table follows from the parameters and the flags, so the
     header goes out first.  Each section takes its array's own dtype; for
-    a _CoeffStream, whose arrays do not exist yet, the real flag sets it.
+    a _CoeffStream, whose samples do not exist yet, the real flag sets it.
     """
     if isinstance(coeffs, _CoeffStream):
         signals = coeffs.signals
@@ -346,19 +424,50 @@ def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
         (name, code, grid.shape)
         for (name, grid), code in zip(_coeff_sections(params, coeffs.multires), codes)
     ]
-    # map keeps no reference to a signal once its values are handed on.
-    arrays = map(operator.attrgetter("values"), signals)
+    # map keeps no reference to a signal once its payload is handed on.
+    arrays = map(_payload, signals)
     _write_container(path, header, _layout(entries), arrays)
+
+
+class _StoredCube:
+    """The samples of a scale section, read one beta block at a time.
+
+    Stands where SO3Signal.values would for a forward transform, which
+    reads its samples only as values.shape and values[rows]
+    (so3._analysis_spectrum): each block is read from the open container
+    when asked for, so the cube is never held.  load() reads it whole.
+    """
+
+    def __init__(self, read, name: str, shape: tuple):
+        self._read = read
+        self._name = name
+        self.shape = shape
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self._read(self._name, rows)
+
+    def load(self) -> np.ndarray:
+        return self._read(self._name)
+
+
+class _StoredSignal(NamedTuple):
+    """A scale signal left in its container, read by blocks through values."""
+
+    grid: SO3Grid
+    values: _StoredCube
+    real: bool
 
 
 @contextlib.contextmanager
 def _read_coeff_stream(path):
     """Open a coefficient container and yield (params, frame, multires, real, signals).
 
-    signals yields the scaling signal, then each scale signal from j_min
-    up, reading one section per step; the file closes when the block ends.
+    signals yields the scaling signal, read whole, then a _StoredSignal
+    per scale from j_min up, whose samples stay in the file until a
+    transform reads them block by block; the file closes when the block
+    ends.
     """
-    with _open_container(path) as (header, _, read):
+    with _open_container(path) as (header, table, read):
         if header.get("kind") != "curvelet":
             raise ContainerError(f"{path}: not a curvelet-coefficient container")
         try:
@@ -375,22 +484,35 @@ def _read_coeff_stream(path):
         except (KeyError, TypeError, ValueError) as exc:
             raise ContainerError(f"{path}: incomplete coefficient header: {exc}") from None
 
+        def stored(name: str, grid: SO3Grid) -> _StoredSignal:
+            if name not in table:
+                raise ContainerError(f"{path}: no section {name!r}")
+            dt, shape, _ = table[name]
+            if shape != grid.shape:
+                raise ContainerError(
+                    f"{path}: values shape {shape} does not match grid {grid.shape}"
+                )
+            if real and dt.kind == "c":
+                raise ContainerError(f"{path}: real signal carries complex values")
+            return _StoredSignal(grid, _StoredCube(read, name, shape), real)
+
         def signals():
-            try:
-                for name, grid in _coeff_sections(params, multires):
-                    if isinstance(grid, SphereGrid):
+            for name, grid in _coeff_sections(params, multires):
+                if isinstance(grid, SphereGrid):
+                    try:
                         yield SphereSignal(grid, 0, read(name), real=real)
-                    else:
-                        yield SO3Signal(grid, read(name), real=real)
-            except ValueError as exc:
-                raise ContainerError(f"{path}: {exc}") from None
+                    except ValueError as exc:
+                        raise ContainerError(f"{path}: {exc}") from None
+                else:
+                    yield stored(name, grid)
 
         yield params, frame, multires, real, signals()
 
 
 def read_coeffs(path) -> CurveletCoeffs:
     with _read_coeff_stream(path) as (params, frame, multires, real, signals):
-        scaling, *scales = signals
+        scaling = next(signals)
+        scales = [SO3Signal(s.grid, s.values.load(), real=real) for s in signals]
     try:
         return CurveletCoeffs(params, frame, scaling, scales, multires, real)
     except ValueError as exc:

@@ -24,13 +24,21 @@ width.  The batches run on a pool of fft_workers() threads, and so do the
 whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
 batch or block writes only its own rows, so results are bitwise the same
 for any worker count.
+
+Those whole-cube FFTs are the only steps that touch the samples, so a
+curvelet transform needs one beta block of a cube at a time, not the
+cube: the forward transform reads its input as values[rows], block by
+block, and the inverse hands each finished block to a sink.  In memory
+these are the cube's own rows; the coefficient container supplies a
+section that reads or writes each block in its file, which is how
+`scurve analyze` and `scurve synthesize` run without holding a cube.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -68,19 +76,21 @@ _BETA_BLOCK = 8
 _PLANE_STACKS = 2.5
 
 
-def _curvelet_peak_bytes(L: int, real: bool, workers: int) -> int:
-    """Estimated peak bytes of one curvelet transform at band limit L.
+def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
+    """Estimated bytes, by component, of one block-streamed curvelet transform.
 
-    One signal cube, its spectrum over gamma and alpha (half of it on the
-    real path), the half-pi table and each worker's bin planes, which is
-    what analysis or synthesis holds when it keeps one scale at a time.
+    The spectrum over gamma and alpha (half of it on the real path), the
+    half-pi table, each worker's bin planes and each worker's beta block
+    of samples; a transform that reads or writes its samples block by
+    block holds no whole cube.
     """
     K = 2 * L - 1
-    cube = K * L * K * (8 if real else 16)
-    spectrum = (L if real else K) * L * K * 16
-    table = 8 * L * (2 * L - 1) * (2 * L + 1) // 3  # sum of (2l+1)^2 doubles, l < L
-    planes = workers * _PLANE_STACKS * _CHUNK * K * K * 16
-    return int(cube + spectrum + table + planes)
+    return {
+        "spectrum": (L if real else K) * L * K * 16,
+        "table": 8 * L * (2 * L - 1) * (2 * L + 1) // 3,  # sum of (2l+1)^2 doubles, l < L
+        "planes": int(workers * _PLANE_STACKS * _CHUNK * K * K * 16),
+        "blocks": workers * K * min(_BETA_BLOCK, L) * K * (8 if real else 16),
+    }
 
 
 @dataclass(frozen=True)
@@ -228,23 +238,14 @@ def _beta_blocks(L: int) -> list:
     return [np.s_[:, lo : lo + _BETA_BLOCK] for lo in range(0, L, _BETA_BLOCK)]
 
 
-def _fft_gamma_inplace(arr: np.ndarray, inverse: bool):
-    """FFT along axis 0, in place, one block of beta rows per pool task."""
-
-    fn = sfft.ifft if inverse else sfft.fft
-
-    def block(rows):
-        fn(arr[rows], axis=0, norm="forward", out=arr[rows])
-
-    _run_chunks(block, _beta_blocks(arr.shape[1]))
-
-
-def _analysis_spectrum(values: np.ndarray, real: bool = False) -> np.ndarray:
+def _analysis_spectrum(values, real: bool = False) -> np.ndarray:
     """FFT over gamma and alpha, normalised to Fourier coefficients.
 
     One fft2 per block of beta rows; a real signal keeps only the gamma
-    frequencies n >= 0 (an rfft, then the alpha FFT in place).  The
-    caller's values are never overwritten.
+    frequencies n >= 0 (an rfft, then the alpha FFT in place).  values is
+    read only as values.shape and values[rows], one slice of _beta_blocks
+    at a time: an array, or a stored section that reads each block of
+    rows from its file.  The caller's values are never overwritten.
     """
     G, L, Ka = values.shape
     W = np.empty((G // 2 + 1 if real else G, L, Ka), dtype=complex)
@@ -258,6 +259,36 @@ def _analysis_spectrum(values: np.ndarray, real: bool = False) -> np.ndarray:
 
     _run_chunks(block, _beta_blocks(L))
     return W
+
+
+def _synthesis_blocks(spectrum: np.ndarray, real: bool, sink) -> None:
+    """Invert the gamma FFT of a spectrum and hand each block of beta rows to sink.
+
+    spectrum holds all 2N-1 gamma frequencies, or only n >= 0 when real.
+    Per block of beta rows, on the pool, sink(rows, fill) is called with
+    a function fill(dst) that writes the block's samples into dst, an
+    array of the block's shape and dtype (float when real, complex
+    otherwise).  The sink decides where the block goes: sampled into a
+    cube (_array_sink), written to a file, or reduced.  The ifft of the
+    complex path may run in place, so the spectrum is left undefined.
+    """
+    K = 2 * spectrum.shape[0] - 1  # used by the real path only
+
+    def block(rows):
+        def fill(dst):
+            if real:
+                sfft.irfft(spectrum[rows], n=K, axis=0, norm="forward", out=dst)
+            else:
+                sfft.ifft(spectrum[rows], axis=0, norm="forward", out=dst)
+
+        sink(rows, fill)
+
+    _run_chunks(block, _beta_blocks(spectrum.shape[1]))
+
+
+def _array_sink(values: np.ndarray):
+    """The in-memory sink: each block is computed straight into values[rows]."""
+    return lambda rows, fill: fill(values[rows])
 
 
 def _gamma_order(L: int, real: bool) -> list:
@@ -289,14 +320,23 @@ def _run_chunks(task, items) -> None:
     """Call task on each work item: a gamma batch or a block of beta rows.
 
     The items share fft_workers() threads, since pocketfft releases the
-    GIL; with one worker they run inline and no thread starts.
+    GIL; with one worker they run inline and no thread starts.  The first
+    error is raised only once no task is running any more, so a task never
+    outlives its call, nor writes to a file its caller has closed.
     """
     workers = fft_workers()
     if workers == 1:
         for item in items:
             task(item)
-    else:
-        list(_pool(workers).map(task, items))
+        return
+    futures = [_pool(workers).submit(task, item) for item in items]
+    try:
+        for future in futures:
+            future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
@@ -380,7 +420,9 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
 
     Exact when the signal is a synthesis of such columns, which is the
     only way curvelet analysis produces rotation-group signals.  A
-    real-flagged signal runs on half the gamma spectrum.
+    real-flagged signal runs on half the gamma spectrum.  f.values is read
+    one block of beta rows at a time (_analysis_spectrum), so it may be a
+    stored section that reads each block from its file.
     """
     grid = f.grid
     L = grid.L
@@ -422,8 +464,14 @@ def _check_real(values: np.ndarray, impose) -> None:
         raise ValueError("coefficients lack the conjugate symmetry of a real signal")
 
 
-def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) -> SO3Signal:
-    """Sparse synthesis; real=True sums only n >= 0 and ends in an irfft."""
+def _so3_inverse_curvelet(
+    w: CurveletWignerCoeffs, grid: SO3Grid, real: bool, sink=None
+) -> SO3Signal | None:
+    """Sparse synthesis; real=True sums only n >= 0 and ends in an irfft.
+
+    With a sink, the blocks of beta rows go to sink (_synthesis_blocks)
+    instead of into a returned signal, and None is returned.
+    """
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
     L = w.band_limit
@@ -444,21 +492,25 @@ def _so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid, real: bool) ->
         out[[n % K for n in chunk]] = _bins_to_beta(X, L, K)
 
     _run_chunks(inverse_chunk, _gamma_chunks(ns))
-    if real:
-        values = np.empty((K, L, K))
-
-        def irfft_block(rows):
-            sfft.irfft(out[rows], n=K, axis=0, norm="forward", out=values[rows])
-
-        _run_chunks(irfft_block, _beta_blocks(L))
-        return SO3Signal(grid, values, real=True)
-    _fft_gamma_inplace(out, inverse=True)
-    return SO3Signal(grid, out)
+    if sink is not None:
+        _synthesis_blocks(out, real, sink)
+        return None
+    # The complex samples overwrite their spectrum in place.
+    values = np.empty((K, L, K)) if real else out
+    _synthesis_blocks(out, real, _array_sink(values))
+    return SO3Signal(grid, values, real=real)
 
 
-def so3_inverse_curvelet(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
-    """Synthesis of sparse column coefficients onto the grid; O(L^3 log L)."""
-    return _so3_inverse_curvelet(w, grid, real=False)
+def so3_inverse_curvelet(
+    w: CurveletWignerCoeffs, grid: SO3Grid, *, sink=None
+) -> SO3Signal | None:
+    """Synthesis of sparse column coefficients onto the grid; O(L^3 log L).
+
+    sink, when given, receives the samples one block of beta rows at a
+    time, as sink(rows, fill), and nothing is returned; `scurve analyze`
+    passes one that writes each block into its container.
+    """
+    return _so3_inverse_curvelet(w, grid, False, sink)
 
 
 def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCoeffs:
@@ -491,7 +543,7 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
         for ell in range(abs(n), L):
             _column_bins(X, w.planes[ell][:, n + ell], tab, n, ell)
         out[n % (2 * grid.N - 1)] = _bins_to_beta(X, grid.L, 2 * grid.M - 1)
-    _fft_gamma_inplace(out, inverse=True)
+    _synthesis_blocks(out, False, _array_sink(out))
     return SO3Signal(grid, out)
 
 
@@ -502,10 +554,13 @@ def so3_forward_curvelet_real(f: SO3Signal) -> CurveletWignerCoeffs:
     return so3_forward_curvelet(f)
 
 
-def so3_inverse_curvelet_real(w: CurveletWignerCoeffs, grid: SO3Grid) -> SO3Signal:
+def so3_inverse_curvelet_real(
+    w: CurveletWignerCoeffs, grid: SO3Grid, *, sink=None
+) -> SO3Signal | None:
     """Sparse synthesis straight to real samples via half the gamma spectrum.
 
     The coefficients must carry the conjugate symmetry of a real signal,
     which implies the negative gamma frequencies; ValueError otherwise.
+    sink works as in so3_inverse_curvelet.
     """
-    return _so3_inverse_curvelet(w, grid, real=True)
+    return _so3_inverse_curvelet(w, grid, True, sink)

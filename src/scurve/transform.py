@@ -19,7 +19,10 @@ coefficients are usually pictured in; rotate_from_north undoes it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,13 +149,28 @@ def _stages(real: bool):
     return sht_forward, sht_inverse, so3_forward_curvelet, so3_inverse_curvelet
 
 
+class _PendingSignal(NamedTuple):
+    """A scale signal whose rotation-group synthesis has not run yet.
+
+    emit() runs it and returns the SO3Signal.  emit(sink=sink) runs it
+    and hands each block of beta rows to sink instead (see
+    so3_inverse_curvelet), so no cube of samples is ever held.  Only the
+    scale's sparse Wigner coefficients wait in the meantime.
+    """
+
+    grid: SO3Grid
+    real: bool
+    emit: Callable
+
+
 def _analysis_stream(f: SphereSignal, t: Tiling, multires: bool):
-    """Yield the scaling signal, then each scale signal from j_min up.
+    """Yield the scaling signal, then a _PendingSignal per scale from j_min up.
 
     This is the section order of a coefficient container.  Each scale is
-    built from the harmonic coefficients on its own, and the generator
-    keeps no reference to a signal it has yielded, so a consumer that
-    drops each one before asking for the next holds one scale at a time.
+    built from the harmonic coefficients on its own, and the consumer
+    chooses where its samples go: analyze gathers them, `scurve analyze`
+    writes them to the container block by block.  The generator keeps no
+    reference to what it has yielded.
     """
     _check_signal(f, t)
     p = t.params
@@ -165,7 +183,8 @@ def _analysis_stream(f: SphereSignal, t: Tiling, multires: bool):
     yield sht_inv(HarmonicCoeffs(Ls, 0, scaling_vals, real=real))
     for j in range(p.j_min, p.j_max + 1):
         Lj = scale_band_limit(p, j) if multires else L
-        yield so3_inv(_scale_wigner(flm, t, j, Lj), SO3Grid(Lj, Lj, Lj))
+        grid = SO3Grid(Lj, Lj, Lj)
+        yield _PendingSignal(grid, real, partial(so3_inv, _scale_wigner(flm, t, j, Lj), grid))
 
 
 def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:
@@ -175,7 +194,9 @@ def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs
     signals are real on the rotation group, so the Wigner stages run on
     half the orientation spectrum and cost roughly half as much.
     """
-    scaling, *scales = _analysis_stream(f, t, multires)
+    signals = _analysis_stream(f, t, multires)
+    scaling = next(signals)
+    scales = [pending.emit() for pending in signals]
     return CurveletCoeffs(t.params, "unrotated", scaling, scales, multires, real=f.real)
 
 
@@ -190,8 +211,9 @@ def _synthesis_from(t: Tiling, scaling: SphereSignal, scales, multires: bool, re
     """Synthesis from the scaling signal and an iterator of scale signals.
 
     The scales are taken from j_min up, one at a time, and each is dropped
-    once its Wigner rows are summed, so an iterator that reads them from
-    a file holds one scale at a time.
+    once its Wigner rows are summed.  A scale's values are read one block
+    of beta rows at a time (so3_forward_curvelet), so an iterator of
+    stored sections holds no cube of samples.
     """
     p = t.params
     L = p.band_limit
@@ -203,7 +225,7 @@ def _synthesis_from(t: Tiling, scaling: SphereSignal, scales, multires: bool, re
         if sig.grid.L != expected:
             raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {expected}")
         w = so3_fwd(sig)
-        del sig  # the cube goes before the next scale is read
+        del sig  # a cube the iterator built goes before the next scale is read
         pos, neg = curvelet_harmonics(t, j)
         ell, col = _sheet_index(w.band_limit)
         acc[1 : w.band_limit**2] += (

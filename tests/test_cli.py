@@ -1,5 +1,6 @@
 """Checks for the scurve command-line interface."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import scurve
-from scurve import cli, container, fourier
+from scurve import cli, container, fourier, so3
 
 
 def run(argv):
@@ -208,11 +209,11 @@ class TestAnalyzeSynthesize:
 class TestStreaming:
     """analyze and synthesize hold one scale at a time and write the library's bytes."""
 
-    @pytest.mark.parametrize("spin, real", [(0, True), (2, False)], ids=["real", "spin2"])
-    def test_outputs_match_the_library(self, tmp_path, rng, capsys, spin, real):
+    @staticmethod
+    def assert_outputs_match(tmp_path, rng, L, spin, real):
         src = tmp_path / "f.scrv"
-        f = write_sphere_file(src, 16, spin, rng, real=real)
-        t = scurve.build_tiling(scurve.TilingParams(16, spin, 2.0, 1))
+        f = write_sphere_file(src, L, spin, rng, real=real)
+        t = scurve.build_tiling(scurve.TilingParams(L, spin, 2.0, 1))
         streamed, collected = tmp_path / "streamed.scrv", tmp_path / "collected.scrv"
         assert run(["analyze", str(src), "--jmin", "1", "--out", str(streamed)]) == 0
         container.write_coeffs(collected, scurve.analyze(f, t))
@@ -221,6 +222,65 @@ class TestStreaming:
         assert run(["synthesize", str(streamed), "--out", str(g_streamed)]) == 0
         container.write_sphere(g_collected, scurve.synthesize(container.read_coeffs(collected), t))
         assert g_streamed.read_bytes() == g_collected.read_bytes()
+
+    @pytest.mark.parametrize("spin, real", [(0, True), (2, False)], ids=["real", "spin2"])
+    def test_outputs_match_the_library(self, tmp_path, rng, capsys, spin, real):
+        self.assert_outputs_match(tmp_path, rng, 16, spin, real)
+
+    @pytest.mark.parametrize("spin, real", [(0, True), (2, False)], ids=["real", "spin2"])
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_partial_last_block_matches_the_library(
+        self, tmp_path, rng, capsys, monkeypatch, threads, spin, real
+    ):
+        """L = 20 is no multiple of the beta block, so every full-band-limit
+        scale ends in a block of 4 rows, and the 4-row scale is one.  The
+        blocks are read and written from the pool's threads, switched often."""
+        assert 20 % so3._BETA_BLOCK != 0
+        monkeypatch.setenv("SCURVE_THREADS", threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_outputs_match(tmp_path, rng, 20, spin, real)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_truncated_after_open_is_data_error(self, tmp_path, rng, capsys, monkeypatch):
+        """A container cut short after its layout was checked fails the
+        block read that reaches past its end, and nothing is written."""
+        src, coeffs = tmp_path / "f.scrv", tmp_path / "c.scrv"
+        write_sphere_file(src, 20, 2, rng)
+        assert run(["analyze", str(src), "--jmin", "1", "--out", str(coeffs)]) == 0
+        capsys.readouterr()
+        size = coeffs.stat().st_size
+        # Cut into the last scale section, a 20-row full-band-limit cube.
+        with open(coeffs, "r+b") as fh:
+            fh.truncate(size - 39 * 8 * 39 * 16)
+        fstat = container.os.fstat
+        monkeypatch.setattr(
+            container.os, "fstat", lambda fd: types.SimpleNamespace(st_size=size)
+        )
+        out = tmp_path / "g.scrv"
+        assert run(["synthesize", str(coeffs), "--out", str(out)]) == 3
+        assert "file ended before its stated length" in capsys.readouterr().err
+        monkeypatch.setattr(container.os, "fstat", fstat)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.scrv", "f.scrv"]
+
+    def test_failing_block_write_leaves_nothing(self, tmp_path, rng, capsys, monkeypatch):
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 20, 0, rng, real=True)
+        calls = itertools.count()
+        pwritev = container.os.pwritev
+
+        def failing(fd, buffers, offset):
+            # The header and the scaling section take the first two writes.
+            if next(calls) == 40:
+                raise OSError("device full")
+            return pwritev(fd, buffers, offset)
+
+        monkeypatch.setattr(container.os, "pwritev", failing)
+        assert run(["analyze", str(src), "--jmin", "1", "--out", str(tmp_path / "c.scrv")]) == 3
+        assert "device full" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.scrv"]
 
     def test_analyze_writes_through_write_coeffs(self, tmp_path, rng, capsys, monkeypatch):
         """The container write stays behind container.write_coeffs, which
@@ -305,6 +365,35 @@ class TestStreaming:
         capsys.readouterr()
 
 
+    def test_peaks_stay_below_one_cube_and_its_spectrum(self, tmp_path, capsys, monkeypatch):
+        """tracemalloc peaks at L=64, real, one worker.
+
+        Each command streams the samples of its largest scale by beta
+        blocks, so it never holds that scale's cube beside its half gamma
+        spectrum, as a transform of a whole cube does.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        L = 64
+        src, coeffs = tmp_path / "f.scrv", tmp_path / "c.scrv"
+        write_sphere_file(src, L, 0, np.random.default_rng(0), real=True)
+        # Builds the shared half-pi table, so no traced run below pays for it.
+        assert run(["analyze", str(src), "--out", str(coeffs)]) == 0
+        K = 2 * L - 1
+        cube_and_spectrum = K * L * K * 8 + L * L * K * 16
+        for argv in (
+            ["analyze", str(src), "--out", str(coeffs)],
+            ["synthesize", str(coeffs), "--out", str(tmp_path / "g.scrv")],
+        ):
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cube_and_spectrum, (argv[0], peak, cube_and_spectrum)
+        capsys.readouterr()
+
+
 class TestPreflight:
     """The memory estimate runs before the tiling and refuses what cannot fit."""
 
@@ -359,7 +448,11 @@ class TestPreflight:
 
     @staticmethod
     def fake_host(root, meminfo, cgroup="0::/a/b\n", groups=()):
-        """A /proc and a cgroup-v2 tree under root; groups maps a path to its files."""
+        """A /proc and a cgroup tree under root; groups maps a path to its files.
+
+        The cgroup-v2 hierarchy is the tree's root, a cgroup-v1 memory
+        hierarchy its "memory" directory.
+        """
         proc = root / "proc"
         (proc / "self").mkdir(parents=True)
         (proc / "meminfo").write_text(
@@ -407,6 +500,44 @@ class TestPreflight:
         )
         held = 25 * cli.os.sysconf("SC_PAGE_SIZE")
         assert cli._available_memory(proc, cgroups) == 110 * mib + held
+
+    def test_hybrid_host_reads_a_v1_memory_limit(self, tmp_path):
+        mib = 2**20
+        groups = {
+            # The v1 ancestor's limit binds: 800 MiB less 300 used, of
+            # which 100 MiB page cache; the v1 group itself is unlimited.
+            "memory/a": {
+                "memory.limit_in_bytes": f"{800 * mib}\n",
+                "memory.usage_in_bytes": f"{300 * mib}\n",
+                "memory.stat": f"cache {60 * mib}\ntotal_cache {100 * mib}\n",
+            },
+            "memory/a/b": {
+                "memory.limit_in_bytes": "9223372036854771712\n",
+                "memory.usage_in_bytes": f"{250 * mib}\n",
+            },
+        }
+        proc, cgroups = self.fake_host(
+            tmp_path,
+            {"MemAvailable": 4096 * 1024, "SwapFree": 0},
+            cgroup="5:devices:/a\n4:memory:/a/b\n0::/\n",
+            groups=groups,
+        )
+        held = 25 * cli.os.sysconf("SC_PAGE_SIZE")
+        assert cli._available_memory(proc, cgroups) == 600 * mib + held
+
+    def test_unlimited_v1_group_leaves_the_host_figure(self, tmp_path):
+        unlimited = {
+            "memory.limit_in_bytes": "9223372036854771712\n",
+            "memory.usage_in_bytes": f"{2**30}\n",
+        }
+        proc, cgroups = self.fake_host(
+            tmp_path,
+            {"MemAvailable": 1000, "SwapFree": 500},
+            cgroup="4:memory:/a\n",
+            groups={"memory": unlimited, "memory/a": unlimited},
+        )
+        held = 25 * cli.os.sysconf("SC_PAGE_SIZE")
+        assert cli._available_memory(proc, cgroups) == 1500 * 1024 + held
 
     def test_available_memory_unknown_without_meminfo(self, tmp_path):
         assert cli._available_memory(tmp_path / "absent", tmp_path) is None

@@ -1,5 +1,6 @@
 """Checks for the binary container format and image ingestion."""
 
+import functools
 import json
 import os
 import struct
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import scurve
-from scurve import container
+from scurve import container, so3, transform
 
 
 def make_signal(L, spin, rng, real=False):
@@ -389,6 +390,82 @@ class TestStreamedWrite:
         with pytest.raises(container.ContainerError, match="is declared"):
             container.write_coeffs(tmp_path / "c.scrv", c)
         self.assert_nothing_written(tmp_path)
+
+
+class TestBlockIO:
+    """Scale sections move between a transform and the file by beta blocks."""
+
+    L = 20  # blocks of 8, 8 and 4 beta rows
+
+    def pending(self, rng):
+        grid = scurve.SO3Grid(self.L, self.L, self.L)
+        w = scurve.CurveletWignerCoeffs.random(self.L, rng)
+        emit = functools.partial(scurve.so3_inverse_curvelet, w, grid)
+        return transform._PendingSignal(grid, False, emit), emit().values
+
+    def test_pending_signal_is_written_by_blocks(self, tmp_path, rng):
+        pending, values = self.pending(rng)
+        path = tmp_path / "f.scrv"
+        table = container._layout([("a", "<f8", (3,)), ("s", "<c16", values.shape)])
+        container._write_container(path, {"kind": "note"}, table, [np.arange(3.0), pending])
+        _, sections = container.read_container(path)
+        assert sections["s"].tobytes() == values.tobytes()
+
+    def test_pending_signal_must_match_its_section(self, tmp_path, rng):
+        pending, values = self.pending(rng)
+        table = container._layout([("s", "<f8", values.shape)])
+        with pytest.raises(container.ContainerError, match="'s' is declared"):
+            container._write_container(tmp_path / "f.scrv", {"kind": "note"}, table, [pending])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stored_scales_read_by_blocks(self, tmp_path, rng):
+        c, _ = make_coeffs(self.L, 2, rng)
+        path = tmp_path / "c.scrv"
+        container.write_coeffs(path, c)
+        with container._read_coeff_stream(path) as (_, _, _, _, signals):
+            next(signals)
+            for stored, sig in zip(signals, c.scales):
+                assert stored.grid == sig.grid and not stored.real
+                assert stored.values.shape == sig.values.shape
+                for rows in so3._beta_blocks(sig.grid.L):
+                    block = stored.values[rows]
+                    assert block.flags.c_contiguous
+                    np.testing.assert_array_equal(block, sig.values[rows])
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_short_writes_and_reads_are_retried(self, tmp_path, rng, monkeypatch, real):
+        c, _ = make_coeffs(self.L, 0, rng, real=real)
+        path, again = tmp_path / "c.scrv", tmp_path / "again.scrv"
+        container.write_coeffs(path, c)
+        pwritev, preadv = container.os.pwritev, container.os.preadv
+        monkeypatch.setattr(
+            container.os,
+            "pwritev",
+            lambda fd, bufs, at: pwritev(fd, [memoryview(bufs[0]).cast("B")[:7]], at),
+        )
+        monkeypatch.setattr(
+            container.os,
+            "preadv",
+            lambda fd, bufs, at: preadv(fd, [memoryview(bufs[0]).cast("B")[:5]], at),
+        )
+        container.write_coeffs(again, c)
+        back = container.read_coeffs(again)
+        monkeypatch.undo()
+        assert again.read_bytes() == path.read_bytes()
+        for a, b in zip(back.scales, c.scales):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_stored_scale_of_the_wrong_shape(self, tmp_path, rng):
+        c, _ = make_coeffs(8, 0, rng, j_min=0)
+        path = tmp_path / "c.scrv"
+        container.write_coeffs(path, c)
+        # Same byte count, axes out of order.
+        rewrite_header(path, lambda h: h["sections"][-1].__setitem__("shape", [8, 15, 15]))
+        with pytest.raises(container.ContainerError, match="does not match grid"):
+            container.read_coeffs(path)
+        with pytest.raises(container.ContainerError, match="does not match grid"):
+            with container._read_coeff_stream(path) as (_, _, _, _, signals):
+                list(signals)
 
 
 class TestContainerMemory:

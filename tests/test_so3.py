@@ -6,6 +6,7 @@ import os
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -357,6 +358,63 @@ class TestScaling:
         assert slope <= 3.5
 
 
+class _BlockReader:
+    """Values that a forward transform may read only as shape and [rows]."""
+
+    def __init__(self, values):
+        self.shape = values.shape
+        self._values = values
+        self.reads = []
+
+    def __getitem__(self, rows):
+        self.reads.append(rows[1].indices(self.shape[1])[:2])
+        return self._values[rows].copy()
+
+
+class TestBlockStreaming:
+    """The curvelet transforms move samples one block of beta rows at a time."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sink_receives_each_block_once(self, monkeypatch, rng, threads, real):
+        monkeypatch.setenv("SCURVE_THREADS", threads)
+        L = 20  # blocks of 8, 8 and 4 beta rows
+        grid = scurve.SO3Grid(L, L, L)
+        if real:
+            w = sparse_with_real_symmetry(L, rng)
+            inverse = scurve.so3_inverse_curvelet_real
+        else:
+            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            inverse = scurve.so3_inverse_curvelet
+        expected = inverse(w, grid).values
+        got = np.full(grid.shape, np.nan, dtype=expected.dtype)
+        seen = []
+
+        def sink(rows, fill):
+            block = np.empty_like(got[rows])
+            fill(block)
+            got[rows] = block
+            seen.append(rows[1].indices(L)[:2])
+
+        assert inverse(w, grid, sink=sink) is None
+        assert sorted(seen) == [(0, 8), (8, 16), (16, 20)]
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_forward_reads_values_by_blocks(self, rng, real):
+        L = 20
+        grid = scurve.SO3Grid(L, L, L)
+        if real:
+            f = scurve.so3_inverse_curvelet_real(sparse_with_real_symmetry(L, rng), grid)
+        else:
+            f = scurve.so3_inverse_curvelet(scurve.CurveletWignerCoeffs.random(L, rng), grid)
+        reader = _BlockReader(f.values)
+        stored = types.SimpleNamespace(grid=grid, values=reader, real=real)
+        got = scurve.so3_forward_curvelet(stored).values
+        assert sorted(reader.reads) == [(0, 8), (8, 16), (16, 20)]
+        assert got.tobytes() == scurve.so3_forward_curvelet(f).values.tobytes()
+
+
 class TestChunkPool:
     """The gamma chunks run on fft_workers() threads without changing a bit."""
 
@@ -372,6 +430,24 @@ class TestChunkPool:
             forward = scurve.so3_forward_curvelet(f).values
             runs.append((inverse.tobytes(), forward.tobytes()))
         assert runs[0] == runs[1]
+
+    def test_error_waits_for_running_tasks(self, monkeypatch):
+        """A failing item is raised only after the other running items end."""
+        monkeypatch.setenv("SCURVE_THREADS", "2")
+        started = threading.Event()
+        finished = []
+
+        def task(item):
+            if item == 0:
+                started.wait(5)
+                raise RuntimeError("boom")
+            started.set()
+            time.sleep(0.2)
+            finished.append(item)
+
+        with pytest.raises(RuntimeError, match="boom"):
+            so3._run_chunks(task, [0, 1])
+        assert finished == [1]
 
     def test_one_worker_starts_no_thread(self, monkeypatch, rng):
         monkeypatch.setenv("SCURVE_THREADS", "1")
