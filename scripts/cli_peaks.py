@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Peak memory of `scurve analyze` and `scurve synthesize` on a filament image.
+"""Peak memory of `scurve analyze`, `synthesize` and `sparsity` on a filament image.
 
     python3 scripts/cli_peaks.py --L 128 --L 256 [--seed 1] [--src DIR] [--workdir DIR]
 
 For each band limit L the script writes a deterministic 16-bit PGM of
 curved filaments (L x 2L pixels, the equiangular grid's aspect), then runs
-`scurve analyze IMAGE --L L --lambda 2 --jmin 2` and `scurve synthesize`
-on the result, each as its own child process, twice:
+`scurve analyze IMAGE --L L --lambda 2 --jmin 2`, `scurve synthesize` on
+the result and `scurve sparsity` on the same image with the same tiling,
+each as its own child process, twice:
 
 - once plain, for the child's peak resident memory (ru_maxrss from
-  os.wait4) and the "estimated_peak_mib" of its JSON note;
+  os.wait4) and the "estimated_peak_mib" of its JSON note (sparsity
+  prints none; its estimate is computed as the command makes it, with
+  its magnitude array, and is null for a checkout that cannot);
 - once under tracemalloc, for the peak of the memory Python allocates.
 
 Beside the two peaks, "estimate_parts_mib" breaks the estimate into its
@@ -22,7 +25,8 @@ from run to run, which is why the tracemalloc peak is printed beside it.
 The library comes from DIR (default: this checkout's src/), so another
 checkout's sources can be measured with the same image.  The last column
 is the SHA-256 prefix of the file each command wrote, so outputs of two
-checkouts can be compared.  SCURVE_THREADS is passed through unchanged.
+checkouts can be compared (sparsity's is that of its CSV).
+SCURVE_THREADS is passed through unchanged.
 """
 
 from __future__ import annotations
@@ -51,18 +55,24 @@ print(tracemalloc.get_traced_memory()[1])
 sys.exit(code)
 """
 
-# Prints the components of the pre-flight estimate, in MiB, as JSON.
+# Prints the components of the pre-flight estimate, in MiB, and the
+# estimate of `scurve sparsity`, as JSON.
 _PARTS = """
 import json, sys
 try:
-    from scurve.cli import _BASELINE_MIB
+    from scurve.cli import _BASELINE_MIB, _estimated_peak_mib
     from scurve.so3 import _curvelet_peak_parts
 except ImportError:
     print("null")
     sys.exit()
 L, real, workers = int(sys.argv[1]), sys.argv[2] == "1", int(sys.argv[3])
 parts = _curvelet_peak_parts(L, real, workers)
-print(json.dumps({**{k: round(v / 2**20, 1) for k, v in parts.items()}, "baseline": _BASELINE_MIB}))
+try:
+    sparsity = round(_estimated_peak_mib(L, real, workers, magnitudes=True), 1)
+except TypeError:
+    sparsity = None
+parts = {k: round(v / 2**20, 1) for k, v in parts.items()}
+print(json.dumps({"parts": {**parts, "baseline": _BASELINE_MIB}, "sparsity": sparsity}))
 """
 
 
@@ -111,29 +121,36 @@ def measure(L: int, seed: int, src: Path, workdir: Path) -> list:
     image = workdir / f"filaments_L{L}.pgm"
     coeffs = workdir / f"coeffs_L{L}.scrv"
     sphere = workdir / f"sphere_L{L}.scrv"
+    table = workdir / f"sparsity_L{L}"
     write_filament_pgm(image, L, seed)
-    analyze = [str(image), "--L", str(L), "--lambda", "2", "--jmin", "2", "--out", str(coeffs)]
+    tiling = [str(image), "--L", str(L), "--lambda", "2", "--jmin", "2"]
     commands = [
-        ("analyze", analyze, coeffs),
+        ("analyze", [*tiling, "--out", str(coeffs)], coeffs),
         ("synthesize", [str(coeffs), "--out", str(sphere)], sphere),
+        ("sparsity", [*tiling, "--out", str(table)], Path(f"{table}.csv")),
     ]
     rows = []
     for name, args, output in commands:
         code, text, rss = run_child([sys.executable, "-m", "scurve", name, *args], env)
         if code != 0:
             raise SystemExit(f"scurve {name} at L={L} exited {code}")
-        note = json.loads(text.strip().splitlines()[-1])
+        if name != "sparsity":
+            note = json.loads(text.strip().splitlines()[-1])
         sha = digest(output)
         code, text, _ = run_child([sys.executable, "-c", _TRACED, name, *args], env)
         if code != 0:
             raise SystemExit(f"traced scurve {name} at L={L} exited {code}")
         traced = int(text.strip().splitlines()[-1]) / 2**20
-        estimate = note.get("estimated_peak_mib")
         real = "1" if note.get("real", True) else "0"
         code, text, _ = run_child(
             [sys.executable, "-c", _PARTS, str(L), real, str(note.get("workers"))], env
         )
-        parts = json.loads(text) if code == 0 else None
+        model = json.loads(text) if code == 0 else None
+        parts = model and model["parts"]
+        if name == "sparsity":
+            estimate = model and model["sparsity"]
+        else:
+            estimate = note.get("estimated_peak_mib")
         rows.append(
             {
                 "command": name,
@@ -148,7 +165,7 @@ def measure(L: int, seed: int, src: Path, workdir: Path) -> list:
                 "sha256": sha,
             }
         )
-    for path in (image, coeffs, sphere):
+    for path in (image, coeffs, sphere, Path(f"{table}.csv"), Path(f"{table}.json")):
         path.unlink(missing_ok=True)
     return rows
 

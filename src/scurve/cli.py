@@ -85,17 +85,32 @@ class UsageError(Exception):
     """Bad command-line arguments, reported through the parser (exit 2)."""
 
 
+# Elements per block of the sparsity reductions, which bounds their
+# temporaries to a fixed size whatever the scale.
+_REDUCE_BLOCK = 1 << 16
+
+
 def gini_coefficient(magnitudes: np.ndarray) -> float:
-    """Concentration index of a non-negative sample: 0 flat, -> 1 peaked."""
-    x = np.sort(np.asarray(magnitudes, dtype=float).ravel())
+    """Concentration index of a non-negative sample: 0 flat, -> 1 peaked.
+
+    Sorts its own copy of the sample in place and sums the rank weights
+    2r - n - 1 against it one block of ranks at a time, so it holds one
+    sample-sized array besides the caller's.
+    """
+    x = np.array(magnitudes, dtype=float).reshape(-1)
+    x.sort()
     n = x.size
     total = float(x.sum())
     if n == 0 or total == 0.0:
         raise ValueError("Gini coefficient needs a non-empty, non-zero sample")
     if x[0] < 0.0:
         raise ValueError("Gini coefficient needs non-negative values")
-    ranks = np.arange(1, n + 1, dtype=float)
-    return float(np.sum((2.0 * ranks - n - 1.0) * x) / (n * total))
+    weighted = 0.0
+    for lo in range(0, n, _REDUCE_BLOCK):
+        block = x[lo : lo + _REDUCE_BLOCK]
+        ranks = np.arange(2 * lo + 1 - n, 2 * (lo + block.size) - n, 2, dtype=float)
+        weighted += float(ranks @ block)
+    return weighted / (n * total)
 
 
 def _write_csv(stream, fields, rows) -> None:
@@ -217,14 +232,21 @@ def _peak_rss_note() -> dict:
 _BASELINE_MIB = 35.0
 
 
-def _estimated_peak_mib(band_limit: int, real: bool, workers: int) -> float:
+def _estimated_peak_mib(
+    band_limit: int, real: bool, workers: int, magnitudes: bool = False
+) -> float:
     """Estimated peak resident memory, in MiB, of one command at a band limit.
 
     The command holds one scale's spectrum at a time and streams its
     samples by blocks, so its peak is that of one block-streamed curvelet
     transform (the sum of so3._curvelet_peak_parts) over the interpreter.
+    magnitudes adds the float array of the largest scale's sample
+    magnitudes that `scurve sparsity` fills during that transform.
     """
     parts = _curvelet_peak_parts(band_limit, real, workers)
+    if magnitudes:
+        K = 2 * band_limit - 1
+        parts["magnitudes"] = K * band_limit * K * 8
     return sum(parts.values()) / 2**20 + _BASELINE_MIB
 
 
@@ -335,13 +357,14 @@ def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int
     return min(room) + held
 
 
-def _preflight(band_limit: int, real: bool) -> dict:
+def _preflight(band_limit: int, real: bool, magnitudes: bool = False) -> dict:
     """{"estimated_peak_mib": ...}, or ValueError if that cannot fit.
 
     Runs before the tiling, the half-pi table or any scale is built, so a
     refused command allocates nothing large and writes nothing.
+    magnitudes is passed on to _estimated_peak_mib.
     """
-    estimate = _estimated_peak_mib(band_limit, real, fft_workers())
+    estimate = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes)
     available = _available_memory()
     if available is not None and estimate * 2**20 > available:
         raise ValueError(
@@ -467,7 +490,10 @@ def _scale_sparsity(j: int, mags: np.ndarray, bins: int, band_limit: int):
         note["gini"] = None
         return note, []
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(mags / top, bins=bins, range=(0.0, 1.0))
+    counts = np.zeros(bins, dtype=np.int64)
+    for lo in range(0, mags.size, _REDUCE_BLOCK):
+        block = mags[lo : lo + _REDUCE_BLOCK] / top
+        counts += np.histogram(block, bins=bins, range=(0.0, 1.0))[0]
     note["gini"] = gini_coefficient(mags)
     rows = [
         [band_limit, j, b, float(edges[b]), float(edges[b + 1]), counts[b] / mags.size]
@@ -498,7 +524,7 @@ def cmd_sparsity(args) -> int:
         raise UsageError("--bins must be at least 1")
     f = _load_sphere_input(args.input, args)
     params = _make_params(args, f.grid.band_limit, f.spin)
-    _preflight(params.band_limit, f.real)
+    _preflight(params.band_limit, f.real, magnitudes=True)
     t = build_tiling(params)
     signals = _analysis_stream(f, t, True)
     next(signals)  # the scaling signal; only the scales are histogrammed

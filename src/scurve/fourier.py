@@ -26,9 +26,9 @@ __all__ = [
 
 
 # Largest default worker count.  Each worker holds one more chunk's planes
-# in flight (30-50 MiB of peak RSS at L = 128, about four times that at
-# L = 256), and no more than two cores have been timed; SCURVE_THREADS may
-# still ask for more.
+# in flight (about 20 MiB of peak RSS at L = 128, 60-100 MiB at L = 256),
+# and no more than two cores have been timed; SCURVE_THREADS may still ask
+# for more.
 _MAX_DEFAULT_WORKERS = 2
 
 
@@ -66,33 +66,56 @@ def _next_fast_len(n: int) -> int:
 
 
 @functools.lru_cache
-def _kernel_fft(L: int, pad: int) -> np.ndarray:
-    # v[q] = w(2(L-1) - q): the weight kernel laid out so that a plain
-    # convolution computes the correlation we need.
-    kernel = sfft.fft(weight_kernel(2 * (L - 1))[::-1], n=pad)
+def _kernel_fft(L: int, h: int) -> tuple:
+    """(pad, kernel spectrum) of the convolution from 2L-1 bins to the 2h+1 kept.
+
+    The kernel v[q] = w(L-1+h - q), q = 0..2(L-1+h), is laid out so that a
+    plain circular convolution of bins stored in FFT order puts out[m'] at
+    index L-1+h+m'.  The pad is the smallest fast length >= 2L-1+2h.
+    """
+    pad = _next_fast_len(2 * L - 1 + 2 * h)
+    kernel = sfft.fft(weight_kernel(L - 1 + h)[::-1], n=pad)
     kernel.setflags(write=False)
-    return kernel
+    return pad, kernel
 
 
-def weighted_convolve(spectrum: np.ndarray, axis: int = 0):
+def weighted_convolve(
+    spectrum: np.ndarray, axis: int = 0, h: int | None = None, L: int | None = None
+):
     """Apply the exact sin(beta) quadrature weights in the bin domain.
 
-    spectrum holds centered bins m'' of length 2L-1 along axis; the result
-    has the same shape with out[m'] = sum_m'' spectrum[m''] w(m'' - m').
-    The convolution runs circularly at padded length >= 4L-3, which is
-    provably alias-free for the 2L-1 output bins kept.  It runs along the
-    last axis of one zero-padded copy, transformed in place; the result is
-    a view of that copy.
+    spectrum holds the centred bins m'' = -(L-1)..L-1 along axis (length
+    2L-1); the result keeps the 2h+1 centred bins |m'| <= h (h defaults to
+    L-1, every bin), out[m'] = sum_m'' spectrum[m''] w(m'' - m').  The
+    convolution runs circularly at a padded length >= 2L-1+2h, which is
+    alias-free at 2L-1+2h: the kernel spans |m'' - m'| <= L-1+h.
+
+    Given L, spectrum is instead that padded buffer along axis, with the
+    bins in FFT order (m'' >= 0 from the front, m'' < 0 at the back, zeros
+    between), and is transformed in place; the bin kernel in so3.py fills
+    one so the convolution needs no copy.  Either way the convolution
+    runs on one buffer and the result is a view of it.
     """
     spectrum = np.moveaxis(np.asarray(spectrum), axis, -1)
-    K = spectrum.shape[-1]
-    L = (K + 1) // 2
-    if K != 2 * L - 1:
-        raise ValueError(f"expected odd bin count, got {K}")
-    pad = _next_fast_len(4 * L - 3)
-    buf = np.zeros(spectrum.shape[:-1] + (pad,), dtype=complex)
-    buf[..., :K] = spectrum
+    padded = L is not None
+    if not padded:
+        K = spectrum.shape[-1]
+        L = (K + 1) // 2
+        if K != 2 * L - 1:
+            raise ValueError(f"expected odd bin count, got {K}")
+    h = L - 1 if h is None else h
+    if not 0 <= h < L:
+        raise ValueError(f"kept half-width {h} out of range for {2 * L - 1} bins")
+    pad, kernel = _kernel_fft(L, h)
+    if padded:
+        if spectrum.shape[-1] != pad:
+            raise ValueError(f"expected a buffer of {pad} bins, got {spectrum.shape[-1]}")
+        buf = spectrum
+    else:
+        buf = np.zeros(spectrum.shape[:-1] + (pad,), dtype=complex)
+        buf[..., :L] = spectrum[..., L - 1 :]
+        buf[..., pad - L + 1 :] = spectrum[..., : L - 1]
     sfft.fft(buf, out=buf)
-    buf *= _kernel_fft(L, pad)
+    buf *= kernel
     sfft.ifft(buf, out=buf)
-    return np.moveaxis(buf[..., 2 * L - 2 : 4 * L - 3], -1, axis)
+    return np.moveaxis(buf[..., L - 1 : L + 2 * h], -1, axis)

@@ -14,16 +14,26 @@ n then touches exactly one degree.
 Every transform runs on one colatitude-bin kernel (_beta_to_bins and its
 inverse _bins_to_beta), which moves a stack of alpha spectra between the
 beta nodes and weighted centred (beta bin, alpha bin) planes.  Degree ell
-reads only the alpha bins |m| <= ell, so the kernel is told the largest
+reads only the bins |m'|, |m| <= ell, so the kernel is told the largest
 degree h its planes serve and transforms only the 2h+1 alpha columns
-|m| <= h.  The curvelet transforms batch gamma frequencies in order of
-|n| and pass each batch's largest |n|, which brings their beta work
-towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
-the sphere and general transforms read every degree and pass the full
-width.  The batches run on a pool of fft_workers() threads, and so do the
-whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
-batch or block writes only its own rows, so results are bitwise the same
-for any worker count.
+|m| <= h; the forward kernel runs in one buffer per stack, padded for the
+convolution, and keeps only the 2h+1 beta bins |m'| <= h.  The curvelet
+transforms batch gamma frequencies in order of |n| and pass each batch's
+largest |n|, which brings their beta work towards half of full width as
+L grows (0.58 at L = 32, 0.52 at L = 128); the sphere and general
+transforms read every degree and pass the full width.  The batches run
+on a pool of fft_workers() threads, and so do the whole-cube FFTs over
+gamma and alpha, in blocks of beta rows.  Every batch or block writes
+only its own rows, so results are bitwise the same for any worker count.
+
+Between the bins and the coefficients sits Delta = d(pi/2), of which the
+half-pi table keeps the m', m >= 0 quadrant.  _wigner_columns and
+_column_bins read it through the reflections Delta_{-m',m} =
+(-1)^(ell+m) Delta_{m'm} and Delta_{m',-m} = (-1)^(ell+m') Delta_{m'm}:
+bin rows +-p fold with sign (-1)^(m+n), columns +-m with sign
+(-1)^(ell+p).  They work on a batch of columns at once, the quadrants of
+its degrees zero-padded to the largest, so the numpy calls per batch do
+not grow with its size.
 
 Those whole-cube FFTs are the only steps that touch the samples, so a
 curvelet transform needs one beta block of a cube at a time, not the
@@ -45,7 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy import fft as sfft
 
-from .fourier import fft_workers, weighted_convolve
+from .fourier import _kernel_fft, _next_fast_len, fft_workers, weighted_convolve
 from .wigner import alt_sign, halfpi_table, ipow_vec
 
 __all__ = [
@@ -70,25 +80,22 @@ _CHUNK = 8
 # copies and shares them between the pool's threads.
 _BETA_BLOCK = 8
 
-# Stacks of _CHUNK bin planes a pool worker holds at its peak in the
-# curvelet transforms: _beta_to_bins's extension and recentred copy, then
-# the convolution's padded buffer.  Fitted with scripts/cli_peaks.py.
-_PLANE_STACKS = 2.5
-
-
 def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     """Estimated bytes, by component, of one block-streamed curvelet transform.
 
     The spectrum over gamma and alpha (half of it on the real path), the
     half-pi table, each worker's bin planes and each worker's beta block
     of samples; a transform that reads or writes its samples block by
-    block holds no whole cube.
+    block holds no whole cube.  A worker's planes are counted as the one
+    buffer of the widest batch's forward kernel, (_CHUNK, 2L-1, padded
+    2L-1+2(L-1)) complex; the inverse's planes take less, and this fits
+    the peaks scripts/cli_peaks.py measures.
     """
     K = 2 * L - 1
     return {
         "spectrum": (L if real else K) * L * K * 16,
-        "table": 8 * L * (2 * L - 1) * (2 * L + 1) // 3,  # sum of (2l+1)^2 doubles, l < L
-        "planes": int(workers * _PLANE_STACKS * _CHUNK * K * K * 16),
+        "table": 8 * L * (L + 1) * (2 * L + 1) // 6,  # sum of (l+1)^2 doubles, l < L
+        "planes": workers * _CHUNK * K * _next_fast_len(4 * L - 3) * 16,
         "blocks": workers * K * min(_BETA_BLOCK, L) * K * (8 if real else 16),
     }
 
@@ -311,9 +318,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _gamma_chunks(ns) -> list:
-    """Batches of _CHUNK gamma frequencies of ns."""
-    return [ns[lo : lo + _CHUNK] for lo in range(0, len(ns), _CHUNK)]
+def _batches(items) -> list:
+    """Batches of _CHUNK items: gamma frequencies, or degrees of one frequency."""
+    return [items[lo : lo + _CHUNK] for lo in range(0, len(items), _CHUNK)]
+
 
 
 def _run_chunks(task, items) -> None:
@@ -343,76 +351,153 @@ def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
 
     W[n % len(W)] is the alpha spectrum, in FFT order, of gamma frequency
-    n at the L beta nodes.  Degree ell reads only the alpha bins
-    |m| <= ell, so the planes of a stack whose degrees stay at or below h
-    keep only those 2h+1 alpha columns, gathered before any beta work.
-    Each plane is extended through the poles with parity (-1)^(m + n),
-    transformed along beta, recentred, stripped of the node offset and
-    weighted by sin(beta).  The planes are gathered beta-last, so all of
-    that runs along the contiguous last axis; the result is a (len(ns),
-    2L-1, 2h+1) transposed view.
+    n at the L beta nodes.  Degree ell reads only the bins |m'|, |m| <=
+    ell, so the planes of a stack whose degrees stay at or below h keep
+    only those 2h+1 alpha columns, gathered before any beta work, and
+    only those 2h+1 beta bins come out of the weighting.  Each plane is
+    extended through the poles with parity (-1)^(m + n), transformed
+    along beta, stripped of the node offset and weighted by sin(beta).
+    All of that runs in one buffer per stack, beta-last, at the padded
+    length of the convolution: the extension fills its first 2L-1
+    entries, the beta FFT runs there in place, and the negative bins move
+    to the end of the buffer as the node-offset phase is applied, which
+    is the FFT-order layout weighted_convolve takes.  The result is a
+    (len(ns), 2h+1, 2h+1) transposed view of that buffer.
     """
     L, Ka = W.shape[1:]
+    K = 2 * L - 1
     ms = np.arange(-h, h + 1)
-    E = np.empty((len(ns), 2 * h + 1, 2 * L - 1), dtype=complex)
+    pad = _kernel_fft(L, h)[0]
+    buf = np.empty((len(ns), 2 * h + 1, pad), dtype=complex)
+    cols = ms % Ka
+    parity = alt_sign(np.asarray(ns)[:, None] + ms)
     for i, n in enumerate(ns):
-        P = W[n % len(W)][:, ms % Ka].T
-        E[i, :, :L] = P
+        P = W[n % len(W)][:, cols].T
+        buf[i, :, :L] = P
         # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
-        np.multiply(P[:, L - 2 :: -1], alt_sign(n + ms)[:, None], out=E[i, :, L:])
-    # In place and with E dropped, so a chunk holds fewer stacks of planes;
-    # at L = 128 this cut peak RSS by 45 MiB on two workers and the round
-    # trip by a quarter on one core (BENCH_9.json, supplementary).
+        np.multiply(P[:, L - 2 :: -1], parity[i, :, None], out=buf[i, :, L:K])
+    E = buf[..., :K]
     sfft.fft(E, norm="forward", out=E)
-    # Recentre the bins (an fftshift) and strip the node offset in one pass.
-    phase = np.exp(-1j * np.arange(1 - L, L) * (math.pi / (2 * L - 1)))
-    X = np.empty_like(E)
-    np.multiply(E[..., L:], phase[: L - 1], out=X[..., : L - 1])
-    np.multiply(E[..., :L], phase[L - 1 :], out=X[..., L - 1 :])
-    del E
-    Y = weighted_convolve(X, axis=-1)
-    Y *= 4.0 * math.pi**2
-    return Y.swapaxes(1, 2)
+    # The node-offset phase of bin m'' (with the 4 pi^2 of the transform's
+    # normalisation); the bins m'' < 0 move from [L, 2L-1) to the end.
+    phase = (4.0 * math.pi**2) * np.exp(-1j * np.arange(1 - L, L) * (math.pi / K))
+    np.multiply(buf[..., L:K], phase[: L - 1], out=buf[..., pad - L + 1 :])
+    buf[..., :L] *= phase[L - 1 :]
+    buf[..., L : pad - L + 1] = 0.0
+    return weighted_convolve(buf, axis=-1, h=h, L=L).swapaxes(1, 2)
 
 
-def _bins_to_beta(X: np.ndarray, L: int, Ka: int) -> np.ndarray:
-    """Grid samples of centred (beta bin, alpha bin) planes.
+def _bins_to_beta(B: np.ndarray, L: int, Ka: int) -> np.ndarray:
+    """Grid samples of beta-last bin planes; B is overwritten.
 
-    X holds one plane or a stack of them in its last two axes, with the
-    node-offset phase already applied (_column_bins does so).  A plane
-    holds only the 2h+1 centred alpha bins its degrees reach (|m| <= h),
-    so beta is inverted on those columns alone; the L beta nodes on
-    (0, pi] are then scattered into a zeroed alpha spectrum of length Ka
-    for one alpha inversion.
+    B holds one plane or a stack of them in its last two axes: the 2h+1
+    centred alpha bins |m| <= h its degrees reach, by the 2L-1 beta bins
+    in FFT order with the node-offset phase applied, the layout
+    _column_bins writes.  Beta is inverted in place along the contiguous
+    last axis; the L beta nodes on (0, pi] are then scattered into a
+    zeroed alpha spectrum of length Ka for one alpha inversion.
     """
-    h = X.shape[-1] // 2
-    # Undo the recentring (an ifftshift) while copying beta-last, so the
-    # beta transform runs along the contiguous last axis.
-    B = np.empty(X.shape[:-2] + (2 * h + 1, 2 * L - 1), dtype=complex)
-    B[..., :L] = X[..., L - 1 :, :].swapaxes(-1, -2)
-    B[..., L:] = X[..., : L - 1, :].swapaxes(-1, -2)
+    h = B.shape[-2] // 2
     sfft.ifft(B, norm="forward", out=B)
-    S = np.zeros(X.shape[:-2] + (L, Ka), dtype=complex)
+    S = np.zeros(B.shape[:-2] + (L, Ka), dtype=complex)
     S[..., np.arange(-h, h + 1) % Ka] = B[..., :L].swapaxes(-1, -2)
     return sfft.ifft(S, norm="forward", out=S)
 
 
-def _wigner_column(Y: np.ndarray, tab, n: int, ell: int) -> np.ndarray:
-    """Column n of degree ell's coefficient plane, read off the centred bins Y."""
-    delta = tab.plane(ell)
-    cr, cc = Y.shape[0] // 2, Y.shape[1] // 2
-    sub = Y[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1]
-    row = np.einsum("pm,p,pm->m", delta, delta[:, n + ell], sub)
-    return row * ipow_vec(np.arange(-ell, ell + 1) - n)
+def _quadrants(tab, ells, h: int):
+    """The table's quadrants of degrees ells and their column signs.
+
+    Returns Q, the m', m >= 0 quadrants zero-padded to a (len(ells), h+1,
+    h+1) stack, and t = (-1)^(ell+p) over p = 0..h, the sign that
+    reflects a quadrant's columns m onto -m.
+    """
+    Q = np.zeros((len(ells), h + 1, h + 1))
+    for i, ell in enumerate(ells):
+        Q[i, : ell + 1, : ell + 1] = tab.planes[ell]
+    return Q, alt_sign(ells[:, None] + np.arange(h + 1))
 
 
-def _column_bins(X: np.ndarray, row: np.ndarray, tab, n: int, ell: int) -> None:
-    """Add the bin block of column n of degree ell to X, node-offset phase included."""
-    delta = tab.plane(ell)
-    row = row * ((2 * ell + 1) / (8.0 * math.pi**2)) * ipow_vec(n - np.arange(-ell, ell + 1))
-    cr, cc = X.shape[0] // 2, X.shape[1] // 2
-    u = delta[:, n + ell] * np.exp(1j * np.arange(-ell, ell + 1) * (math.pi / X.shape[0]))
-    X[cr - ell : cr + ell + 1, cc - ell : cc + ell + 1] += delta * u[:, None] * row
+def _delta_columns(Q: np.ndarray, t: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Delta^ell_{p n} over p = 0..h for each quadrant of Q and its n."""
+    col = Q[np.arange(len(ns)), :, np.abs(ns)]
+    return np.where((ns < 0)[:, None], col * t, col)
+
+
+def _fold_bins(Y: np.ndarray, ns) -> np.ndarray:
+    """Fold centred bin rows -p onto p, in place; returns the rows p >= 0.
+
+    Y holds one (2h'+1, 2h+1) plane of centred bins per gamma frequency n
+    of ns.  Delta_{-p m} Delta_{-p n} = (-1)^(m+n) Delta_{p m} Delta_{p n},
+    so row p gains (-1)^(m+n) times row -p and the sums over p in
+    _wigner_columns need only p >= 0.
+    """
+    hp, h = Y.shape[-2] // 2, Y.shape[-1] // 2
+    below = Y[:, :hp][:, ::-1]
+    below *= alt_sign(np.asarray(ns)[:, None] + np.arange(-h, h + 1))[:, None, :]
+    Y[:, hp + 1 :] += below
+    return Y[:, hp:]
+
+
+def _wigner_columns(Z: np.ndarray, tab, ns, ells) -> list:
+    """Columns n of the coefficient planes of degrees ell, off folded bins Z.
+
+    Column i is sum_p Delta_{p m} Delta_{p n} Y[p, m] over the bin rows p
+    at degree ells[i] and gamma frequency ns[i], read as Z (from
+    _fold_bins, one plane per column or one for all) over p >= 0 and the
+    table's quadrants, whose columns -m follow from m with sign
+    (-1)^(ell+p).  Returns the columns, 2 ell + 1 entries each.
+    """
+    ns, ells = np.asarray(ns), np.asarray(ells)
+    h = int(ells.max())
+    Q, t = _quadrants(tab, ells, h)
+    U = _delta_columns(Q, t, ns)
+    c = Z.shape[-1] // 2
+    Z = Z[:, : h + 1, c - h : c + h + 1]
+    pos = np.einsum("ipm,ip,ipm->im", Q, U, Z[..., h:])
+    neg = np.einsum("ipm,ip,ipm->im", Q, U * t, Z[..., h::-1])
+    cols = np.concatenate((neg[:, :0:-1], pos), axis=1)
+    cols *= ipow_vec(np.arange(-h, h + 1) - ns[:, None])
+    return [col[h - ell : h + ell + 1] for col, ell in zip(cols, ells)]
+
+
+def _column_bins(cols, tab, ns, ells, L: int) -> np.ndarray:
+    """Bin planes of Wigner columns, the inverse of _wigner_columns.
+
+    Plane i holds Delta_{p m} Delta_{p n} e^{i p pi/K} c[m] (2l+1)/(8 pi^2)
+    i^(n-m) for the column c = cols[i] (2l+1 entries) at degree
+    l = ells[i] and gamma frequency n = ns[i], over the alpha bins
+    |m| <= h = max(ells) and the K = 2L-1 beta bins p in FFT order, zero
+    beyond |p| = h: the layout _bins_to_beta inverts, so the planes go to
+    it with no copy.  The bins p >= 0 come from the table's quadrants
+    (columns -m from m with sign (-1)^(l+p)), the bins -p from those with
+    sign (-1)^(m+n) and the conjugate phase.  Returns (len(ells), 2h+1,
+    K).
+    """
+    ns, ells = np.asarray(ns), np.asarray(ells)
+    h = int(ells.max())
+    K = 2 * L - 1
+    Q, t = _quadrants(tab, ells, h)
+    U = _delta_columns(Q, t, ns)
+    m = np.arange(-h, h + 1)
+    R = np.zeros((len(ells), 2 * h + 1), dtype=complex)
+    for r, col, ell in zip(R, cols, ells):
+        r[h - ell : h + ell + 1] = col
+    R *= ipow_vec(ns[:, None] - m) * ((2 * ells + 1) / (8.0 * math.pi**2))[:, None]
+    e = np.exp(1j * np.arange(h + 1) * (math.pi / K))
+    B = np.zeros((len(ells), 2 * h + 1, K), dtype=complex)
+    # (p, m) views of the beta bins p = 0..h and p = -1..-h.
+    above = B[..., : h + 1].swapaxes(1, 2)
+    below = B[..., K - h :][..., ::-1].swapaxes(1, 2)
+    mirrored = R * alt_sign(ns[:, None] + m)
+    for half, q, r, w, s in (
+        (above, Q, R, U * e, t),
+        (below, Q[:, 1:], mirrored, (U * e.conj())[:, 1:], t[:, 1:]),
+    ):
+        np.multiply(q, r[:, None, h:], out=half[..., h:])
+        np.multiply(q[..., :0:-1], r[:, None, :h], out=half[..., :h])
+        half[..., h:] *= w[..., None]
+        half[..., :h] *= (w * s)[..., None]
+    return B
 
 
 def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
@@ -433,11 +518,12 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
     tab = halfpi_table(L)
 
     def forward_chunk(chunk):
-        Y = _beta_to_bins(W1, chunk, max(map(abs, chunk)))
-        for i, n in enumerate(chunk):
-            out.set_row(n, _wigner_column(Y[i], tab, n, abs(n)))
+        ells = [abs(n) for n in chunk]
+        Z = _fold_bins(_beta_to_bins(W1, chunk, max(ells)), chunk)
+        for n, col in zip(chunk, _wigner_columns(Z, tab, chunk, ells)):
+            out.set_row(n, col)
 
-    _run_chunks(forward_chunk, _gamma_chunks(_gamma_order(L, f.real)))
+    _run_chunks(forward_chunk, _batches(_gamma_order(L, f.real)))
     if f.real:
         _impose_real_pairing(out.values)
     return out
@@ -485,13 +571,11 @@ def _so3_inverse_curvelet(
     out = np.empty((len(ns), L, K), dtype=complex)
 
     def inverse_chunk(chunk):
-        h = max(map(abs, chunk))
-        X = np.zeros((len(chunk), K, 2 * h + 1), dtype=complex)
-        for i, n in enumerate(chunk):
-            _column_bins(X[i], w.row(n), tab, n, abs(n))
-        out[[n % K for n in chunk]] = _bins_to_beta(X, L, K)
+        cols = [w.row(n) for n in chunk]
+        planes = _column_bins(cols, tab, chunk, [abs(n) for n in chunk], L)
+        out[[n % K for n in chunk]] = _bins_to_beta(planes, L, K)
 
-    _run_chunks(inverse_chunk, _gamma_chunks(ns))
+    _run_chunks(inverse_chunk, _batches(ns))
     if sink is not None:
         _synthesis_blocks(out, real, sink)
         return None
@@ -523,9 +607,10 @@ def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCo
     tab = halfpi_table(L)
     out = WignerCoeffs.zeros(L)
     for n in range(-(L - 1), L):
-        Y = _beta_to_bins(W1, [n], grid.M - 1)[0]
-        for ell in range(abs(n), L):
-            out.planes[ell][:, n + ell] = _wigner_column(Y, tab, n, ell)
+        Z = _fold_bins(_beta_to_bins(W1, [n], L - 1), [n])
+        for ells in _batches(range(abs(n), L)):
+            for ell, col in zip(ells, _wigner_columns(Z, tab, [n] * len(ells), ells)):
+                out.planes[ell][:, n + ell] = col
     return out
 
 
@@ -539,9 +624,11 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
     tab = halfpi_table(L)
     out = np.zeros(grid.shape, dtype=complex)
     for n in range(-(L - 1), L):
-        X = np.zeros((2 * grid.L - 1, 2 * grid.M - 1), dtype=complex)
-        for ell in range(abs(n), L):
-            _column_bins(X, w.planes[ell][:, n + ell], tab, n, ell)
+        X = np.zeros((2 * L - 1, 2 * grid.L - 1), dtype=complex)
+        for ells in _batches(range(abs(n), L)):
+            cols = [w.planes[ell][:, n + ell] for ell in ells]
+            h = ells[-1]
+            X[L - 1 - h : L + h] += _column_bins(cols, tab, [n] * len(ells), ells, grid.L).sum(0)
         out[n % (2 * grid.N - 1)] = _bins_to_beta(X, grid.L, 2 * grid.M - 1)
     _synthesis_blocks(out, False, _array_sink(out))
     return SO3Signal(grid, out)

@@ -21,7 +21,15 @@ from numpy import fft as sfft
 # the shared bin kernel in so3.  It stays bound because perfbench/tracer.py
 # wraps scurve.sphere.weighted_convolve by name.
 from .fourier import weighted_convolve  # noqa: F401
-from .so3 import _beta_to_bins, _bins_to_beta, _check_real, _column_bins, _wigner_column
+from .so3 import (
+    _batches,
+    _beta_to_bins,
+    _bins_to_beta,
+    _check_real,
+    _column_bins,
+    _fold_bins,
+    _wigner_columns,
+)
 from .wigner import alt_sign, halfpi_table
 
 __all__ = [
@@ -190,11 +198,12 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
     W = sfft.fft(f.values, norm="forward")
-    Y = _beta_to_bins(W[None], [-s], L - 1)[0]
+    Z = _fold_bins(_beta_to_bins(W[None], [-s], L - 1), [-s])
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)
-    for ell in range(abs(s), L):
-        out[ell * ell : (ell + 1) ** 2] = _wigner_column(Y, tab, -s, ell) / _column_scale(ell, s)
+    for ells in _batches(range(abs(s), L)):
+        for ell, col in zip(ells, _wigner_columns(Z, tab, [-s] * len(ells), ells)):
+            out[ell * ell : (ell + 1) ** 2] = col / _column_scale(ell, s)
     if f.real:
         _impose_real_symmetry(out)
     return HarmonicCoeffs(L, s, out, real=f.real)
@@ -209,8 +218,10 @@ def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
     s = flm.spin
     tab = halfpi_table(L)
     X = np.zeros((2 * L - 1, 2 * L - 1), dtype=complex)
-    for ell in range(abs(s), L):
-        _column_bins(X, _column_scale(ell, s) * flm.degree_slice(ell), tab, -s, ell)
+    for ells in _batches(range(abs(s), L)):
+        cols = [_column_scale(ell, s) * flm.degree_slice(ell) for ell in ells]
+        h = ells[-1]
+        X[L - 1 - h : L + h] += _column_bins(cols, tab, [-s] * len(ells), ells, L).sum(0)
     F = _bins_to_beta(X, L, 2 * L - 1)
     return SphereSignal(SphereGrid(L), s, F.real if flm.real else F, real=flm.real)
 

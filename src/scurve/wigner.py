@@ -8,11 +8,14 @@ Conventions used throughout the package:
 * Spin spherical harmonics carry the Condon-Shortley phase.
 
 The transforms consume ``halfpi_table``, a three-term recursion in the
-degree that tabulates every d value at beta = pi/2 and stays stable to
-high degree; ``wigner_d_matrix`` expands those values to any beta, and
-``wigner_d_edge_columns`` evaluates the two outermost columns in closed
-form.  The exact factorial-sum elements the tests check these against
-live in tests/oracles.py.
+degree that tabulates d at beta = pi/2 and stays stable to high degree.
+It keeps the m', m >= 0 quadrant of each degree, a quarter of the
+values: d_{m',-m} = (-1)^(ell+m') d_{m'm} and d_{-m',m} = (-1)^(ell+m)
+d_{m'm} give the rest, which ``HalfPiTable.plane`` expands and the bin
+kernel in so3.py folds onto.  ``wigner_d_matrix`` expands those values to
+any beta, and ``wigner_d_edge_columns`` evaluates the two outermost
+columns in closed form.  The exact factorial-sum elements the tests check
+these against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -32,17 +35,20 @@ __all__ = [
     "wigner_d_edge_columns",
 ]
 
-_IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_IPOW = np.array([1.0, 1.0j, -1.0, -1.0j])
+_SIGN = np.array([1.0, -1.0])
+_IPOW.setflags(write=False)
+_SIGN.setflags(write=False)
 
 
 def ipow_vec(k) -> np.ndarray:
     """i**k for integer arrays, without trigonometric roundoff."""
-    return np.asarray(_IPOW, dtype=complex)[np.mod(np.asarray(k), 4)]
+    return _IPOW[np.asarray(k) & 3]
 
 
 def alt_sign(k) -> np.ndarray:
     """(-1)**k for integer arrays."""
-    return np.where(np.mod(np.asarray(k), 2) == 0, 1.0, -1.0)
+    return _SIGN[np.asarray(k) & 1]
 
 
 def _check_orders(ell: int, m: int, n: int) -> None:
@@ -58,72 +64,85 @@ def _log_factorials(n: int) -> np.ndarray:
 
 
 def _halfpi_edge_row(ell: int, logf: np.ndarray) -> np.ndarray:
-    """d^ell_{ell, m}(pi/2) for all m, via the log closed form; logf covers 2 ell."""
-    m = np.arange(-ell, ell + 1)
+    """d^ell_{ell, m}(pi/2) for m = 0..ell, via the log closed form; logf covers 2 ell."""
+    m = np.arange(ell + 1)
     logs = 0.5 * (logf[2 * ell] - logf[ell + m] - logf[ell - m]) - ell * math.log(2.0)
     return alt_sign(ell - m) * np.exp(logs)
 
 
-def _next_halfpi_plane(
+def _next_halfpi_quadrant(
     ell: int, prev: np.ndarray, prev2: np.ndarray, logf: np.ndarray
 ) -> np.ndarray:
-    size = 2 * ell + 1
-    cur = np.empty((size, size))
-    mp = np.arange(-(ell - 1), ell, dtype=np.float64)[:, None]
-    m = np.arange(-(ell - 1), ell, dtype=np.float64)[None, :]
+    """The m', m >= 0 quadrant of degree ell from those of ell-1 and ell-2."""
+    cur = np.empty((ell + 1, ell + 1))
+    mp = np.arange(ell, dtype=np.float64)[:, None]
+    m = np.arange(ell, dtype=np.float64)[None, :]
     # cos(pi/2) = 0 kills the diagonal term of the usual recursion only in
     # part: the product m'*m survives.
     a = -(2.0 * ell - 1.0) * mp * m / ((ell - 1.0) * ell)
     b = np.sqrt(((ell - 1.0) ** 2 - mp**2) * ((ell - 1.0) ** 2 - m**2)) / (ell - 1.0)
-    inner2 = np.zeros((size - 2, size - 2))
-    inner2[1:-1, 1:-1] = prev2
+    inner2 = np.zeros((ell, ell))
+    inner2[:-1, :-1] = prev2
     scale = ell / np.sqrt((ell * ell - mp**2) * (ell * ell - m**2))
-    cur[1:-1, 1:-1] = scale * (a * prev - b * inner2)
-    # Boundary rows from the closed form, boundary columns from the
-    # transpose symmetry d_{m'm} = (-1)^{m'-m} d_{mm'}; the recursion above
-    # never touches them, so no division by the vanishing edge factors.
+    cur[:-1, :-1] = scale * (a * prev - b * inner2)
+    # The last row from the closed form, the last column from the transpose
+    # symmetry d_{m'm} = (-1)^{m'-m} d_{mm'}; the recursion above never
+    # touches them, so no division by the vanishing edge factors.
     top = _halfpi_edge_row(ell, logf)
-    ms = np.arange(-ell, ell + 1)
-    flip = alt_sign(ell + ms)
     cur[-1, :] = top
-    cur[0, :] = flip * top
-    cur[:, -1] = alt_sign(ms - ell) * top
-    cur[:, 0] = alt_sign(ms + ell) * (flip * top)
+    cur[:, -1] = alt_sign(np.arange(ell + 1) - ell) * top
     return cur
+
+
+def _expand(q: np.ndarray) -> np.ndarray:
+    """The full plane d^ell(pi/2), rows m' + ell, of its m', m >= 0 quadrant q.
+
+    Reflections: d_{m',-m} = (-1)^(ell+m') d_{m'm} fills the columns m < 0,
+    then d_{-m',m} = (-1)^(ell+m) d_{m'm} the rows m' < 0.
+    """
+    ell = len(q) - 1
+    full = np.empty((2 * ell + 1, 2 * ell + 1))
+    full[ell:, ell:] = q
+    full[ell:, :ell] = q[:, :0:-1] * alt_sign(np.arange(ell, 2 * ell + 1))[:, None]
+    full[:ell] = full[:ell:-1] * alt_sign(np.arange(2 * ell + 1))
+    return full
 
 
 @dataclass(frozen=True)
 class HalfPiTable:
-    """All d^ell_{m'm}(pi/2) for ell < band_limit, one plane per degree.
+    """All d^ell_{m'm}(pi/2) for ell < band_limit, one quadrant per degree.
 
-    planes[ell] has shape (2*ell+1, 2*ell+1), row index m' + ell, column
-    index m + ell.  Immutable and safe to share between threads.
+    planes[ell] has shape (ell+1, ell+1) and holds m', m >= 0, row index
+    m', column index m; the other three quadrants follow by reflection
+    (_expand), so the table takes a quarter of the memory of full planes.
+    Immutable and safe to share between threads.
     """
 
     band_limit: int
     planes: tuple
 
     def plane(self, ell: int) -> np.ndarray:
-        return self.planes[ell]
+        """Read-only full plane of degree ell, row index m' + ell, column m + ell."""
+        full = _expand(self.planes[ell])
+        full.setflags(write=False)
+        return full
 
     def value(self, ell: int, mp: int, m: int) -> float:
         _check_orders(ell, mp, m)
-        return float(self.planes[ell][mp + ell, m + ell])
+        return float(self.plane(ell)[mp + ell, m + ell])
 
 
 def build_halfpi_table(L: int) -> HalfPiTable:
-    """Tabulate d^ell_{m'm}(pi/2) for every ell < L by degree recursion."""
+    """Tabulate d^ell_{m'm}(pi/2), m', m >= 0, for every ell < L by degree recursion."""
     if L < 1:
         raise ValueError(f"band limit must be positive, got {L}")
     planes = [np.ones((1, 1))]
     if L > 1:
         r = 1.0 / math.sqrt(2.0)
-        planes.append(
-            np.array([[0.5, r, 0.5], [-r, 0.0, r], [0.5, -r, 0.5]])
-        )
+        planes.append(np.array([[0.0, r], [-r, 0.5]]))
     logf = _log_factorials(2 * L)
     for ell in range(2, L):
-        planes.append(_next_halfpi_plane(ell, planes[ell - 1], planes[ell - 2], logf))
+        planes.append(_next_halfpi_quadrant(ell, planes[ell - 1], planes[ell - 2], logf))
     for p in planes:
         p.setflags(write=False)
     return HalfPiTable(L, tuple(planes))

@@ -427,7 +427,8 @@ class TestPreflight:
 
     @pytest.mark.parametrize("command", ["analyze", "synthesize", "sparsity"])
     def test_budget_at_the_estimate(self, tmp_path, inputs, capsys, monkeypatch, command):
-        estimate = cli._estimated_peak_mib(8, True, fourier.fft_workers()) * 2**20
+        magnitudes = command == "sparsity"
+        estimate = cli._estimated_peak_mib(8, True, fourier.fft_workers(), magnitudes) * 2**20
         monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) - 1)
         assert run(self.argv(command, inputs, tmp_path / "out")) == 3
         assert "estimated peak memory" in capsys.readouterr().err
@@ -735,6 +736,40 @@ class TestSparsityCommand:
         src = tmp_path / "f.scrv"
         write_sphere_file(src, 8, 0, rng)
         assert run(["sparsity", str(src), "--bins", "0"]) == 2
+
+    def test_blocked_reductions_match_whole_sample(self, rng, capsys):
+        """Gini and histogram run by blocks; the results are those of the whole sample."""
+        mags = np.abs(rng.standard_normal(3 * cli._REDUCE_BLOCK + 17)) ** 3
+        n = mags.size
+        x = np.sort(mags)
+        whole = np.sum((2.0 * np.arange(1, n + 1) - n - 1.0) * x) / (n * x.sum())
+        assert cli.gini_coefficient(mags) == pytest.approx(whole, rel=1e-12)
+        note, rows = cli._scale_sparsity(3, mags, 7, 16)
+        counts, _ = np.histogram(mags / mags.max(), bins=7, range=(0.0, 1.0))
+        assert [r[5] for r in rows] == list(counts / n)
+        assert note["gini"] == cli.gini_coefficient(mags)
+
+    def test_peak_stays_within_the_estimate(self, tmp_path, capsys, monkeypatch):
+        """tracemalloc peak at L=64, real, one worker.
+
+        The magnitudes of the largest scale live beside its transform; the
+        Gini index and the histogram then add one sorted copy and
+        block-sized temporaries, so the command stays within its estimate
+        less the interpreter baseline.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        L = 64
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, L, 0, np.random.default_rng(0), real=True)
+        estimate = (cli._estimated_peak_mib(L, True, 1, True) - cli._BASELINE_MIB) * 2**20
+        tracemalloc.start()
+        try:
+            assert run(["sparsity", str(src)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 1.2 * estimate, (peak, estimate)
 
 
 class TestParabolicCommand:

@@ -34,6 +34,39 @@ class TestWeightedConvolve:
         with pytest.raises(ValueError):
             fourier.weighted_convolve(np.zeros(4, dtype=complex))
 
+    @pytest.mark.parametrize("L", [1, 2, 5, 16])
+    def test_band_limited_output_matches_direct(self, rng, L):
+        """Keeping the bins |m'| <= h gives that slice of the full convolution."""
+        spec = rng.standard_normal((3, 2 * L - 1)) + 1j * rng.standard_normal((3, 2 * L - 1))
+        slow = oracles.dense_weighted_convolve(spec, axis=1)
+        for h in range(L):
+            fast = fourier.weighted_convolve(spec, axis=1, h=h)
+            assert fast.shape == (3, 2 * h + 1)
+            assert np.abs(fast - slow[:, L - 1 - h : L + h]).max() <= 1e-11
+
+    @pytest.mark.parametrize("L", [1, 2, 5, 16])
+    def test_padded_buffer_in_fft_order(self, rng, L):
+        """The in-place form takes the bins in FFT order at the padded length."""
+        spec = rng.standard_normal((2, 2 * L - 1)) + 1j * rng.standard_normal((2, 2 * L - 1))
+        slow = oracles.dense_weighted_convolve(spec, axis=1)
+        for h in range(L):
+            pad = fourier._kernel_fft(L, h)[0]
+            assert pad >= 2 * L - 1 + 2 * h
+            buf = np.zeros((2, pad), complex)
+            buf[:, :L] = spec[:, L - 1 :]
+            buf[:, pad - L + 1 :] = spec[:, : L - 1]
+            fast = fourier.weighted_convolve(buf, axis=-1, h=h, L=L)
+            assert np.shares_memory(fast, buf)
+            assert np.abs(fast - slow[:, L - 1 - h : L + h]).max() <= 1e-11
+
+    def test_band_limit_validation(self):
+        with pytest.raises(ValueError, match="half-width"):
+            fourier.weighted_convolve(np.zeros(5, dtype=complex), h=3)
+        with pytest.raises(ValueError, match="half-width"):
+            fourier.weighted_convolve(np.zeros(5, dtype=complex), h=-1)
+        with pytest.raises(ValueError, match="buffer"):
+            fourier.weighted_convolve(np.zeros((2, 7), dtype=complex), axis=-1, h=2, L=3)
+
 
 class TestNextFastLen:
     def test_matches_brute_force_search(self):

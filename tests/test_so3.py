@@ -272,7 +272,7 @@ class TestSphereColumn:
 
 
 class TestBinKernel:
-    """The colatitude-bin kernel transforms only the alpha bins |m| <= h."""
+    """The colatitude-bin kernel transforms and keeps only the bins |m'|, |m| <= h."""
 
     @pytest.mark.parametrize("h", [0, 3, 15])
     def test_narrow_planes_match_full_width(self, h, rng):
@@ -282,13 +282,13 @@ class TestBinKernel:
         ns = [-15, -3, 0, 2, 15]
         full = so3._beta_to_bins(W, ns, L - 1)
         narrow = so3._beta_to_bins(W, ns, h)
-        assert narrow.shape == (len(ns), K, 2 * h + 1)
-        centred = full[:, :, L - 1 - h : L + h]
+        assert narrow.shape == (len(ns), 2 * h + 1, 2 * h + 1)
+        centred = full[:, L - 1 - h : L + h, L - 1 - h : L + h]
         assert np.abs(narrow - centred).max() <= 1e-14 * np.abs(full).max()
 
-        X = rng.standard_normal((K, 2 * h + 1)) + 1j * rng.standard_normal((K, 2 * h + 1))
+        X = rng.standard_normal((2 * h + 1, K)) + 1j * rng.standard_normal((2 * h + 1, K))
         padded = np.zeros((K, K), complex)
-        padded[:, L - 1 - h : L + h] = X
+        padded[L - 1 - h : L + h] = X
         grid = so3._bins_to_beta(padded, L, K)
         assert np.abs(so3._bins_to_beta(X, L, K) - grid).max() <= 1e-14 * np.abs(grid).max()
 
@@ -299,8 +299,8 @@ class TestBinKernel:
         f = scurve.so3_inverse_curvelet(scurve.CurveletWignerCoeffs.random(L, rng), grid)
         points = []
 
-        def counting(spectrum, axis=0):
-            out = fourier.weighted_convolve(spectrum, axis=axis)
+        def counting(*args, **kwargs):
+            out = fourier.weighted_convolve(*args, **kwargs)
             points.append(out.size)
             return out
 
@@ -309,7 +309,7 @@ class TestBinKernel:
         ns = so3._gamma_order(L, False)
         assert sorted(ns) == list(range(1 - L, L))
         chunks = [ns[lo : lo + so3._CHUNK] for lo in range(0, len(ns), so3._CHUNK)]
-        expected = sum(len(c) * K * (2 * max(map(abs, c)) + 1) for c in chunks)
+        expected = sum(len(c) * (2 * max(map(abs, c)) + 1) ** 2 for c in chunks)
         assert sum(points) == expected
         assert expected < len(ns) * K * K
 
@@ -481,7 +481,8 @@ class TestChunkPool:
         """Each worker past the first holds one more chunk in flight, not more.
 
         One chunk is measured as the traced peak of the widest forward
-        chunk on its own: its bin planes plus the padded convolution.
+        chunk on its own: its one buffer of bin planes padded for the
+        convolution.
         """
         L = 64
         grid = scurve.SO3Grid(L, L, L)
@@ -506,8 +507,8 @@ class TestChunkPool:
         W1 = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, grid).values)
         widest = so3._gamma_order(L, False)[-so3._CHUNK :]
         one_chunk = traced_peak(lambda: so3._beta_to_bins(W1, widest, L - 1))
-        # The chunk's bin planes, their convolution padded to about twice
-        # the length and the weighted result: about four stacks of planes.
+        # The chunk's planes padded to about twice their length for the
+        # convolution, in one buffer: about two stacks of planes.
         planes = so3._CHUNK * (2 * L - 1) ** 2 * 16
         assert one_chunk <= 5 * planes
         assert peaks[2] <= peaks[1] + one_chunk

@@ -109,6 +109,26 @@ class TestHalfPiTable:
             signs = wigner.alt_sign(np.subtract.outer(ms, ms))
             np.testing.assert_allclose(plane, signs * plane.T, atol=1e-12)
 
+    def test_stores_one_quadrant_per_degree(self):
+        L = 40
+        table = wigner.build_halfpi_table(L)
+        assert [p.shape for p in table.planes] == [(ell + 1, ell + 1) for ell in range(L)]
+        assert sum(p.nbytes for p in table.planes) == sum((ell + 1) ** 2 * 8 for ell in range(L))
+        for ell in range(L):
+            np.testing.assert_array_equal(table.plane(ell)[ell:, ell:], table.planes[ell])
+
+    def test_expanded_planes_obey_both_reflections(self):
+        table = wigner.halfpi_table(65)
+        for ell in (0, 1, 2, 5, 16, 33, 64):
+            plane = table.plane(ell)
+            assert plane.shape == (2 * ell + 1, 2 * ell + 1)
+            ms = np.arange(-ell, ell + 1)
+            # d_{m',-m} = (-1)^(ell+m') d_{m'm} and d_{-m',m} = (-1)^(ell+m) d_{m'm}
+            np.testing.assert_array_equal(
+                plane[:, ::-1], wigner.alt_sign(ell + ms)[:, None] * plane
+            )
+            np.testing.assert_array_equal(plane[::-1], wigner.alt_sign(ell + ms) * plane)
+
     def test_planes_are_immutable(self):
         with pytest.raises(ValueError):
             wigner.halfpi_table(4).plane(2)[0, 0] = 9.9
