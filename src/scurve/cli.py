@@ -93,12 +93,20 @@ _REDUCE_BLOCK = 1 << 16
 def gini_coefficient(magnitudes: np.ndarray) -> float:
     """Concentration index of a non-negative sample: 0 flat, -> 1 peaked.
 
-    Sorts its own copy of the sample in place and sums the rank weights
-    2r - n - 1 against it one block of ranks at a time, so it holds one
-    sample-sized array besides the caller's.
+    Sorts its own copy of the sample, so it holds one sample-sized array
+    besides the caller's.
     """
     x = np.array(magnitudes, dtype=float).reshape(-1)
     x.sort()
+    return _gini_sorted(x)
+
+
+def _gini_sorted(x: np.ndarray) -> float:
+    """gini_coefficient of a flat sample already sorted in ascending order.
+
+    Sums the rank weights 2r - n - 1 against it one block of ranks at a
+    time, so it allocates nothing of the sample's size.
+    """
     n = x.size
     total = float(x.sum())
     if n == 0 or total == 0.0:
@@ -482,7 +490,10 @@ def cmd_bench(args) -> int:
 
 
 def _scale_sparsity(j: int, mags: np.ndarray, bins: int, band_limit: int):
-    """Summary note and CSV rows of one scale's coefficient magnitudes."""
+    """Summary note and CSV rows of one scale's coefficient magnitudes.
+
+    mags, a flat float array, is sorted in place.
+    """
     top = float(mags.max())
     note = {"scale": j, "coefficients": int(mags.size), "max_abs": top}
     if top == 0.0:
@@ -494,7 +505,9 @@ def _scale_sparsity(j: int, mags: np.ndarray, bins: int, band_limit: int):
     for lo in range(0, mags.size, _REDUCE_BLOCK):
         block = mags[lo : lo + _REDUCE_BLOCK] / top
         counts += np.histogram(block, bins=bins, range=(0.0, 1.0))[0]
-    note["gini"] = gini_coefficient(mags)
+    # The histogram is done, so the magnitudes may be sorted in place.
+    mags.sort()
+    note["gini"] = _gini_sorted(mags)
     rows = [
         [band_limit, j, b, float(edges[b]), float(edges[b + 1]), counts[b] / mags.size]
         for b in range(bins)

@@ -12,19 +12,20 @@ signals; its transforms drop to O(L^3 log L) because each gamma frequency
 n then touches exactly one degree.
 
 Every transform runs on one colatitude-bin kernel (_beta_to_bins and its
-inverse _bins_to_beta), which moves a stack of alpha spectra between the
-beta nodes and weighted centred (beta bin, alpha bin) planes.  Degree ell
-reads only the bins |m'|, |m| <= ell, so the kernel is told the largest
-degree h its planes serve and transforms only the 2h+1 alpha columns
-|m| <= h; the forward kernel runs in one buffer per stack, padded for the
-convolution, and keeps only the 2h+1 beta bins |m'| <= h.  The curvelet
-transforms batch gamma frequencies in order of |n| and pass each batch's
-largest |n|, which brings their beta work towards half of full width as
-L grows (0.58 at L = 32, 0.52 at L = 128); the sphere and general
-transforms read every degree and pass the full width.  The batches run
-on a pool of fft_workers() threads, and so do the whole-cube FFTs over
-gamma and alpha, in blocks of beta rows.  Every batch or block writes
-only its own rows, so results are bitwise the same for any worker count.
+inverse _bins_to_beta), which moves a stack of centred alpha spectra at
+the beta nodes to and from weighted centred (beta bin, alpha bin)
+planes.  Degree ell reads only the bins |m'|, |m| <= ell, so the kernel
+is told the largest degree h its planes serve and transforms only the
+2h+1 alpha columns |m| <= h; the forward kernel runs in one buffer per
+stack, padded for the convolution, and keeps only the 2h+1 beta bins
+|m'| <= h.  The curvelet transforms batch gamma frequencies in order of
+|n| and pass each batch's largest |n|, which brings their beta work
+towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
+the sphere and general transforms read every degree and pass the full
+width.  The batches run on a pool of fft_workers() threads, and so do
+the whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
+batch or block writes only its own rows, so results are bitwise the same
+for any worker count.
 
 Between the bins and the coefficients sits Delta = d(pi/2), of which the
 half-pi table keeps the m', m >= 0 quadrant.  _wigner_columns and
@@ -35,13 +36,28 @@ bin rows +-p fold with sign (-1)^(m+n), columns +-m with sign
 its degrees zero-padded to the largest, so the numpy calls per batch do
 not grow with its size.
 
-Those whole-cube FFTs are the only steps that touch the samples, so a
-curvelet transform needs one beta block of a cube at a time, not the
-cube: the forward transform reads its input as values[rows], block by
-block, and the inverse hands each finished block to a sink.  In memory
-these are the cube's own rows; the coefficient container supplies a
-section that reads or writes each block in its file, which is how
-`scurve analyze` and `scurve synthesize` run without holding a cube.
+The curvelet transforms keep their gamma spectrum in a ragged layout.
+A scale signal has Wigner content only in the columns n = +-ell, so at
+gamma frequency n its (n, m) Fourier coefficients vanish beyond the
+alpha orders |m| <= |n|; the spectrum keeps, for each of the L beta
+nodes, only that triangle (_triangle), T = 2L^2 - 1 columns in all
+(L^2 when real, n >= 0 only) against (2L-1)^2 for the dense plane, and
+one column of zeros for the orders outside it.  Gamma frequency n owns
+one run of 2|n|+1 columns, centred on m = 0, and the bin kernel reads
+or writes it in place.  The sphere and general
+transforms hand the kernel full-width rows instead, |m| <= L-1.
+
+The FFTs over gamma and alpha are the only steps that touch the
+samples, and they run per block of beta rows, each in a dense block of
+its own from which the triangle is gathered or into which it is
+scattered.  So a curvelet transform needs one beta block of a cube at a
+time, not the cube: the forward transform reads its input as
+values[rows], block by block, and the inverse hands each finished block
+to a sink.  In memory these are the cube's own rows; the coefficient
+container supplies a section that reads or writes each block in its
+file, which is how `scurve analyze` and `scurve synthesize` run without
+holding a cube.  A complex inverse in memory skips the triangle: its
+output cube can hold its own dense spectrum (_inverse_in_place).
 """
 
 from __future__ import annotations
@@ -83,17 +99,20 @@ _BETA_BLOCK = 8
 def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     """Estimated bytes, by component, of one block-streamed curvelet transform.
 
-    The spectrum over gamma and alpha (half of it on the real path), the
-    half-pi table, each worker's bin planes and each worker's beta block
-    of samples; a transform that reads or writes its samples block by
-    block holds no whole cube.  A worker's planes are counted as the one
-    buffer of the widest batch's forward kernel, (_CHUNK, 2L-1, padded
-    2L-1+2(L-1)) complex; the inverse's planes take less, and this fits
-    the peaks scripts/cli_peaks.py measures.
+    The triangle of the gamma spectrum (_triangle, T+1 columns of L
+    beta nodes, T = 2L^2 - 1 or L^2 when real), the half-pi table,
+    each worker's bin planes and each worker's beta block of samples; a
+    transform that reads or writes its samples block by block holds no
+    whole cube.  A worker's planes are counted as the one buffer of the
+    widest batch's forward kernel, (_CHUNK, 2L-1, padded 2L-1+2(L-1))
+    complex; the inverse's planes take less.  The dense block a worker
+    transforms its samples in is not counted: it lives only while the
+    blocks are transformed, never beside the planes, and it is smaller
+    than they are.  This fits the peaks scripts/cli_peaks.py measures.
     """
     K = 2 * L - 1
     return {
-        "spectrum": (L if real else K) * L * K * 16,
+        "spectrum": L * (L * L + 1 if real else 2 * L * L) * 16,
         "table": 8 * L * (L + 1) * (2 * L + 1) // 6,  # sum of (l+1)^2 doubles, l < L
         "planes": workers * _CHUNK * K * _next_fast_len(4 * L - 3) * 16,
         "blocks": workers * K * min(_BETA_BLOCK, L) * K * (8 if real else 16),
@@ -245,52 +264,100 @@ def _beta_blocks(L: int) -> list:
     return [np.s_[:, lo : lo + _BETA_BLOCK] for lo in range(0, L, _BETA_BLOCK)]
 
 
-def _analysis_spectrum(values, real: bool = False) -> np.ndarray:
-    """FFT over gamma and alpha, normalised to Fourier coefficients.
+@lru_cache
+def _triangle(L: int, real: bool) -> tuple:
+    """(cols, gather, scatter) of the ragged layout of a curvelet gamma spectrum.
 
-    One fft2 per block of beta rows; a real signal keeps only the gamma
-    frequencies n >= 0 (an rfft, then the alpha FFT in place).  values is
-    read only as values.shape and values[rows], one slice of _beta_blocks
-    at a time: an array, or a stored section that reads each block of
-    rows from its file.  The caller's values are never overwritten.
+    The spectrum is an (L, T+1) array: for each beta node, the alpha
+    orders |m| <= |n| of every gamma frequency n (n >= 0 only when real),
+    then one column of zeros.  Gamma row g of the dense spectrum (n = g,
+    or g - (2L-1) past L-1, the FFT order) owns the columns cols[g], its
+    orders m = -|n|..|n| in order.  Against a flattened dense (gamma row,
+    alpha) plane with the 2L-1 alpha frequencies in FFT order, gather[t]
+    is the position column t comes from (a placeholder for the zero
+    column) and scatter[i] the column position i takes, the zero column
+    outside the triangle; each is one np.take per block of beta rows.
+    """
+    K = 2 * L - 1
+    g = np.arange(L if real else K)
+    k = np.where(g < L, g, K - g)
+    stops = np.cumsum(2 * k + 1)
+    T = int(stops[-1])
+    cols = [slice(hi - 2 * kk - 1, hi) for kk, hi in zip(k.tolist(), stops.tolist())]
+    rows = np.repeat(g, 2 * k + 1)
+    m = np.arange(T) - (stops - k - 1)[rows]
+    gather = np.zeros(T + 1, dtype=np.intp)
+    gather[:T] = rows * K + m % K
+    scatter = np.full(len(g) * K, T, dtype=np.intp)
+    scatter[gather[:T]] = np.arange(T)
+    gather.setflags(write=False)
+    scatter.setflags(write=False)
+    return cols, gather, scatter
+
+
+def _analysis_spectrum(values, real: bool = False) -> np.ndarray:
+    """Triangle of the FFT over gamma and alpha, normalised to Fourier coefficients.
+
+    Per block of beta rows, one fft2 (a real signal: an rfft over gamma,
+    keeping n >= 0, then the alpha FFT in place) runs into a dense block
+    of the worker's own, laid out (beta, gamma, alpha), and one take
+    gathers the block's |m| <= |n| columns into its rows of the (L, T+1)
+    spectrum (_triangle).  values is read only as values.shape and
+    values[rows], one slice of _beta_blocks at a time: an array, or a
+    stored section that reads each block of rows from its file.  The
+    caller's values are never overwritten.
     """
     G, L, Ka = values.shape
-    W = np.empty((G // 2 + 1 if real else G, L, Ka), dtype=complex)
+    gather = _triangle(L, real)[1]
+    S = np.empty((L, len(gather)), dtype=complex)
 
     def block(rows):
+        V = values[rows]
+        D = np.empty((V.shape[1], L if real else G, Ka), dtype=complex)
         if real:
-            sfft.rfft(values[rows], axis=0, norm="forward", out=W[rows])
-            sfft.fft(W[rows], axis=2, norm="forward", out=W[rows])
+            sfft.rfft(V, axis=0, norm="forward", out=D.transpose(1, 0, 2))
+            sfft.fft(D, norm="forward", out=D)
         else:
-            sfft.fft2(values[rows], axes=(0, 2), norm="forward", out=W[rows])
+            sfft.fft2(V, axes=(0, 2), norm="forward", out=D.transpose(1, 0, 2))
+        np.take(D.reshape(len(D), -1), gather, axis=1, out=S[rows[1]], mode="clip")
 
     _run_chunks(block, _beta_blocks(L))
-    return W
+    S[:, -1] = 0.0
+    return S
 
 
 def _synthesis_blocks(spectrum: np.ndarray, real: bool, sink) -> None:
-    """Invert the gamma FFT of a spectrum and hand each block of beta rows to sink.
+    """Samples of a triangle spectrum, handed to sink one block of beta rows at a time.
 
-    spectrum holds all 2N-1 gamma frequencies, or only n >= 0 when real.
-    Per block of beta rows, on the pool, sink(rows, fill) is called with
-    a function fill(dst) that writes the block's samples into dst, an
-    array of the block's shape and dtype (float when real, complex
-    otherwise).  The sink decides where the block goes: sampled into a
-    cube (_array_sink), written to a file, or reduced.  The ifft of the
-    complex path may run in place, so the spectrum is left undefined.
+    spectrum is the (L, T+1) layout of _triangle, of all 2L-1 gamma
+    frequencies, or only n >= 0 when real, its last column zero.  Per
+    block of beta rows, on the pool, sink(rows, fill) is called with a
+    function fill(dst) that writes the block's samples into dst, an array
+    of the block's shape and dtype (float when real, complex otherwise):
+    it scatters the block's triangle into a dense block of its own, laid
+    out (beta, gamma, alpha) and zero outside the triangle, inverts alpha
+    there and then gamma into dst, the order of ifft2.  The sink decides
+    where the block goes: sampled into a cube (_array_sink), written to a
+    file, or reduced.
     """
-    K = 2 * spectrum.shape[0] - 1  # used by the real path only
+    L = spectrum.shape[0]
+    K = 2 * L - 1
+    scatter = _triangle(L, real)[2]
 
     def block(rows):
         def fill(dst):
+            D = np.empty((dst.shape[1], L if real else K, K), dtype=complex)
+            flat = D.reshape(len(D), -1)
+            np.take(spectrum[rows[1]], scatter, axis=1, out=flat, mode="clip")
+            sfft.ifft(D, norm="forward", out=D)
             if real:
-                sfft.irfft(spectrum[rows], n=K, axis=0, norm="forward", out=dst)
+                sfft.irfft(D, n=K, axis=1, norm="forward", out=dst.transpose(1, 0, 2))
             else:
-                sfft.ifft(spectrum[rows], axis=0, norm="forward", out=dst)
+                sfft.ifft(D, axis=1, norm="forward", out=dst.transpose(1, 0, 2))
 
         sink(rows, fill)
 
-    _run_chunks(block, _beta_blocks(spectrum.shape[1]))
+    _run_chunks(block, _beta_blocks(L))
 
 
 def _array_sink(values: np.ndarray):
@@ -347,33 +414,36 @@ def _run_chunks(task, items) -> None:
         wait(futures)
 
 
-def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
+def _beta_to_bins(spectra, ns, h: int) -> np.ndarray:
     """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
 
-    W[n % len(W)] is the alpha spectrum, in FFT order, of gamma frequency
-    n at the L beta nodes.  Degree ell reads only the bins |m'|, |m| <=
-    ell, so the planes of a stack whose degrees stay at or below h keep
-    only those 2h+1 alpha columns, gathered before any beta work, and
-    only those 2h+1 beta bins come out of the weighting.  Each plane is
-    extended through the poles with parity (-1)^(m + n), transformed
-    along beta, stripped of the node offset and weighted by sin(beta).
-    All of that runs in one buffer per stack, beta-last, at the padded
-    length of the convolution: the extension fills its first 2L-1
-    entries, the beta FFT runs there in place, and the negative bins move
-    to the end of the buffer as the node-offset phase is applied, which
-    is the FFT-order layout weighted_convolve takes.  The result is a
-    (len(ns), 2h+1, 2h+1) transposed view of that buffer.
+    spectra[i] is the centred alpha spectrum of gamma frequency ns[i] at
+    the L beta nodes: an (L, 2k+1) array of the orders m = -k..k, k <= h,
+    such as its columns of a triangle spectrum (k = |n|) or a full-width
+    row (k = L-1).  Degree ell reads only the bins |m'|, |m| <= ell, so
+    the planes of a stack whose degrees stay at or below h keep only the
+    2h+1 alpha columns |m| <= h, the orders past k zero, and only those
+    2h+1 beta bins come out of the weighting.  Each plane is extended
+    through the poles with parity (-1)^(m + n), transformed along beta,
+    stripped of the node offset and weighted by sin(beta).  All of that
+    runs in one buffer per stack, beta-last, at the padded length of the
+    convolution: the spectra are copied into its first L entries and
+    extended into the next L-1, the beta FFT runs there in place, and the
+    negative bins move to the end of the buffer as the node-offset phase
+    is applied, which is the FFT-order layout weighted_convolve takes.
+    The result is a (len(ns), 2h+1, 2h+1) transposed view of that buffer.
     """
-    L, Ka = W.shape[1:]
+    L = spectra[0].shape[0]
     K = 2 * L - 1
-    ms = np.arange(-h, h + 1)
     pad = _kernel_fft(L, h)[0]
     buf = np.empty((len(ns), 2 * h + 1, pad), dtype=complex)
-    cols = ms % Ka
-    parity = alt_sign(np.asarray(ns)[:, None] + ms)
-    for i, n in enumerate(ns):
-        P = W[n % len(W)][:, cols].T
-        buf[i, :, :L] = P
+    parity = alt_sign(np.asarray(ns)[:, None] + np.arange(-h, h + 1))
+    for i, S in enumerate(spectra):
+        k = S.shape[1] // 2
+        P = buf[i, :, :L]
+        P[: h - k] = 0.0
+        P[h - k : h + k + 1] = S.T
+        P[h + k + 1 :] = 0.0
         # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
         np.multiply(P[:, L - 2 :: -1], parity[i, :, None], out=buf[i, :, L:K])
     E = buf[..., :K]
@@ -387,20 +457,30 @@ def _beta_to_bins(W: np.ndarray, ns, h: int) -> np.ndarray:
     return weighted_convolve(buf, axis=-1, h=h, L=L).swapaxes(1, 2)
 
 
-def _bins_to_beta(B: np.ndarray, L: int, Ka: int) -> np.ndarray:
-    """Grid samples of beta-last bin planes; B is overwritten.
+def _bins_to_beta(B: np.ndarray, L: int) -> np.ndarray:
+    """Centred alpha spectra at the L beta nodes of beta-last bin planes; B is overwritten.
 
     B holds one plane or a stack of them in its last two axes: the 2h+1
     centred alpha bins |m| <= h its degrees reach, by the 2L-1 beta bins
     in FFT order with the node-offset phase applied, the layout
     _column_bins writes.  Beta is inverted in place along the contiguous
-    last axis; the L beta nodes on (0, pi] are then scattered into a
-    zeroed alpha spectrum of length Ka for one alpha inversion.
+    last axis; the result is an (..., L, 2h+1) view of the L beta nodes
+    on (0, pi], the layout _beta_to_bins reads.
     """
-    h = B.shape[-2] // 2
     sfft.ifft(B, norm="forward", out=B)
-    S = np.zeros(B.shape[:-2] + (L, Ka), dtype=complex)
-    S[..., np.arange(-h, h + 1) % Ka] = B[..., :L].swapaxes(-1, -2)
+    return B[..., :L].swapaxes(-1, -2)
+
+
+def _alpha_orders(W: np.ndarray, k: int) -> np.ndarray:
+    """The centred orders m = -k..k of alpha spectra in FFT order (last axis)."""
+    return W[..., np.arange(-k, k + 1) % W.shape[-1]]
+
+
+def _alpha_samples(R: np.ndarray, Ka: int) -> np.ndarray:
+    """Ka alpha samples of centred alpha spectra R (last axis), the inverse of _alpha_orders."""
+    k = R.shape[-1] // 2
+    S = np.zeros(R.shape[:-1] + (Ka,), dtype=complex)
+    S[..., np.arange(-k, k + 1) % Ka] = R
     return sfft.ifft(S, norm="forward", out=S)
 
 
@@ -513,13 +593,15 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
     L = grid.L
     if not (grid.M == L and grid.N == L):
         raise ValueError("sparse path requires N = M = L")
-    W1 = _analysis_spectrum(f.values, real=f.real)
+    S = _analysis_spectrum(f.values, real=f.real)
+    cols = _triangle(L, f.real)[0]
     out = CurveletWignerCoeffs.zeros(L)
     tab = halfpi_table(L)
 
     def forward_chunk(chunk):
         ells = [abs(n) for n in chunk]
-        Z = _fold_bins(_beta_to_bins(W1, chunk, max(ells)), chunk)
+        spectra = [S[:, cols[n % len(cols)]] for n in chunk]
+        Z = _fold_bins(_beta_to_bins(spectra, chunk, max(ells)), chunk)
         for n, col in zip(chunk, _wigner_columns(Z, tab, chunk, ells)):
             out.set_row(n, col)
 
@@ -556,7 +638,9 @@ def _so3_inverse_curvelet(
     """Sparse synthesis; real=True sums only n >= 0 and ends in an irfft.
 
     With a sink, the blocks of beta rows go to sink (_synthesis_blocks)
-    instead of into a returned signal, and None is returned.
+    instead of into a returned signal, and None is returned.  Without
+    one, complex samples are computed in their own cube
+    (_inverse_in_place).
     """
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
@@ -565,24 +649,54 @@ def _so3_inverse_curvelet(
         raise ValueError("sparse path requires a grid with N = M = L matching the coefficients")
     if real:
         _check_real(w.values, _impose_real_pairing)
-    K = 2 * L - 1
     tab = halfpi_table(L)
-    ns = _gamma_order(L, real)
-    out = np.empty((len(ns), L, K), dtype=complex)
+    if sink is None and not real:
+        return SO3Signal(grid, _inverse_in_place(w, tab))
+    cols, gather, _ = _triangle(L, real)
+    S = np.empty((L, len(gather)), dtype=complex)
+    S[:, -1] = 0.0
 
     def inverse_chunk(chunk):
-        cols = [w.row(n) for n in chunk]
-        planes = _column_bins(cols, tab, chunk, [abs(n) for n in chunk], L)
-        out[[n % K for n in chunk]] = _bins_to_beta(planes, L, K)
+        ells = [abs(n) for n in chunk]
+        planes = _column_bins([w.row(n) for n in chunk], tab, chunk, ells, L)
+        h = max(ells)
+        for n, ell, R in zip(chunk, ells, _bins_to_beta(planes, L)):
+            S[:, cols[n % len(cols)]] = R[:, h - ell : h + ell + 1]
 
-    _run_chunks(inverse_chunk, _batches(ns))
+    _run_chunks(inverse_chunk, _batches(_gamma_order(L, real)))
     if sink is not None:
-        _synthesis_blocks(out, real, sink)
+        _synthesis_blocks(S, real, sink)
         return None
-    # The complex samples overwrite their spectrum in place.
-    values = np.empty((K, L, K)) if real else out
-    _synthesis_blocks(out, real, _array_sink(values))
+    values = np.empty(grid.shape)
+    _synthesis_blocks(S, real, _array_sink(values))
     return SO3Signal(grid, values, real=real)
+
+
+def _inverse_in_place(w: CurveletWignerCoeffs, tab) -> np.ndarray:
+    """Complex samples of sparse coefficients, computed in their own cube.
+
+    A complex cube in memory is large enough to hold its own dense
+    spectrum, so the gamma batches write their alpha samples straight
+    into it and the gamma inverse runs in place, block by block; the
+    triangle would add half a cube of fresh memory beside the output
+    (and the page faults of touching it) without lowering the peak.
+    The result is bitwise that of the triangle path, the same 1-D FFTs
+    on the same values.
+    """
+    L = w.band_limit
+    K = 2 * L - 1
+    values = np.empty((K, L, K), dtype=complex)
+
+    def inverse_chunk(chunk):
+        planes = _column_bins([w.row(n) for n in chunk], tab, chunk, [abs(n) for n in chunk], L)
+        values[[n % K for n in chunk]] = _alpha_samples(_bins_to_beta(planes, L), K)
+
+    def inverse_block(rows):
+        sfft.ifft(values[rows], axis=0, norm="forward", out=values[rows])
+
+    _run_chunks(inverse_chunk, _batches(_gamma_order(L, False)))
+    _run_chunks(inverse_block, _beta_blocks(L))
+    return values
 
 
 def so3_inverse_curvelet(
@@ -603,11 +717,11 @@ def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCo
     L = grid.L if band_limit is None else band_limit
     if L > min(grid.L, grid.M, grid.N):
         raise ValueError(f"band limit {L} exceeds grid {grid}")
-    W1 = _analysis_spectrum(f.values)
+    W1 = _alpha_orders(sfft.fft2(f.values, axes=(0, 2), norm="forward"), L - 1)
     tab = halfpi_table(L)
     out = WignerCoeffs.zeros(L)
     for n in range(-(L - 1), L):
-        Z = _fold_bins(_beta_to_bins(W1, [n], L - 1), [n])
+        Z = _fold_bins(_beta_to_bins([W1[n % len(W1)]], [n], L - 1), [n])
         for ells in _batches(range(abs(n), L)):
             for ell, col in zip(ells, _wigner_columns(Z, tab, [n] * len(ells), ells)):
                 out.planes[ell][:, n + ell] = col
@@ -629,8 +743,8 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
             cols = [w.planes[ell][:, n + ell] for ell in ells]
             h = ells[-1]
             X[L - 1 - h : L + h] += _column_bins(cols, tab, [n] * len(ells), ells, grid.L).sum(0)
-        out[n % (2 * grid.N - 1)] = _bins_to_beta(X, grid.L, 2 * grid.M - 1)
-    _synthesis_blocks(out, False, _array_sink(out))
+        out[n % (2 * grid.N - 1)] = _alpha_samples(_bins_to_beta(X, grid.L), 2 * grid.M - 1)
+    sfft.ifft(out, axis=0, norm="forward", out=out)
     return SO3Signal(grid, out)
 
 

@@ -23,6 +23,8 @@ from numpy import fft as sfft
 from .fourier import weighted_convolve  # noqa: F401
 from .so3 import (
     _batches,
+    _alpha_orders,
+    _alpha_samples,
     _beta_to_bins,
     _bins_to_beta,
     _check_real,
@@ -197,8 +199,8 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     s = f.spin
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
-    W = sfft.fft(f.values, norm="forward")
-    Z = _fold_bins(_beta_to_bins(W[None], [-s], L - 1), [-s])
+    W = _alpha_orders(sfft.fft(f.values, norm="forward"), L - 1)
+    Z = _fold_bins(_beta_to_bins([W], [-s], L - 1), [-s])
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)
     for ells in _batches(range(abs(s), L)):
@@ -222,7 +224,7 @@ def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
         cols = [_column_scale(ell, s) * flm.degree_slice(ell) for ell in ells]
         h = ells[-1]
         X[L - 1 - h : L + h] += _column_bins(cols, tab, [-s] * len(ells), ells, L).sum(0)
-    F = _bins_to_beta(X, L, 2 * L - 1)
+    F = _alpha_samples(_bins_to_beta(X, L), 2 * L - 1)
     return SphereSignal(SphereGrid(L), s, F.real if flm.real else F, real=flm.real)
 
 

@@ -280,8 +280,9 @@ class TestBinKernel:
         K = 2 * L - 1
         W = rng.standard_normal((K, L, K)) + 1j * rng.standard_normal((K, L, K))
         ns = [-15, -3, 0, 2, 15]
-        full = so3._beta_to_bins(W, ns, L - 1)
-        narrow = so3._beta_to_bins(W, ns, h)
+        spectra = [so3._alpha_orders(W[n % K], L - 1) for n in ns]
+        full = so3._beta_to_bins(spectra, ns, L - 1)
+        narrow = so3._beta_to_bins([S[:, L - 1 - h : L + h] for S in spectra], ns, h)
         assert narrow.shape == (len(ns), 2 * h + 1, 2 * h + 1)
         centred = full[:, L - 1 - h : L + h, L - 1 - h : L + h]
         assert np.abs(narrow - centred).max() <= 1e-14 * np.abs(full).max()
@@ -289,8 +290,18 @@ class TestBinKernel:
         X = rng.standard_normal((2 * h + 1, K)) + 1j * rng.standard_normal((2 * h + 1, K))
         padded = np.zeros((K, K), complex)
         padded[L - 1 - h : L + h] = X
-        grid = so3._bins_to_beta(padded, L, K)
-        assert np.abs(so3._bins_to_beta(X, L, K) - grid).max() <= 1e-14 * np.abs(grid).max()
+        nodes = so3._bins_to_beta(padded, L)[:, L - 1 - h : L + h]
+        assert np.abs(so3._bins_to_beta(X, L) - nodes).max() <= 1e-14 * np.abs(nodes).max()
+
+    def test_orders_past_a_spectrum_width_read_as_zero(self, rng):
+        """A spectrum of orders |m| <= k < h is the full-width one with the rest zeroed."""
+        L, h = 16, 9
+        S = rng.standard_normal((L, 2 * h + 1)) + 1j * rng.standard_normal((L, 2 * h + 1))
+        for k in (0, 4, h):
+            zeroed = S.copy()
+            zeroed[:, : h - k] = zeroed[:, h + k + 1 :] = 0.0
+            got = so3._beta_to_bins([S[:, h - k : h + k + 1]], [k], h)
+            assert got.tobytes() == so3._beta_to_bins([zeroed], [k], h).tobytes()
 
     def test_forward_convolves_only_the_bins_each_chunk_reads(self, rng, monkeypatch):
         L = 32
@@ -415,6 +426,135 @@ class TestBlockStreaming:
         assert got.tobytes() == scurve.so3_forward_curvelet(f).values.tobytes()
 
 
+def dense_spectrum(values, real):
+    """The whole-cube gamma-alpha FFT that the triangle layout keeps part of."""
+    if real:
+        return np.fft.fft(np.fft.rfft(values, axis=0, norm="forward"), axis=2, norm="forward")
+    return np.fft.fft2(values, axes=(0, 2), norm="forward")
+
+
+def triangle_of(dense):
+    """The |m| <= |n| columns of a dense (gamma, beta, alpha) spectrum, gamma row by row.
+
+    Then the layout's zero column.
+    """
+    K = dense.shape[2]
+    L = (K + 1) // 2
+    runs = []
+    for g in range(len(dense)):
+        k = g if g < L else K - g
+        runs.append(dense[g][:, np.arange(-k, k + 1) % K])
+    runs.append(np.zeros((L, 1)))
+    return np.concatenate(runs, axis=1)
+
+
+class TestTriangleLayout:
+    """The curvelet gamma spectrum keeps only the alpha orders |m| <= |n|."""
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_triangle_is_the_dense_spectrum_bit_for_bit(self, rng, real):
+        L = 16
+        K = 2 * L - 1
+        values = rng.standard_normal((K, L, K))
+        if not real:
+            values = values + 1j * rng.standard_normal((K, L, K))
+        expected = triangle_of(dense_spectrum(values, real))
+        assert expected.shape == (L, L * L + 1 if real else 2 * L * L)
+        got = so3._analysis_spectrum(values, real)
+        assert got.tobytes() == expected.tobytes()
+        reader = _BlockReader(values)
+        assert so3._analysis_spectrum(reader, real).tobytes() == expected.tobytes()
+        assert sorted(reader.reads) == [(0, 8), (8, 16)]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_synthesis_is_the_dense_inverse_bit_for_bit(self, rng, real):
+        """Blocks of a triangle synthesise as the zero-filled dense spectrum does."""
+        L = 16
+        K = 2 * L - 1
+        G = L if real else K
+        dense = rng.standard_normal((G, L, K)) + 1j * rng.standard_normal((G, L, K))
+        # Zero the orders |m| > |n|, which the triangle does not hold.
+        k = np.minimum(np.arange(G), K - np.arange(G))
+        m = np.minimum(np.arange(K), K - np.arange(K))
+        dense = np.where((m <= k[:, None])[:, None, :], dense, 0.0)
+        spectrum = triangle_of(dense)
+        if real:
+            alpha = np.fft.ifft(dense, axis=2, norm="forward")
+            expected = np.fft.irfft(alpha, n=K, axis=0, norm="forward")
+        else:
+            expected = np.fft.ifft2(dense, axes=(0, 2), norm="forward")
+        got = np.empty((K, L, K), float if real else complex)
+        so3._synthesis_blocks(spectrum, real, so3._array_sink(got))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_peak_model_counts_the_spectrum_the_transforms_allocate(self, monkeypatch, rng, real):
+        L = 16
+        grid = scurve.SO3Grid(L, L, L)
+        if real:
+            w = sparse_with_real_symmetry(L, rng)
+            inverse = scurve.so3_inverse_curvelet_real
+        else:
+            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            inverse = scurve.so3_inverse_curvelet
+        f = inverse(w, grid)
+
+        def discard(rows, fill):
+            fill(np.empty(f.values[rows].shape, f.values.dtype))
+
+        sizes = []
+        for name in ("_analysis_spectrum", "_synthesis_blocks"):
+            def spy(*args, _fn=getattr(so3, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                sizes.append((out if out is not None else args[0]).nbytes)
+                return out
+
+            monkeypatch.setattr(so3, name, spy)
+        scurve.so3_forward_curvelet(f)
+        inverse(w, grid, sink=discard)
+        assert sizes == [so3._curvelet_peak_parts(L, real, 1)["spectrum"]] * 2
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_traced_peak_holds_the_triangle_not_the_dense_spectrum(
+        self, monkeypatch, rng, real
+    ):
+        """One worker's traced peak above the input, forward and inverse, at L = 64.
+
+        The bound is the triangle, one forward chunk's padded planes and
+        one dense complex beta block: below either transform's peak with
+        the dense spectrum, which alone is 1.97 (real) or 3.94 (complex)
+        times the triangle.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        L = 64
+        K = 2 * L - 1
+        grid = scurve.SO3Grid(L, L, L)
+        if real:
+            w = sparse_with_real_symmetry(L, rng)
+            inverse = scurve.so3_inverse_curvelet_real
+        else:
+            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            inverse = scurve.so3_inverse_curvelet
+        f = inverse(w, grid)
+        scurve.so3_forward_curvelet(f)  # the cached tables, untraced
+
+        def discard(rows, fill):
+            fill(np.empty(f.values[rows].shape, f.values.dtype))
+
+        peaks = []
+        for run in (lambda: scurve.so3_forward_curvelet(f), lambda: inverse(w, grid, sink=discard)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        triangle = L * (L * L + 1 if real else 2 * L * L) * 16
+        chunk = so3._CHUNK * K * fourier._next_fast_len(4 * L - 3) * 16
+        block = so3._BETA_BLOCK * K * K * 16
+        assert max(peaks) <= triangle + chunk + block
+
+
 class TestChunkPool:
     """The gamma chunks run on fft_workers() threads without changing a bit."""
 
@@ -506,7 +646,9 @@ class TestChunkPool:
             peaks[threads] = traced_peak(round_trip)
         W1 = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, grid).values)
         widest = so3._gamma_order(L, False)[-so3._CHUNK :]
-        one_chunk = traced_peak(lambda: so3._beta_to_bins(W1, widest, L - 1))
+        cols = so3._triangle(L, False)[0]
+        spectra = [W1[:, cols[n % len(cols)]] for n in widest]
+        one_chunk = traced_peak(lambda: so3._beta_to_bins(spectra, widest, L - 1))
         # The chunk's planes padded to about twice their length for the
         # convolution, in one buffer: about two stacks of planes.
         planes = so3._CHUNK * (2 * L - 1) ** 2 * 16
