@@ -25,10 +25,8 @@ from .so3 import (
     WignerCoeffs,
     so3_forward_curvelet,
     so3_forward_curvelet_real,
-    so3_forward_general,
     so3_inverse_curvelet,
     so3_inverse_curvelet_real,
-    so3_inverse_general,
 )
 from .sphere import (
     HarmonicCoeffs,
@@ -124,10 +122,8 @@ __all__ = [
     "smooth_step_k",
     "so3_forward_curvelet",
     "so3_forward_curvelet_real",
-    "so3_forward_general",
     "so3_inverse_curvelet",
     "so3_inverse_curvelet_real",
-    "so3_inverse_general",
     "synthesize",
     "synthesize_real",
     "wigner_d_edge_columns",

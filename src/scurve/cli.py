@@ -22,10 +22,13 @@ analyze, synthesize and sparsity hold no whole scale signal: they stream
 each scale's samples, one block of beta rows at a time, into or out of
 the container, or reduce them to its histogram.  Before building the
 tiling they estimate their peak memory from the band limit, the real
-flag and the worker count; when that exceeds what the process could
-reach (MemAvailable plus SwapFree, lowered by the room left in its
-cgroup-v2 group, its cgroup-v1 memory group and their ancestors), they
-exit 3 with both numbers and write nothing.
+flag and the worker count (analyze and sparsity before a PGM is even
+read); roundtrip and bench, which hold every scale in memory, add the
+scale cubes at their largest band limit.  When the estimate exceeds
+what the process could reach (MemAvailable plus SwapFree, lowered by
+the room left in its cgroup-v2 group, its cgroup-v1 memory group and
+their ancestors), the command exits 3 with both numbers and writes
+nothing.
 Random test signals come from numpy's default PCG64 generator, seeded by
 --seed, so every run is reproducible.
 """
@@ -148,8 +151,14 @@ def _make_params(args, band_limit: int, spin: int) -> TilingParams:
     return TilingParams(band_limit, spin, args.lam, args.jmin)
 
 
-def _load_sphere_input(path: str, args):
-    """Sphere signal from an SCRV1 container or a binary PGM image."""
+def _load_sphere_input(path: str, args, magnitudes: bool = False):
+    """(signal, tiling params, pre-flight note) of an SCRV1 sphere container or a binary PGM.
+
+    The pre-flight (_preflight, given magnitudes) runs as soon as the
+    band limit and the real flag are known.  A PGM is real and sampled at
+    --L, so it runs before the image is read and resampled, whose
+    temporaries grow with --L; a container's sphere is read first.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(container.MAGIC))
     if magic[:2] == b"P5":
@@ -157,15 +166,17 @@ def _load_sphere_input(path: str, args):
             raise UsageError("--L is required for PGM input")
         if args.spin not in (None, 0):
             raise UsageError("PGM input is real-valued and spin 0")
+        if args.clip is not None and not 0.0 < args.clip <= 100.0:
+            raise UsageError("--clip expects a percentile in (0, 100]")
+        params = _make_params(args, args.L, 0)
+        estimate = _preflight(args.L, True, magnitudes)
         image = container.read_pgm(path)
         if args.clip is not None:
-            if not 0.0 < args.clip <= 100.0:
-                raise UsageError("--clip expects a percentile in (0, 100]")
             image = np.minimum(image, np.percentile(image, args.clip))
         if args.rescale:
             lo, hi = float(image.min()), float(image.max())
             image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
-        return container.resample_to_sphere(image, args.L)
+        return container.resample_to_sphere(image, args.L), params, estimate
     if magic != container.MAGIC:
         raise container.ContainerError(f"{path}: neither an SCRV1 container nor a P5 image")
     if args.clip is not None or args.rescale:
@@ -177,7 +188,8 @@ def _load_sphere_input(path: str, args):
         )
     if args.spin is not None and args.spin != f.spin:
         raise ValueError(f"--spin {args.spin} disagrees with the container spin {f.spin}")
-    return f
+    params = _make_params(args, f.grid.band_limit, f.spin)
+    return f, params, _preflight(params.band_limit, f.real, magnitudes)
 
 
 def cmd_tiling(args) -> int:
@@ -365,14 +377,15 @@ def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int
     return min(room) + held
 
 
-def _preflight(band_limit: int, real: bool, magnitudes: bool = False) -> dict:
+def _preflight(band_limit: int, real: bool, magnitudes: bool = False, held: int = 0) -> dict:
     """{"estimated_peak_mib": ...}, or ValueError if that cannot fit.
 
     Runs before the tiling, the half-pi table or any scale is built, so a
     refused command allocates nothing large and writes nothing.
-    magnitudes is passed on to _estimated_peak_mib.
+    magnitudes is passed on to _estimated_peak_mib; held adds the bytes a
+    command keeps beside one streamed transform (_held_cube_bytes).
     """
-    estimate = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes)
+    estimate = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes) + held / 2**20
     available = _available_memory()
     if available is not None and estimate * 2**20 > available:
         raise ValueError(
@@ -383,9 +396,7 @@ def _preflight(band_limit: int, real: bool, magnitudes: bool = False) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    f = _load_sphere_input(args.input, args)
-    params = _make_params(args, f.grid.band_limit, f.spin)
-    estimate = _preflight(params.band_limit, f.real)
+    f, params, estimate = _load_sphere_input(args.input, args)
     t = build_tiling(params)
     stream = _analysis_stream(f, t, True)
     container.write_coeffs(
@@ -446,9 +457,30 @@ def _check_spin_fits(args) -> None:
         raise UsageError("--spin must be smaller than the smallest band limit")
 
 
+def _held_cube_bytes(params: TilingParams) -> int:
+    """Bytes of the complex scale cubes an in-memory analyze holds at once.
+
+    One (2Lj-1, Lj, 2Lj-1) cube per scale j, each at its own band limit.
+    """
+    scales = range(params.j_min, params.j_max + 1)
+    return sum(16 * (2 * Lj - 1) ** 2 * Lj for Lj in (scale_band_limit(params, j) for j in scales))
+
+
+def _preflight_in_memory(args) -> None:
+    """Pre-flight of roundtrip and bench, at their largest band limit.
+
+    Their complex analyze and synthesize hold every scale cube beside the
+    transform running on one of them, so a band limit that cannot fit
+    exits 3 before any is built.
+    """
+    params = _make_params(args, max(args.L), args.spin)
+    _preflight(params.band_limit, False, held=_held_cube_bytes(params))
+
+
 def cmd_roundtrip(args) -> int:
     _check_repeats(args)
     _check_spin_fits(args)
+    _preflight_in_memory(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     for L in args.L:
@@ -471,6 +503,7 @@ def cmd_roundtrip(args) -> int:
 def cmd_bench(args) -> int:
     _check_repeats(args)
     _check_spin_fits(args)
+    _preflight_in_memory(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     for L in args.L:
@@ -535,9 +568,7 @@ def _magnitudes(pending) -> np.ndarray:
 def cmd_sparsity(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
-    f = _load_sphere_input(args.input, args)
-    params = _make_params(args, f.grid.band_limit, f.spin)
-    _preflight(params.band_limit, f.real, magnitudes=True)
+    f, params, _ = _load_sphere_input(args.input, args, magnitudes=True)
     t = build_tiling(params)
     signals = _analysis_stream(f, t, True)
     next(signals)  # the scaling signal; only the scales are histogrammed

@@ -79,6 +79,39 @@ class ContainerError(RuntimeError):
     """Malformed, truncated or inconsistent container data."""
 
 
+# The type of each scalar header field: int an integer (not a bool),
+# bool true or false, float a finite number (an integer included).
+_SCALARS = {
+    "L": int, "spin": int, "J0": int, "J": int, "lambda": float, "real": bool, "multires": bool,
+}
+_TYPE_NAMES = {int: "an integer", bool: "true or false", float: "a finite number"}
+
+
+def _header_scalars(path, header: dict, kind: str, keys) -> list:
+    """The header's values of keys, each of its _SCALARS type; ContainerError otherwise.
+
+    Only an integer lambda is converted (to float); nothing else is
+    coerced: "spin": 2.9, "spin": true and "L": 4.0 are refused, not read
+    as 2, 1 and 4.
+    """
+    values = []
+    for key in keys:
+        if key not in header:
+            raise ContainerError(f"{path}: incomplete {kind} header: no {key!r}")
+        value, want = header[key], _SCALARS[key]
+        if want is float and type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+        if not (type(value) is want and (want is not float or math.isfinite(value))):
+            raise ContainerError(
+                f"{path}: header field {key!r} must be {_TYPE_NAMES[want]}, got {value!r}"
+            )
+        values.append(value)
+    return values
+
+
 def _payload_code(values: np.ndarray) -> str:
     return "<c16" if np.iscomplexobj(values) else "<f8"
 
@@ -349,12 +382,7 @@ def read_sphere(path) -> SphereSignal:
     with _open_container(path) as (header, _, read):
         if header.get("kind") != "sphere":
             raise ContainerError(f"{path}: not a sphere container")
-        try:
-            L = int(header["L"])
-            spin = int(header["spin"])
-            real = bool(header["real"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContainerError(f"{path}: incomplete sphere header: {exc}") from None
+        L, spin, real = _header_scalars(path, header, "sphere", ("L", "spin", "real"))
         values = read("values")
     if real and np.iscomplexobj(values):
         raise ContainerError(f"{path}: real-flagged payload stored as complex")
@@ -470,17 +498,12 @@ def _read_coeff_stream(path):
     with _open_container(path) as (header, table, read):
         if header.get("kind") != "curvelet":
             raise ContainerError(f"{path}: not a curvelet-coefficient container")
+        *fields, multires, real = _header_scalars(
+            path, header, "coefficient", ("L", "spin", "lambda", "J0", "J", "multires", "real")
+        )
         try:
-            params = TilingParams(
-                int(header["L"]),
-                int(header["spin"]),
-                float(header["lambda"]),
-                int(header["J0"]),
-                int(header["J"]),
-            )
+            params = TilingParams(*fields)
             frame = header["frame"]
-            multires = bool(header["multires"])
-            real = bool(header["real"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ContainerError(f"{path}: incomplete coefficient header: {exc}") from None
 

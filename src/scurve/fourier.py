@@ -5,8 +5,8 @@ onto signed Fourier bins with no Nyquist ambiguity.  Colatitude is the
 delicate direction: its nodes only cover half a period, so the bin kernel
 in so3.py extends them through the poles before transforming.  This
 module holds what the kernel shares with the rest of the package: the FFT
-worker count, and the exact sin(beta) weighting applied as a convolution
-over centred colatitude bins.
+worker count, and the exact sin(beta) weighting, applied in place as a
+convolution over the kernel's padded buffer of colatitude bins.
 """
 
 from __future__ import annotations
@@ -79,43 +79,23 @@ def _kernel_fft(L: int, h: int) -> tuple:
     return pad, kernel
 
 
-def weighted_convolve(
-    spectrum: np.ndarray, axis: int = 0, h: int | None = None, L: int | None = None
-):
-    """Apply the exact sin(beta) quadrature weights in the bin domain.
+def weighted_convolve(buf: np.ndarray, h: int, L: int) -> np.ndarray:
+    """Apply the exact sin(beta) quadrature weights in the bin domain, in place.
 
-    spectrum holds the centred bins m'' = -(L-1)..L-1 along axis (length
-    2L-1); the result keeps the 2h+1 centred bins |m'| <= h (h defaults to
-    L-1, every bin), out[m'] = sum_m'' spectrum[m''] w(m'' - m').  The
-    convolution runs circularly at a padded length >= 2L-1+2h, which is
-    alias-free at 2L-1+2h: the kernel spans |m'' - m'| <= L-1+h.
-
-    Given L, spectrum is instead that padded buffer along axis, with the
-    bins in FFT order (m'' >= 0 from the front, m'' < 0 at the back, zeros
-    between), and is transformed in place; the bin kernel in so3.py fills
-    one so the convolution needs no copy.  Either way the convolution
-    runs on one buffer and the result is a view of it.
+    buf holds, along its last axis, the centred bins m'' = -(L-1)..L-1 in
+    FFT order at the padded length of _kernel_fft(L, h): m'' >= 0 from the
+    front, m'' < 0 at the back, zeros between; the bin kernel in so3.py
+    fills one so the convolution needs no copy.  The result is a view of
+    buf holding the 2h+1 centred bins |m'| <= h, out[m'] = sum_m''
+    bin[m''] w(m'' - m').  The circular convolution at a padded length
+    >= 2L-1+2h is alias-free: the kernel spans |m'' - m'| <= L-1+h.
     """
-    spectrum = np.moveaxis(np.asarray(spectrum), axis, -1)
-    padded = L is not None
-    if not padded:
-        K = spectrum.shape[-1]
-        L = (K + 1) // 2
-        if K != 2 * L - 1:
-            raise ValueError(f"expected odd bin count, got {K}")
-    h = L - 1 if h is None else h
     if not 0 <= h < L:
         raise ValueError(f"kept half-width {h} out of range for {2 * L - 1} bins")
     pad, kernel = _kernel_fft(L, h)
-    if padded:
-        if spectrum.shape[-1] != pad:
-            raise ValueError(f"expected a buffer of {pad} bins, got {spectrum.shape[-1]}")
-        buf = spectrum
-    else:
-        buf = np.zeros(spectrum.shape[:-1] + (pad,), dtype=complex)
-        buf[..., :L] = spectrum[..., L - 1 :]
-        buf[..., pad - L + 1 :] = spectrum[..., : L - 1]
+    if buf.shape[-1] != pad:
+        raise ValueError(f"expected a buffer of {pad} bins, got {buf.shape[-1]}")
     sfft.fft(buf, out=buf)
     buf *= kernel
     sfft.ifft(buf, out=buf)
-    return np.moveaxis(buf[..., L - 1 : L + 2 * h], -1, axis)
+    return buf[..., L - 1 : L + 2 * h]

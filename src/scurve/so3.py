@@ -4,12 +4,11 @@ Sampling mirrors the sphere layout: odd counts along the two periodic
 Euler angles, offset nodes along the colatitude-like second angle.  A
 signal cube is indexed (gamma, beta, alpha).
 
-Two coefficient layouts exist.  WignerCoeffs stores full (2l+1)^2 planes
-and pairs with the general transforms, which cost O(L^4) and serve as the
-reference path.  CurveletWignerCoeffs keeps only the two outermost
-columns n = +-l of every degree, the support of directional analysis
-signals; its transforms drop to O(L^3 log L) because each gamma frequency
-n then touches exactly one degree.
+The transforms run on CurveletWignerCoeffs, which keep only the two
+outermost columns n = +-l of every degree, the support of directional
+analysis signals; they cost O(L^3 log L) because each gamma frequency n
+then touches exactly one degree.  WignerCoeffs holds full (2l+1)^2
+planes, the layout rotate_to_north returns.
 
 Every transform runs on one colatitude-bin kernel (_beta_to_bins and its
 inverse _bins_to_beta), which moves a stack of centred alpha spectra at
@@ -21,9 +20,9 @@ stack, padded for the convolution, and keeps only the 2h+1 beta bins
 |m'| <= h.  The curvelet transforms batch gamma frequencies in order of
 |n| and pass each batch's largest |n|, which brings their beta work
 towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
-the sphere and general transforms read every degree and pass the full
-width.  The batches run on a pool of fft_workers() threads, and so do
-the whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
+the sphere transforms read every degree and pass the full width.  The
+batches run on a pool of fft_workers() threads, and so do the
+whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
 batch or block writes only its own rows, so results are bitwise the same
 for any worker count.
 
@@ -44,8 +43,8 @@ nodes, only that triangle (_triangle), T = 2L^2 - 1 columns in all
 (L^2 when real, n >= 0 only) against (2L-1)^2 for the dense plane, and
 one column of zeros for the orders outside it.  Gamma frequency n owns
 one run of 2|n|+1 columns, centred on m = 0, and the bin kernel reads
-or writes it in place.  The sphere and general
-transforms hand the kernel full-width rows instead, |m| <= L-1.
+or writes it in place.  The sphere transforms hand the kernel full-width
+rows instead, |m| <= L-1.
 
 The FFTs over gamma and alpha are the only steps that touch the
 samples, and they run per block of beta rows, each in a dense block of
@@ -81,10 +80,8 @@ __all__ = [
     "WignerCoeffs",
     "so3_forward_curvelet",
     "so3_forward_curvelet_real",
-    "so3_forward_general",
     "so3_inverse_curvelet",
     "so3_inverse_curvelet_real",
-    "so3_inverse_general",
 ]
 
 # Gamma frequencies are processed in batches so the extension and FFT work
@@ -188,15 +185,6 @@ class WignerCoeffs:
     def zeros(cls, L: int) -> "WignerCoeffs":
         return cls(L, [np.zeros((2 * ell + 1, 2 * ell + 1), complex) for ell in range(L)])
 
-    @classmethod
-    def random(cls, L: int, rng: np.random.Generator) -> "WignerCoeffs":
-        planes = [
-            rng.uniform(-1, 1, (2 * ell + 1, 2 * ell + 1))
-            + 1j * rng.uniform(-1, 1, (2 * ell + 1, 2 * ell + 1))
-            for ell in range(L)
-        ]
-        return cls(L, planes)
-
 
 @dataclass
 class CurveletWignerCoeffs:
@@ -224,21 +212,6 @@ class CurveletWignerCoeffs:
     def zeros(cls, L: int) -> "CurveletWignerCoeffs":
         return cls(L, np.zeros((2, L, 2 * L - 1), complex))
 
-    @classmethod
-    def random(cls, L: int, rng: np.random.Generator) -> "CurveletWignerCoeffs":
-        out = cls.zeros(L)
-        c = L - 1
-        for ell in range(L):
-            width = 2 * ell + 1
-            out.values[0, ell, c - ell : c + ell + 1] = rng.uniform(
-                -1, 1, width
-            ) + 1j * rng.uniform(-1, 1, width)
-            if ell > 0:
-                out.values[1, ell, c - ell : c + ell + 1] = rng.uniform(
-                    -1, 1, width
-                ) + 1j * rng.uniform(-1, 1, width)
-        return out
-
     def row(self, n: int) -> np.ndarray:
         """View of the m-row paired with gamma frequency n (degree |n|)."""
         ell = abs(n)
@@ -249,14 +222,6 @@ class CurveletWignerCoeffs:
 
     def set_row(self, n: int, row: np.ndarray) -> None:
         self.row(n)[:] = row
-
-    def densify(self) -> WignerCoeffs:
-        dense = WignerCoeffs.zeros(self.band_limit)
-        for ell in range(self.band_limit):
-            dense.planes[ell][:, 2 * ell] = self.row(ell)
-            if ell > 0:
-                dense.planes[ell][:, 0] = self.row(-ell)
-        return dense
 
 
 def _beta_blocks(L: int) -> list:
@@ -454,7 +419,7 @@ def _beta_to_bins(spectra, ns, h: int) -> np.ndarray:
     np.multiply(buf[..., L:K], phase[: L - 1], out=buf[..., pad - L + 1 :])
     buf[..., :L] *= phase[L - 1 :]
     buf[..., L : pad - L + 1] = 0.0
-    return weighted_convolve(buf, axis=-1, h=h, L=L).swapaxes(1, 2)
+    return weighted_convolve(buf, h, L).swapaxes(1, 2)
 
 
 def _bins_to_beta(B: np.ndarray, L: int) -> np.ndarray:
@@ -709,43 +674,6 @@ def so3_inverse_curvelet(
     passes one that writes each block into its container.
     """
     return _so3_inverse_curvelet(w, grid, False, sink)
-
-
-def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCoeffs:
-    """Dense forward Wigner transform, O(L^4); the reference path."""
-    grid = f.grid
-    L = grid.L if band_limit is None else band_limit
-    if L > min(grid.L, grid.M, grid.N):
-        raise ValueError(f"band limit {L} exceeds grid {grid}")
-    W1 = _alpha_orders(sfft.fft2(f.values, axes=(0, 2), norm="forward"), L - 1)
-    tab = halfpi_table(L)
-    out = WignerCoeffs.zeros(L)
-    for n in range(-(L - 1), L):
-        Z = _fold_bins(_beta_to_bins([W1[n % len(W1)]], [n], L - 1), [n])
-        for ells in _batches(range(abs(n), L)):
-            for ell, col in zip(ells, _wigner_columns(Z, tab, [n] * len(ells), ells)):
-                out.planes[ell][:, n + ell] = col
-    return out
-
-
-def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
-    """Dense synthesis onto the grid, O(L^4); the reference path."""
-    if isinstance(w, CurveletWignerCoeffs):
-        raise TypeError("dense synthesis requires WignerCoeffs; use densify() first")
-    L = w.band_limit
-    if L > min(grid.L, grid.M, grid.N):
-        raise ValueError(f"band limit {L} exceeds grid {grid}")
-    tab = halfpi_table(L)
-    out = np.zeros(grid.shape, dtype=complex)
-    for n in range(-(L - 1), L):
-        X = np.zeros((2 * L - 1, 2 * grid.L - 1), dtype=complex)
-        for ells in _batches(range(abs(n), L)):
-            cols = [w.planes[ell][:, n + ell] for ell in ells]
-            h = ells[-1]
-            X[L - 1 - h : L + h] += _column_bins(cols, tab, [n] * len(ells), ells, grid.L).sum(0)
-        out[n % (2 * grid.N - 1)] = _alpha_samples(_bins_to_beta(X, grid.L), 2 * grid.M - 1)
-    sfft.ifft(out, axis=0, norm="forward", out=out)
-    return SO3Signal(grid, out)
 
 
 def so3_forward_curvelet_real(f: SO3Signal) -> CurveletWignerCoeffs:

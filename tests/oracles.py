@@ -5,10 +5,15 @@ exact-arithmetic Wigner elements, brute-force quadrature.  The fast paths
 under test are avoided except where a docstring says otherwise.
 
 The exact Wigner elements (``wigner_d_sum``, ``wigner_D``,
-``spin_sph_harm`` and their ``EulerAngles``) and the dense scale-signal
-route ``analyze_north_validation`` are the references for the library's
-half-pi recursion and fast curvelet transforms; the library itself never
-calls them.
+``spin_sph_harm`` and their ``EulerAngles``), the dense O(L^4) Wigner
+transforms ``so3_forward_general`` and ``so3_inverse_general`` (with
+``densify`` and the random coefficient draws they are fed), and the dense
+scale-signal route ``analyze_north_validation`` are the references for
+the library's half-pi recursion and fast curvelet transforms; the library
+itself never calls them.  The dense transforms run on the library's
+colatitude-bin kernel, so they check the curvelet transforms' column
+bookkeeping and batching, not the kernel itself; the direct summations
+below pin that down.
 """
 
 import cmath
@@ -17,12 +22,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy import fft as sfft
 
 from scurve import HarmonicCoeffs, SphereGrid, SphereSignal, sht_forward, sht_inverse
-from scurve.so3 import SO3Grid, SO3Signal, so3_inverse_general
+from scurve.so3 import (
+    CurveletWignerCoeffs,
+    SO3Grid,
+    SO3Signal,
+    WignerCoeffs,
+    _alpha_orders,
+    _alpha_samples,
+    _batches,
+    _beta_to_bins,
+    _bins_to_beta,
+    _column_bins,
+    _fold_bins,
+    _wigner_columns,
+)
 from scurve.tiling import Tiling
 from scurve.transform import _check_signal, _scale_wigner, rotate_to_north, scale_band_limit
-from scurve.wigner import _check_orders, weight_kernel
+from scurve.wigner import _check_orders, halfpi_table, weight_kernel
 
 
 @dataclass(frozen=True)
@@ -128,6 +147,79 @@ def spin_sph_harm(ell: int, m: int, s: int, omega) -> complex:
     d = wigner_d_sum(ell, m, -s, theta)
     amp = (-1.0 if s % 2 else 1.0) * math.sqrt((2 * ell + 1) / (4.0 * math.pi))
     return amp * d * cmath.exp(1j * m * phi)
+
+
+def random_wigner_coeffs(L: int, rng: np.random.Generator) -> WignerCoeffs:
+    """Dense coefficients with real and imaginary parts uniform on [-1, 1]."""
+    planes = [
+        rng.uniform(-1, 1, (2 * ell + 1, 2 * ell + 1))
+        + 1j * rng.uniform(-1, 1, (2 * ell + 1, 2 * ell + 1))
+        for ell in range(L)
+    ]
+    return WignerCoeffs(L, planes)
+
+
+def random_curvelet_wigner_coeffs(L: int, rng: np.random.Generator) -> CurveletWignerCoeffs:
+    """Outer-column coefficients with parts uniform on [-1, 1], degree by degree."""
+    out = CurveletWignerCoeffs.zeros(L)
+    c = L - 1
+    for ell in range(L):
+        width = 2 * ell + 1
+        out.values[0, ell, c - ell : c + ell + 1] = rng.uniform(
+            -1, 1, width
+        ) + 1j * rng.uniform(-1, 1, width)
+        if ell > 0:
+            out.values[1, ell, c - ell : c + ell + 1] = rng.uniform(
+                -1, 1, width
+            ) + 1j * rng.uniform(-1, 1, width)
+    return out
+
+
+def densify(w: CurveletWignerCoeffs) -> WignerCoeffs:
+    """Dense planes holding the outer columns n = +-ell of w, zero elsewhere."""
+    dense = WignerCoeffs.zeros(w.band_limit)
+    for ell in range(w.band_limit):
+        dense.planes[ell][:, 2 * ell] = w.row(ell)
+        if ell > 0:
+            dense.planes[ell][:, 0] = w.row(-ell)
+    return dense
+
+
+def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCoeffs:
+    """Dense forward Wigner transform, O(L^4); the reference path."""
+    grid = f.grid
+    L = grid.L if band_limit is None else band_limit
+    if L > min(grid.L, grid.M, grid.N):
+        raise ValueError(f"band limit {L} exceeds grid {grid}")
+    W1 = _alpha_orders(sfft.fft2(f.values, axes=(0, 2), norm="forward"), L - 1)
+    tab = halfpi_table(L)
+    out = WignerCoeffs.zeros(L)
+    for n in range(-(L - 1), L):
+        Z = _fold_bins(_beta_to_bins([W1[n % len(W1)]], [n], L - 1), [n])
+        for ells in _batches(range(abs(n), L)):
+            for ell, col in zip(ells, _wigner_columns(Z, tab, [n] * len(ells), ells)):
+                out.planes[ell][:, n + ell] = col
+    return out
+
+
+def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
+    """Dense synthesis onto the grid, O(L^4); the reference path."""
+    if isinstance(w, CurveletWignerCoeffs):
+        raise TypeError("dense synthesis requires WignerCoeffs; use densify() first")
+    L = w.band_limit
+    if L > min(grid.L, grid.M, grid.N):
+        raise ValueError(f"band limit {L} exceeds grid {grid}")
+    tab = halfpi_table(L)
+    out = np.zeros(grid.shape, dtype=complex)
+    for n in range(-(L - 1), L):
+        X = np.zeros((2 * L - 1, 2 * grid.L - 1), dtype=complex)
+        for ells in _batches(range(abs(n), L)):
+            cols = [w.planes[ell][:, n + ell] for ell in ells]
+            h = ells[-1]
+            X[L - 1 - h : L + h] += _column_bins(cols, tab, [n] * len(ells), ells, grid.L).sum(0)
+        out[n % (2 * grid.N - 1)] = _alpha_samples(_bins_to_beta(X, grid.L), 2 * grid.M - 1)
+    sfft.ifft(out, axis=0, norm="forward", out=out)
+    return SO3Signal(grid, out)
 
 
 def analyze_north_validation(

@@ -64,6 +64,7 @@ def test_round_trip_reaches_traced_bindings(tracer, layer):
     silently zero the benchmark's per-layer metrics; this catches it.
     """
     import numpy as np
+    import oracles
     import scurve
 
     L = 4
@@ -74,7 +75,7 @@ def test_round_trip_reaches_traced_bindings(tracer, layer):
         def run():
             scurve.sht_forward(scurve.sht_inverse(flm))
     else:
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
 
         def run():
             scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))

@@ -435,6 +435,45 @@ class TestPreflight:
         monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) + 1)
         assert run(self.argv(command, inputs, tmp_path / "out")) == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "sparsity"])
+    def test_pgm_is_refused_before_it_is_resampled(self, tmp_path, capsys, monkeypatch, command):
+        img = tmp_path / "img.pgm"
+        img.write_bytes(b"P5\n8 4\n255\n" + bytes(range(32)))
+        resampled = []
+        monkeypatch.setattr(container, "resample_to_sphere", lambda *a: resampled.append(a))
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2**20)
+        before = sorted(tmp_path.iterdir())
+        assert run([command, str(img), "--L", "8", "--out", str(tmp_path / "out")]) == 3
+        assert "estimated peak memory" in capsys.readouterr().err
+        assert resampled == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["roundtrip", "bench"])
+    def test_in_memory_budget_counts_every_scale_cube(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """The estimate at the largest band limit adds one complex cube per scale.
+
+        A refused command writes nothing.
+        """
+        params = scurve.TilingParams(8, 1, 2.0, 1)
+        cubes = sum(
+            16 * (2 * Lj - 1) ** 2 * Lj
+            for Lj in (scurve.scale_band_limit(params, j) for j in range(1, params.j_max + 1))
+        )
+        assert cli._held_cube_bytes(params) == cubes
+        estimate = cli._estimated_peak_mib(8, False, fourier.fft_workers()) * 2**20 + cubes
+        out = tmp_path / "table.csv"
+        argv = [command, "--L", "8,4", "--spin", "1", "--jmin", "1", "--repeats", "1"]
+        argv += ["--out", str(out)]
+        monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) - 1)
+        assert run(argv) == 3
+        assert "estimated peak memory" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) + 1)
+        assert run(argv) == 0
+        assert out.exists()
+
     def test_notes_report_the_estimate(self, tmp_path, inputs, capsys):
         assert run(self.argv("synthesize", inputs, tmp_path / "g.scrv")) == 0
         note = json.loads(capsys.readouterr().out)

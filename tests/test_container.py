@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -10,6 +11,7 @@ import types
 import numpy as np
 import pytest
 
+import oracles
 import scurve
 from scurve import container, so3, transform
 
@@ -222,6 +224,49 @@ class TestContainerHardening:
         with pytest.raises(container.ContainerError, match="must be strings"):
             container.read_sphere(path)
 
+    @pytest.mark.parametrize(
+        "kind, fields",
+        [
+            ("sphere", {"L": 4.0}),
+            ("sphere", {"L": "4"}),
+            ("sphere", {"spin": 2.9}),
+            ("sphere", {"spin": True}),
+            ("sphere", {"real": 0}),
+            ("sphere", {"real": None}),
+            ("curvelet", {"L": 8.0}),
+            ("curvelet", {"spin": False}),
+            ("curvelet", {"J0": 1.5}),
+            ("curvelet", {"J": "3"}),
+            ("curvelet", {"lambda": True}),
+            ("curvelet", {"lambda": "2.0"}),
+            ("curvelet", {"lambda": math.nan}),
+            ("curvelet", {"lambda": 10**400}),
+            ("curvelet", {"multires": 1}),
+            ("curvelet", {"real": "false"}),
+        ],
+    )
+    def test_mistyped_header_scalars(self, tmp_path, rng, kind, fields):
+        """Header scalars are read as they are typed, never coerced."""
+        path = tmp_path / "f.scrv"
+        if kind == "sphere":
+            self.write_valid(path, rng)
+            read = container.read_sphere
+        else:
+            container.write_coeffs(path, make_coeffs(8, 0, rng)[0])
+            read = container.read_coeffs
+        read(path)
+        rewrite_header(path, lambda h: h.update(fields))
+        with pytest.raises(container.ContainerError, match=f"{next(iter(fields))!r} must be"):
+            read(path)
+
+    def test_integer_lambda_reads_as_float(self, tmp_path, rng):
+        path = tmp_path / "c.scrv"
+        c, _ = make_coeffs(8, 0, rng, lam=2)
+        container.write_coeffs(path, c)
+        assert type(container.read_container(path)[0]["lambda"]) is int
+        lam = container.read_coeffs(path).params.lam
+        assert type(lam) is float and lam == 2.0
+
     def test_duplicate_sections(self, tmp_path, rng):
         path = tmp_path / "f.scrv"
         self.write_valid(path, rng)
@@ -399,7 +444,7 @@ class TestBlockIO:
 
     def pending(self, rng):
         grid = scurve.SO3Grid(self.L, self.L, self.L)
-        w = scurve.CurveletWignerCoeffs.random(self.L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(self.L, rng)
         emit = functools.partial(scurve.so3_inverse_curvelet, w, grid)
         return transform._PendingSignal(grid, False, emit), emit().values
 

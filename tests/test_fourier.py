@@ -10,62 +10,50 @@ from scurve import fourier
 
 
 class TestWeightedConvolve:
-    def test_fft_matches_direct(self, rng):
-        for L in (1, 2, 3, 8, 16):
-            spec = rng.standard_normal(2 * L - 1) + 1j * rng.standard_normal(2 * L - 1)
-            fast = fourier.weighted_convolve(spec)
-            slow = oracles.dense_weighted_convolve(spec)
-            assert np.abs(fast - slow).max() <= 1e-11
-
-    def test_multidim_axis(self, rng):
-        L = 9
-        spec = rng.standard_normal((4, 2 * L - 1, 3)) + 0j
-        fast = fourier.weighted_convolve(spec, axis=1)
-        slow = oracles.dense_weighted_convolve(spec, axis=1)
-        assert fast.shape == spec.shape
-        assert np.abs(fast - slow).max() <= 1e-11
+    @staticmethod
+    def padded(spec, L, h):
+        """The centred bins of spec (last axis) in FFT order at the padded length."""
+        pad = fourier._kernel_fft(L, h)[0]
+        buf = np.zeros(spec.shape[:-1] + (pad,), complex)
+        buf[..., :L] = spec[..., L - 1 :]
+        buf[..., pad - L + 1 :] = spec[..., : L - 1]
+        return buf
 
     def test_single_bin(self):
         # L = 1: only the m' = 0 bin, weight 2
-        out = fourier.weighted_convolve(np.array([3.0 + 0j]))
+        out = fourier.weighted_convolve(np.array([3.0 + 0j]), 0, 1)
         np.testing.assert_allclose(out, [6.0 + 0j])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fourier.weighted_convolve(np.zeros(4, dtype=complex))
 
     @pytest.mark.parametrize("L", [1, 2, 5, 16])
     def test_band_limited_output_matches_direct(self, rng, L):
-        """Keeping the bins |m'| <= h gives that slice of the full convolution."""
-        spec = rng.standard_normal((3, 2 * L - 1)) + 1j * rng.standard_normal((3, 2 * L - 1))
-        slow = oracles.dense_weighted_convolve(spec, axis=1)
+        """Keeping the bins |m'| <= h of a stack of planes gives that slice of the convolution."""
+        shape = (3, 2, 2 * L - 1)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        slow = oracles.dense_weighted_convolve(spec, axis=-1)
         for h in range(L):
-            fast = fourier.weighted_convolve(spec, axis=1, h=h)
-            assert fast.shape == (3, 2 * h + 1)
-            assert np.abs(fast - slow[:, L - 1 - h : L + h]).max() <= 1e-11
+            fast = fourier.weighted_convolve(self.padded(spec, L, h), h, L)
+            assert fast.shape == (3, 2, 2 * h + 1)
+            assert np.abs(fast - slow[..., L - 1 - h : L + h]).max() <= 1e-11
 
-    @pytest.mark.parametrize("L", [1, 2, 5, 16])
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8, 16])
     def test_padded_buffer_in_fft_order(self, rng, L):
-        """The in-place form takes the bins in FFT order at the padded length."""
+        """The bins go in FFT order at the padded length and are convolved in place."""
         spec = rng.standard_normal((2, 2 * L - 1)) + 1j * rng.standard_normal((2, 2 * L - 1))
         slow = oracles.dense_weighted_convolve(spec, axis=1)
         for h in range(L):
-            pad = fourier._kernel_fft(L, h)[0]
-            assert pad >= 2 * L - 1 + 2 * h
-            buf = np.zeros((2, pad), complex)
-            buf[:, :L] = spec[:, L - 1 :]
-            buf[:, pad - L + 1 :] = spec[:, : L - 1]
-            fast = fourier.weighted_convolve(buf, axis=-1, h=h, L=L)
+            assert fourier._kernel_fft(L, h)[0] >= 2 * L - 1 + 2 * h
+            buf = self.padded(spec, L, h)
+            fast = fourier.weighted_convolve(buf, h, L)
             assert np.shares_memory(fast, buf)
             assert np.abs(fast - slow[:, L - 1 - h : L + h]).max() <= 1e-11
 
     def test_band_limit_validation(self):
         with pytest.raises(ValueError, match="half-width"):
-            fourier.weighted_convolve(np.zeros(5, dtype=complex), h=3)
+            fourier.weighted_convolve(np.zeros(9, dtype=complex), 3, 3)
         with pytest.raises(ValueError, match="half-width"):
-            fourier.weighted_convolve(np.zeros(5, dtype=complex), h=-1)
+            fourier.weighted_convolve(np.zeros(5, dtype=complex), -1, 3)
         with pytest.raises(ValueError, match="buffer"):
-            fourier.weighted_convolve(np.zeros((2, 7), dtype=complex), axis=-1, h=2, L=3)
+            fourier.weighted_convolve(np.zeros((2, 7), dtype=complex), 2, 3)
 
 
 class TestNextFastLen:

@@ -61,7 +61,7 @@ class TestCoefficientContainers:
             scurve.WignerCoeffs(1, [np.zeros((3, 3), complex)])
 
     def test_sparse_rows(self, rng):
-        w = scurve.CurveletWignerCoeffs.random(4, rng)
+        w = oracles.random_curvelet_wigner_coeffs(4, rng)
         assert w.values.shape == (2, 4, 7)
         row = w.row(-2)
         assert row.shape == (5,)
@@ -71,8 +71,8 @@ class TestCoefficientContainers:
             w.row(4)
 
     def test_densify_places_outer_columns(self, rng):
-        w = scurve.CurveletWignerCoeffs.random(3, rng)
-        dense = w.densify()
+        w = oracles.random_curvelet_wigner_coeffs(3, rng)
+        dense = oracles.densify(w)
         for ell in range(3):
             plane = dense.planes[ell]
             np.testing.assert_array_equal(plane[:, 2 * ell], w.row(ell))
@@ -91,18 +91,18 @@ class TestGeneralTransforms:
     def test_constant_field(self):
         w = scurve.WignerCoeffs.zeros(4)
         w.planes[0][0, 0] = 8 * math.pi**2
-        f = scurve.so3_inverse_general(w, scurve.SO3Grid(4, 4, 4))
+        f = oracles.so3_inverse_general(w, scurve.SO3Grid(4, 4, 4))
         np.testing.assert_allclose(f.values, 1.0, atol=1e-12)
-        back = scurve.so3_forward_general(f)
+        back = oracles.so3_forward_general(f)
         assert back.planes[0][0, 0] == pytest.approx(8 * math.pi**2, abs=1e-10)
         for ell in range(1, 4):
             assert np.abs(back.planes[ell]).max() <= 1e-10
 
     @pytest.mark.parametrize("L", [1, 2, 4, 8])
     def test_round_trip(self, L, rng):
-        w = scurve.WignerCoeffs.random(L, rng)
-        f = scurve.so3_inverse_general(w, scurve.SO3Grid(L, L, L))
-        back = scurve.so3_forward_general(f)
+        w = oracles.random_wigner_coeffs(L, rng)
+        f = oracles.so3_inverse_general(w, scurve.SO3Grid(L, L, L))
+        back = oracles.so3_forward_general(f)
         worst = max(
             np.abs(back.planes[ell] - w.planes[ell]).max() for ell in range(L)
         )
@@ -110,9 +110,9 @@ class TestGeneralTransforms:
 
     def test_matches_direct_summation(self, rng):
         L = 6
-        w = scurve.WignerCoeffs.random(L, rng)
+        w = oracles.random_wigner_coeffs(L, rng)
         grid = scurve.SO3Grid(L, L, L)
-        f = scurve.so3_inverse_general(w, grid)
+        f = oracles.so3_inverse_general(w, grid)
         for _ in range(12):
             gi = int(rng.integers(0, 2 * L - 1))
             bi = int(rng.integers(0, L))
@@ -124,9 +124,9 @@ class TestGeneralTransforms:
     def test_oversampled_grid(self, rng):
         # synthesis on a finer grid than the band limit needs
         L = 4
-        w = scurve.WignerCoeffs.random(L, rng)
-        f = scurve.so3_inverse_general(w, scurve.SO3Grid(6, 6, 6))
-        back = scurve.so3_forward_general(f, band_limit=L)
+        w = oracles.random_wigner_coeffs(L, rng)
+        f = oracles.so3_inverse_general(w, scurve.SO3Grid(6, 6, 6))
+        back = oracles.so3_forward_general(f, band_limit=L)
         worst = max(
             np.abs(back.planes[ell] - w.planes[ell]).max() for ell in range(L)
         )
@@ -135,9 +135,9 @@ class TestGeneralTransforms:
     def test_validation(self, rng):
         w = scurve.WignerCoeffs.zeros(8)
         with pytest.raises(ValueError):
-            scurve.so3_inverse_general(w, scurve.SO3Grid(4, 4, 4))
+            oracles.so3_inverse_general(w, scurve.SO3Grid(4, 4, 4))
         with pytest.raises(TypeError):
-            scurve.so3_inverse_general(
+            oracles.so3_inverse_general(
                 scurve.CurveletWignerCoeffs.zeros(4), scurve.SO3Grid(4, 4, 4)
             )
 
@@ -158,23 +158,23 @@ class TestCurveletTransforms:
         w.row(3)[1 + 3] = 1.0
         grid = scurve.SO3Grid(L, L, L)
         fast = scurve.so3_inverse_curvelet(w, grid)
-        slow = scurve.so3_inverse_general(w.densify(), grid)
+        slow = oracles.so3_inverse_general(oracles.densify(w), grid)
         assert np.abs(fast.values - slow.values).max() <= 1e-11
 
     @pytest.mark.parametrize("L", [4, 8, 16, 32])
     def test_inverse_matches_general(self, L, rng):
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
         grid = scurve.SO3Grid(L, L, L)
         fast = scurve.so3_inverse_curvelet(w, grid)
-        slow = scurve.so3_inverse_general(w.densify(), grid)
+        slow = oracles.so3_inverse_general(oracles.densify(w), grid)
         assert np.abs(fast.values - slow.values).max() <= 1e-10
 
     @pytest.mark.parametrize("L", [4, 8, 16, 32])
     def test_forward_matches_general(self, L, rng):
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
         f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L))
         fast = scurve.so3_forward_curvelet(f)
-        slow = scurve.so3_forward_general(f)
+        slow = oracles.so3_forward_general(f)
         c = L - 1
         for ell in range(L):
             sl = slice(c - ell, c + ell + 1)
@@ -190,13 +190,13 @@ class TestCurveletTransforms:
 
     @pytest.mark.parametrize("L", [4, 16, 64, 128])
     def test_round_trip(self, L, rng):
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
         f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L))
         back = scurve.so3_forward_curvelet(f)
         assert np.abs(back.values - w.values).max() <= 1e-10
 
     def test_grid_shape_validation(self, rng):
-        w = scurve.CurveletWignerCoeffs.random(4, rng)
+        w = oracles.random_curvelet_wigner_coeffs(4, rng)
         with pytest.raises(ValueError):
             scurve.so3_inverse_curvelet(w, scurve.SO3Grid(3, 3, 3))
 
@@ -227,7 +227,7 @@ class TestRealPath:
         assert np.abs(d.values - a.values).max() <= 1e-12
 
     def test_real_synthesis_requires_symmetry(self, rng):
-        w = scurve.CurveletWignerCoeffs.random(8, rng)
+        w = oracles.random_curvelet_wigner_coeffs(8, rng)
         with pytest.raises(ValueError, match="conjugate symmetry"):
             scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8, 8, 8))
         w = sparse_with_real_symmetry(8, rng)
@@ -256,7 +256,7 @@ class TestSphereColumn:
         grid = scurve.SO3Grid(L, L, L)
         # F(alpha, beta, gamma) = f(beta, alpha) exp(-i s gamma), cube (gamma, beta, alpha)
         cube = np.exp(-1j * s * grid.gammas)[:, None, None] * f.values[None, :, :]
-        w = scurve.so3_forward_general(scurve.SO3Signal(grid, cube))
+        w = oracles.so3_forward_general(scurve.SO3Signal(grid, cube))
         for ell in range(L):
             plane = w.planes[ell]
             if abs(s) <= ell:
@@ -307,7 +307,7 @@ class TestBinKernel:
         L = 32
         K = 2 * L - 1
         grid = scurve.SO3Grid(L, L, L)
-        f = scurve.so3_inverse_curvelet(scurve.CurveletWignerCoeffs.random(L, rng), grid)
+        f = scurve.so3_inverse_curvelet(oracles.random_curvelet_wigner_coeffs(L, rng), grid)
         points = []
 
         def counting(*args, **kwargs):
@@ -333,7 +333,7 @@ class TestCountedWork:
         Ls = (16, 32, 64, 128)
         flops = []
         for L in Ls:
-            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            w = oracles.random_curvelet_wigner_coeffs(L, rng)
             tr = tracer.Tracer()
             tr.install()
             try:
@@ -353,7 +353,7 @@ class TestCountedWork:
 class TestScaling:
     def test_cost_grows_slower_than_l_to_3_5(self, rng):
         def timed(L):
-            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            w = oracles.random_curvelet_wigner_coeffs(L, rng)
             grid = scurve.SO3Grid(L, L, L)
             scurve.so3_inverse_curvelet(w, grid)  # warm caches
             best = math.inf
@@ -395,7 +395,7 @@ class TestBlockStreaming:
             w = sparse_with_real_symmetry(L, rng)
             inverse = scurve.so3_inverse_curvelet_real
         else:
-            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            w = oracles.random_curvelet_wigner_coeffs(L, rng)
             inverse = scurve.so3_inverse_curvelet
         expected = inverse(w, grid).values
         got = np.full(grid.shape, np.nan, dtype=expected.dtype)
@@ -418,7 +418,7 @@ class TestBlockStreaming:
         if real:
             f = scurve.so3_inverse_curvelet_real(sparse_with_real_symmetry(L, rng), grid)
         else:
-            f = scurve.so3_inverse_curvelet(scurve.CurveletWignerCoeffs.random(L, rng), grid)
+            f = scurve.so3_inverse_curvelet(oracles.random_curvelet_wigner_coeffs(L, rng), grid)
         reader = _BlockReader(f.values)
         stored = types.SimpleNamespace(grid=grid, values=reader, real=real)
         got = scurve.so3_forward_curvelet(stored).values
@@ -495,7 +495,7 @@ class TestTriangleLayout:
             w = sparse_with_real_symmetry(L, rng)
             inverse = scurve.so3_inverse_curvelet_real
         else:
-            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            w = oracles.random_curvelet_wigner_coeffs(L, rng)
             inverse = scurve.so3_inverse_curvelet
         f = inverse(w, grid)
 
@@ -533,7 +533,7 @@ class TestTriangleLayout:
             w = sparse_with_real_symmetry(L, rng)
             inverse = scurve.so3_inverse_curvelet_real
         else:
-            w = scurve.CurveletWignerCoeffs.random(L, rng)
+            w = oracles.random_curvelet_wigner_coeffs(L, rng)
             inverse = scurve.so3_inverse_curvelet
         f = inverse(w, grid)
         scurve.so3_forward_curvelet(f)  # the cached tables, untraced
@@ -561,7 +561,7 @@ class TestChunkPool:
     def test_outputs_do_not_depend_on_worker_count(self, monkeypatch, rng):
         L = 32
         grid = scurve.SO3Grid(L, L, L)
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
         f = scurve.so3_inverse_curvelet(w, grid)
         runs = []
         for threads in ("1", "2"):
@@ -592,7 +592,7 @@ class TestChunkPool:
     def test_one_worker_starts_no_thread(self, monkeypatch, rng):
         monkeypatch.setenv("SCURVE_THREADS", "1")
         L = 32
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
         before = threading.active_count()
         scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))
         assert threading.active_count() == before
@@ -602,7 +602,7 @@ class TestChunkPool:
         """A child forked after the pool started builds its own and finishes."""
         monkeypatch.setenv("SCURVE_THREADS", "2")
         L = 16
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
         grid = scurve.SO3Grid(L, L, L)
         expected = scurve.so3_inverse_curvelet(w, grid).values
 
@@ -626,7 +626,7 @@ class TestChunkPool:
         """
         L = 64
         grid = scurve.SO3Grid(L, L, L)
-        w = scurve.CurveletWignerCoeffs.random(L, rng)
+        w = oracles.random_curvelet_wigner_coeffs(L, rng)
 
         def traced_peak(run):
             tracemalloc.start()

@@ -217,22 +217,22 @@ class TestFrameRotations:
         # a scale whose ring sits on the pole: rotation is the identity
         t = scurve.build_tiling(scurve.TilingParams(16, 2, 2.0, 0))
         assert float(t.angles[0]) == pytest.approx(math.pi)
-        w = scurve.CurveletWignerCoeffs.random(4, rng)
+        w = oracles.random_curvelet_wigner_coeffs(4, rng)
         dense = scurve.rotate_to_north(w, 0, t)
         back = scurve.rotate_from_north(dense, 0, t)
         assert np.abs(back.values - w.values).max() <= 1e-13
 
     def test_projection_idempotence(self, rng):
         t = tiling_for(8, 0, j_min=0)
-        dense = scurve.WignerCoeffs.random(8, rng)
+        dense = oracles.random_wigner_coeffs(8, rng)
         once = scurve.rotate_from_north(dense, 2, t)
         again = scurve.rotate_from_north(scurve.rotate_to_north(once, 2, t), 2, t)
         assert np.abs(again.values - once.values).max() <= 1e-12
 
     def test_type_and_range_validation(self, rng):
         t = tiling_for(8, 0, j_min=0)
-        w = scurve.CurveletWignerCoeffs.random(4, rng)
-        dense = w.densify()
+        w = oracles.random_curvelet_wigner_coeffs(4, rng)
+        dense = oracles.densify(w)
         with pytest.raises(TypeError):
             scurve.rotate_to_north(dense, 2, t)
         with pytest.raises(TypeError):
@@ -278,9 +278,7 @@ class TestNorthValidation:
         f = scurve.sht_inverse(flm)
         out = oracles.analyze_north_validation(f, t, j)
         Lj = transform.scale_band_limit(t.params, j)
-        w = scurve.so3_forward_curvelet(
-            scurve.analyze(f, t).scale(j)
-        ).densify()
+        w = oracles.densify(scurve.so3_forward_curvelet(scurve.analyze(f, t).scale(j)))
         theta = float(t.angles[j - t.params.j_min])
         grid = out.grid
         for _ in range(6):
