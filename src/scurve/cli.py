@@ -22,9 +22,10 @@ analyze, synthesize and sparsity hold no whole scale signal: they stream
 each scale's samples, one block of beta rows at a time, into or out of
 the container, or reduce them to its histogram.  Before building the
 tiling they estimate their peak memory from the band limit, the real
-flag and the worker count (analyze and sparsity before a PGM is even
-read); roundtrip and bench, which hold every scale in memory, add the
-scale cubes at their largest band limit.  When the estimate exceeds
+flag and the worker count (analyze and sparsity add a PGM image from
+its header, before its raster is read); roundtrip and bench, which hold
+every scale in memory, add the scale cubes and their signals at their
+largest band limit.  When the estimate exceeds
 what the process could reach (MemAvailable plus SwapFree, lowered by
 the room left in its cgroup-v2 group, its cgroup-v1 memory group and
 their ancestors), the command exits 3 with both numbers and writes
@@ -54,7 +55,7 @@ import numpy as np
 
 from . import container
 from .fourier import fft_workers
-from .so3 import _curvelet_peak_parts
+from .so3 import _CHUNK, _curvelet_peak_parts
 from .sphere import random_coeffs, sht_forward, sht_inverse
 from .tiling import (
     QuadratureError,
@@ -151,13 +152,26 @@ def _make_params(args, band_limit: int, spin: int) -> TilingParams:
     return TilingParams(band_limit, spin, args.lam, args.jmin)
 
 
+def _pgm_bytes(width: int, height: int, maxval: int, clip: bool) -> int:
+    """Peak bytes of reading a PGM image and preparing it for resampling.
+
+    read_pgm holds the raster's bytes beside the float image; --clip's
+    percentile sorts a copy of the image, and --clip and --rescale
+    otherwise work in place.
+    """
+    pixels = width * height
+    raster = pixels * (2 if maxval > 255 else 1)
+    return max(raster + 8 * pixels, 16 * pixels if clip else 0)
+
+
 def _load_sphere_input(path: str, args, magnitudes: bool = False):
     """(signal, tiling params, pre-flight note) of an SCRV1 sphere container or a binary PGM.
 
     The pre-flight (_preflight, given magnitudes) runs as soon as the
     band limit and the real flag are known.  A PGM is real and sampled at
-    --L, so it runs before the image is read and resampled, whose
-    temporaries grow with --L; a container's sphere is read first.
+    --L, so it runs once its header is read, before the raster is read
+    and resampled, and counts the image (_pgm_bytes); a container's
+    sphere is read first.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(container.MAGIC))
@@ -169,13 +183,19 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
         if args.clip is not None and not 0.0 < args.clip <= 100.0:
             raise UsageError("--clip expects a percentile in (0, 100]")
         params = _make_params(args, args.L, 0)
-        estimate = _preflight(args.L, True, magnitudes)
+        with open(path, "rb") as fh:
+            image_bytes = _pgm_bytes(*container._pgm_header(fh, path), args.clip is not None)
+        estimate = _preflight(args.L, True, magnitudes, held=image_bytes)
         image = container.read_pgm(path)
         if args.clip is not None:
-            image = np.minimum(image, np.percentile(image, args.clip))
+            np.minimum(image, np.percentile(image, args.clip), out=image)
         if args.rescale:
             lo, hi = float(image.min()), float(image.max())
-            image = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
+            if hi > lo:
+                image -= lo
+                image /= hi - lo
+            else:
+                image.fill(0.0)
         return container.resample_to_sphere(image, args.L), params, estimate
     if magic != container.MAGIC:
         raise container.ContainerError(f"{path}: neither an SCRV1 container nor a P5 image")
@@ -383,7 +403,9 @@ def _preflight(band_limit: int, real: bool, magnitudes: bool = False, held: int 
     Runs before the tiling, the half-pi table or any scale is built, so a
     refused command allocates nothing large and writes nothing.
     magnitudes is passed on to _estimated_peak_mib; held adds the bytes a
-    command keeps beside one streamed transform (_held_cube_bytes).
+    command keeps beside one streamed transform or before it: the image
+    of a PGM input (_pgm_bytes), the cubes of an in-memory round trip
+    (_held_cube_bytes, _round_trip_bytes).
     """
     estimate = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes) + held / 2**20
     available = _available_memory()
@@ -466,6 +488,22 @@ def _held_cube_bytes(params: TilingParams) -> int:
     return sum(16 * (2 * Lj - 1) ** 2 * Lj for Lj in (scale_band_limit(params, j) for j in scales))
 
 
+# Resident memory of numpy's random generator, which roundtrip and bench
+# import for their test signals.
+_RANDOM_MIB = 6.0
+
+
+def _round_trip_bytes(band_limit: int) -> int:
+    """Bytes a round trip at a band limit holds beside its transforms and cubes.
+
+    Its input and output sphere signals and harmonic coefficients, and
+    the batch of _CHUNK bin planes the closing sphere synthesis builds
+    beside the scale cubes, all complex, and numpy's random generator.
+    """
+    L, K = band_limit, 2 * band_limit - 1
+    return 2 * (L * K + L * L) * 16 + _CHUNK * K * K * 16 + int(_RANDOM_MIB * 2**20)
+
+
 def _preflight_in_memory(args) -> None:
     """Pre-flight of roundtrip and bench, at their largest band limit.
 
@@ -474,7 +512,8 @@ def _preflight_in_memory(args) -> None:
     exits 3 before any is built.
     """
     params = _make_params(args, max(args.L), args.spin)
-    _preflight(params.band_limit, False, held=_held_cube_bytes(params))
+    held = _held_cube_bytes(params) + _round_trip_bytes(params.band_limit)
+    _preflight(params.band_limit, False, held=held)
 
 
 def cmd_roundtrip(args) -> int:

@@ -542,33 +542,33 @@ def read_coeffs(path) -> CurveletCoeffs:
         raise ContainerError(f"{path}: {exc}") from None
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) grayscale image, scaled to floats in [0, 1].
+# Bytes of the longest PGM header field read: the magic and three decimal
+# numbers, so a raster with no whitespace is refused, not read byte by byte.
+_PGM_FIELD_CAP = 32
 
-    Comments, multi-byte samples (maxval up to 65535, big-endian) and
-    arbitrary header whitespace are handled; ASCII (P2) images are not.
+
+def _pgm_header(fh, path) -> tuple:
+    """(width, height, maxval) of a binary (P5) PGM, read from fh up to its raster.
+
+    Comments and arbitrary header whitespace are skipped; fh is left at
+    the first raster byte, one whitespace byte past maxval.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    pos = 0
 
     def token() -> bytes:
-        nonlocal pos
-        while pos < len(raw):
-            c = raw[pos : pos + 1]
+        c = fh.read(1)
+        while c == b"#" or c.isspace():
             if c == b"#":
-                nl = raw.find(b"\n", pos)
-                pos = len(raw) if nl < 0 else nl + 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        begin = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if begin == pos:
+                fh.readline()
+            c = fh.read(1)
+        tok = b""
+        while c and not c.isspace():
+            if len(tok) == _PGM_FIELD_CAP:
+                raise ContainerError(f"{path}: PGM header field over {_PGM_FIELD_CAP} bytes")
+            tok += c
+            c = fh.read(1)
+        if not tok:
             raise ContainerError(f"{path}: truncated PGM header")
-        return raw[begin:pos]
+        return tok
 
     if token() != b"P5":
         raise ContainerError(f"{path}: only binary (P5) PGM images are supported")
@@ -580,13 +580,26 @@ def read_pgm(path) -> np.ndarray:
         raise ContainerError(
             f"{path}: bad PGM geometry {width}x{height} with maxval {maxval}"
         )
-    pos += 1
-    dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    need = width * height * dt.itemsize
-    if len(raw) - pos < need:
-        raise ContainerError(f"{path}: PGM raster truncated")
-    img = np.frombuffer(raw, dt, width * height, pos).reshape(height, width)
-    return img.astype(float) / float(maxval)
+    return width, height, maxval
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary (P5) grayscale image, scaled to floats in [0, 1].
+
+    Comments, multi-byte samples (maxval up to 65535, big-endian) and
+    arbitrary header whitespace are handled; ASCII (P2) images are not.
+    Only the raster's bytes and one float image are held at once.
+    """
+    with open(path, "rb") as fh:
+        width, height, maxval = _pgm_header(fh, path)
+        dt = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        need = width * height * dt.itemsize
+        if os.fstat(fh.fileno()).st_size - fh.tell() < need:
+            raise ContainerError(f"{path}: PGM raster truncated")
+        raw = fh.read(need)
+    img = np.frombuffer(raw, dt).reshape(height, width).astype(float)
+    img /= float(maxval)
+    return img
 
 
 def resample_to_sphere(image: np.ndarray, band_limit: int) -> SphereSignal:

@@ -25,10 +25,10 @@ __all__ = [
 ]
 
 
-# Largest default worker count.  Each worker holds one more chunk's planes
-# in flight (about 20 MiB of peak RSS at L = 128, 60-100 MiB at L = 256),
-# and no more than two cores have been timed; SCURVE_THREADS may still ask
-# for more.
+# Largest default worker count.  Each worker holds one more dense beta block
+# and its samples, or one block of a batch's bin planes, in flight (about
+# 10 MiB of peak RSS at L = 128, 33-47 MiB at L = 256), and no more than
+# two cores have been timed; SCURVE_THREADS may still ask for more.
 _MAX_DEFAULT_WORKERS = 2
 
 

@@ -15,14 +15,19 @@ inverse _bins_to_beta), which moves a stack of centred alpha spectra at
 the beta nodes to and from weighted centred (beta bin, alpha bin)
 planes.  Degree ell reads only the bins |m'|, |m| <= ell, so the kernel
 is told the largest degree h its planes serve and transforms only the
-2h+1 alpha columns |m| <= h; the forward kernel runs in one buffer per
-stack, padded for the convolution, and keeps only the 2h+1 beta bins
+2h+1 alpha columns |m| <= h; the forward kernel runs in one buffer,
+padded for the convolution, and keeps only the 2h+1 beta bins
 |m'| <= h.  The curvelet transforms batch gamma frequencies in order of
 |n| and pass each batch's largest |n|, which brings their beta work
 towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
-the sphere transforms read every degree and pass the full width.  The
-batches run on a pool of fft_workers() threads, and so do the
-whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
+the sphere transforms read every degree and pass the full width.  Every
+alpha order runs through the kernel on its own, so a batch runs it by
+blocks of orders +-m (_Block), each in a buffer within _BIN_BUDGET: a
+worker's planes no longer grow as L^2 (one buffer of 16.7 MB at
+L = 128 and 67 MB at L = 256 otherwise), and a batch whose planes fit
+runs as one block, bitwise the same, the same 1-D FFTs on the same
+values.  The batches run on a pool of fft_workers() threads, and so do
+the whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
 batch or block writes only its own rows, so results are bitwise the same
 for any worker count.
 
@@ -66,6 +71,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy import fft as sfft
@@ -85,34 +91,48 @@ __all__ = [
 ]
 
 # Gamma frequencies are processed in batches so the extension and FFT work
-# runs on whole sub-cubes instead of one slice at a time.  Batches of 8 keep
-# two pool workers' planes within what one worker held with batches of 16.
+# runs on whole sub-cubes instead of one slice at a time.
 _CHUNK = 8
 
 # Beta rows per block of the whole-cube FFTs, which bounds their transient
 # copies and shares them between the pool's threads.
 _BETA_BLOCK = 8
 
+# Bytes of one buffer of a gamma batch's bin planes.  A batch whose planes
+# would take more runs over blocks of alpha orders |m| (_order_blocks); up
+# to L = 64 every batch fits in one block.  Below 5 MiB the freed blocks no
+# longer raise glibc's trim threshold above a worker's dense beta block and
+# its samples, and `scurve analyze` at L = 128 refaults their pages for
+# every block (82 000 minor faults against 25 000 at 4 MiB, 5% more time).
+_BIN_BUDGET = 5 << 20
+
 def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     """Estimated bytes, by component, of one block-streamed curvelet transform.
 
     The triangle of the gamma spectrum (_triangle, T+1 columns of L
-    beta nodes, T = 2L^2 - 1 or L^2 when real), the half-pi table,
-    each worker's bin planes and each worker's beta block of samples; a
-    transform that reads or writes its samples block by block holds no
-    whole cube.  A worker's planes are counted as the one buffer of the
-    widest batch's forward kernel, (_CHUNK, 2L-1, padded 2L-1+2(L-1))
-    complex; the inverse's planes take less.  The dense block a worker
-    transforms its samples in is not counted: it lives only while the
-    blocks are transformed, never beside the planes, and it is smaller
-    than they are.  This fits the peaks scripts/cli_peaks.py measures.
+    beta nodes, T = 2L^2 - 1 or L^2 when real), the half-pi table, the
+    scale's Wigner columns with the triangle's index arrays, and the
+    workers; a transform that reads or writes its samples block by block
+    holds no whole cube.  A worker holds, never both at once, either the
+    bin planes of one gamma batch (the widest block of _order_blocks,
+    within _BIN_BUDGET, beside the batch's quadrants) or one dense beta
+    block of the whole-cube FFTs beside its block of samples; it is
+    counted as the larger, and a quarter more for what the allocator of
+    its thread keeps resident between blocks (2-worker `scurve analyze` at
+    L = 256 holds 47 MiB beyond its traced peak, 1 worker 33 MiB).  This
+    fits the peaks scripts/cli_peaks.py measures.
     """
     K = 2 * L - 1
+    G = L if real else K
+    row_bytes = _CHUNK * _next_fast_len(4 * L - 3) * 16  # the widest batch, h = L-1
+    rows = min(2 * _order_width(L - 1, row_bytes), K)
+    planes = rows * row_bytes + _CHUNK * L * L * 8
+    blocks = min(_BETA_BLOCK, L) * K * (G * 16 + K * (8 if real else 16))
     return {
         "spectrum": L * (L * L + 1 if real else 2 * L * L) * 16,
         "table": 8 * L * (L + 1) * (2 * L + 1) // 6,  # sum of (l+1)^2 doubles, l < L
-        "planes": workers * _CHUNK * K * _next_fast_len(4 * L - 3) * 16,
-        "blocks": workers * K * min(_BETA_BLOCK, L) * K * (8 if real else 16),
+        "coefficients": 2 * L * K * 16 + (L * (L if real else 2 * L) + 1 + G * K) * 8,
+        "workers": workers * max(planes, blocks) * 5 // 4,
     }
 
 
@@ -379,7 +399,58 @@ def _run_chunks(task, items) -> None:
         wait(futures)
 
 
-def _beta_to_bins(spectra, ns, h: int) -> np.ndarray:
+class _Block(NamedTuple):
+    """The alpha orders |m| = a..b-1 of one buffer of bin planes, as its rows.
+
+    The rows hold the neg negative orders -(b-1)..-max(a, 1), then
+    a..b-1; block (0, h+1) is the centred orders -h..h.  orders is the
+    order of each row, runs the (first order, first row, rows) of each run
+    of consecutive orders: one when a = 0, two otherwise.
+    """
+
+    a: int
+    b: int
+    neg: int
+    orders: np.ndarray
+    runs: tuple
+
+
+@lru_cache
+def _block(a: int, b: int) -> _Block:
+    """The _Block of the alpha orders |m| = a..b-1."""
+    if a == 0:
+        runs = ((1 - b, 0, 2 * b - 1),)
+    else:
+        runs = ((1 - b, 0, b - a), (a, b - a, b - a))
+    orders = np.concatenate([np.arange(m0, m0 + n) for m0, _, n in runs])
+    orders.setflags(write=False)
+    return _Block(a, b, b - max(a, 1), orders, runs)
+
+
+def _order_width(h: int, row_bytes: int) -> int:
+    """Orders +-m per block of a gamma batch whose bin buffer takes row_bytes per order.
+
+    The 2h+1 orders |m| <= h run as one block when they fit _BIN_BUDGET,
+    and otherwise in blocks of as many orders +-m as fit it (at least
+    one).
+    """
+    if (2 * h + 1) * row_bytes <= _BIN_BUDGET:
+        return h + 1
+    return max(1, _BIN_BUDGET // (2 * row_bytes))
+
+
+def _order_blocks(h: int, row_bytes: int) -> list:
+    """The _Blocks of alpha orders that cover |m| <= h (_order_width)."""
+    width = _order_width(h, row_bytes)
+    return [_block(a, min(a + width, h + 1)) for a in range(0, h + 1, width)]
+
+
+def _overlap(m0: int, n: int, k: int) -> tuple:
+    """Rows lo:hi of a run of n orders from m0 that fall within |m| <= k."""
+    return min(max(-k - m0, 0), n), max(min(k + 1 - m0, n), 0)
+
+
+def _beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> np.ndarray:
     """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
 
     spectra[i] is the centred alpha spectrum of gamma frequency ns[i] at
@@ -387,28 +458,32 @@ def _beta_to_bins(spectra, ns, h: int) -> np.ndarray:
     such as its columns of a triangle spectrum (k = |n|) or a full-width
     row (k = L-1).  Degree ell reads only the bins |m'|, |m| <= ell, so
     the planes of a stack whose degrees stay at or below h keep only the
-    2h+1 alpha columns |m| <= h, the orders past k zero, and only those
-    2h+1 beta bins come out of the weighting.  Each plane is extended
-    through the poles with parity (-1)^(m + n), transformed along beta,
-    stripped of the node offset and weighted by sin(beta).  All of that
-    runs in one buffer per stack, beta-last, at the padded length of the
-    convolution: the spectra are copied into its first L entries and
-    extended into the next L-1, the beta FFT runs there in place, and the
-    negative bins move to the end of the buffer as the node-offset phase
-    is applied, which is the FFT-order layout weighted_convolve takes.
-    The result is a (len(ns), 2h+1, 2h+1) transposed view of that buffer.
+    2h+1 beta bins |m'| <= h, and only the alpha orders of block, in its
+    row order (_Block; default all 2h+1 orders, centred), the orders past
+    k zero.  Each plane is extended through the poles with parity
+    (-1)^(m + n), transformed along beta, stripped of the node offset and
+    weighted by sin(beta).  All of that runs in one buffer per block,
+    beta-last, at the padded length of the convolution: the spectra are
+    copied into its first L entries and extended into the next L-1, the
+    beta FFT runs there in place, and the negative bins move to the end of
+    the buffer as the node-offset phase is applied, which is the FFT-order
+    layout weighted_convolve takes.  The result is a (len(ns), 2h+1,
+    orders) transposed view of that buffer.
     """
+    block = block or _block(0, h + 1)
     L = spectra[0].shape[0]
     K = 2 * L - 1
     pad = _kernel_fft(L, h)[0]
-    buf = np.empty((len(ns), 2 * h + 1, pad), dtype=complex)
-    parity = alt_sign(np.asarray(ns)[:, None] + np.arange(-h, h + 1))
+    buf = np.empty((len(ns), len(block.orders), pad), dtype=complex)
+    parity = alt_sign(np.asarray(ns)[:, None] + block.orders)
     for i, S in enumerate(spectra):
         k = S.shape[1] // 2
         P = buf[i, :, :L]
-        P[: h - k] = 0.0
-        P[h - k : h + k + 1] = S.T
-        P[h + k + 1 :] = 0.0
+        for m0, r0, n in block.runs:
+            lo, hi = _overlap(m0, n, k)
+            P[r0 : r0 + lo] = 0.0
+            P[r0 + lo : r0 + hi] = S[:, k + m0 + lo : k + m0 + hi].T
+            P[r0 + hi : r0 + n] = 0.0
         # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
         np.multiply(P[:, L - 2 :: -1], parity[i, :, None], out=buf[i, :, L:K])
     E = buf[..., :K]
@@ -425,12 +500,13 @@ def _beta_to_bins(spectra, ns, h: int) -> np.ndarray:
 def _bins_to_beta(B: np.ndarray, L: int) -> np.ndarray:
     """Centred alpha spectra at the L beta nodes of beta-last bin planes; B is overwritten.
 
-    B holds one plane or a stack of them in its last two axes: the 2h+1
-    centred alpha bins |m| <= h its degrees reach, by the 2L-1 beta bins
-    in FFT order with the node-offset phase applied, the layout
-    _column_bins writes.  Beta is inverted in place along the contiguous
-    last axis; the result is an (..., L, 2h+1) view of the L beta nodes
-    on (0, pi], the layout _beta_to_bins reads.
+    B holds one plane or a stack of them in its last two axes: alpha
+    orders (the 2h+1 centred ones |m| <= h its degrees reach, or one
+    _Block of them), by the 2L-1 beta bins in FFT order with the
+    node-offset phase applied, the layout _block_bins writes.  Beta is
+    inverted in place along the contiguous last axis; the result is an
+    (..., L, orders) view of the L beta nodes on (0, pi], the layout
+    _beta_to_bins reads.
     """
     sfft.ifft(B, norm="forward", out=B)
     return B[..., :L].swapaxes(-1, -2)
@@ -449,100 +525,177 @@ def _alpha_samples(R: np.ndarray, Ka: int) -> np.ndarray:
     return sfft.ifft(S, norm="forward", out=S)
 
 
-def _quadrants(tab, ells, h: int):
-    """The table's quadrants of degrees ells and their column signs.
+def _quadrants(tab, ns, ells, h: int) -> tuple:
+    """The table's quadrants of degrees ells, their column signs and columns n.
 
     Returns Q, the m', m >= 0 quadrants zero-padded to a (len(ells), h+1,
-    h+1) stack, and t = (-1)^(ell+p) over p = 0..h, the sign that
-    reflects a quadrant's columns m onto -m.
+    h+1) stack; t = (-1)^(ell+p) over p = 0..h, the sign that reflects a
+    quadrant's columns m onto -m; and U, Delta^ell_{p n} over p = 0..h
+    for each degree and its n of ns.  A block of alpha orders reads the
+    columns Q[..., a:b].
     """
     Q = np.zeros((len(ells), h + 1, h + 1))
-    for i, ell in enumerate(ells):
+    for i, ell in enumerate(ells.tolist()):
         Q[i, : ell + 1, : ell + 1] = tab.planes[ell]
-    return Q, alt_sign(ells[:, None] + np.arange(h + 1))
-
-
-def _delta_columns(Q: np.ndarray, t: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """Delta^ell_{p n} over p = 0..h for each quadrant of Q and its n."""
+    t = alt_sign(ells[:, None] + np.arange(h + 1))
     col = Q[np.arange(len(ns)), :, np.abs(ns)]
-    return np.where((ns < 0)[:, None], col * t, col)
+    return Q, t, np.where((ns < 0)[:, None], col * t, col)
 
 
-def _fold_bins(Y: np.ndarray, ns) -> np.ndarray:
+def _fold_bins(Y: np.ndarray, ns, block: _Block | None = None) -> np.ndarray:
     """Fold centred bin rows -p onto p, in place; returns the rows p >= 0.
 
-    Y holds one (2h'+1, 2h+1) plane of centred bins per gamma frequency n
-    of ns.  Delta_{-p m} Delta_{-p n} = (-1)^(m+n) Delta_{p m} Delta_{p n},
-    so row p gains (-1)^(m+n) times row -p and the sums over p in
-    _wigner_columns need only p >= 0.
+    Y holds one (2h'+1, orders) plane of centred bins per gamma frequency
+    n of ns, over the alpha orders of block (default the 2h+1 centred
+    orders).  Delta_{-p m} Delta_{-p n} = (-1)^(m+n) Delta_{p m}
+    Delta_{p n}, so row p gains (-1)^(m+n) times row -p and the sums over
+    p in _block_columns need only p >= 0.
     """
-    hp, h = Y.shape[-2] // 2, Y.shape[-1] // 2
+    hp = Y.shape[-2] // 2
+    orders = (block or _block(0, Y.shape[-1] // 2 + 1)).orders
     below = Y[:, :hp][:, ::-1]
-    below *= alt_sign(np.asarray(ns)[:, None] + np.arange(-h, h + 1))[:, None, :]
+    below *= alt_sign(np.asarray(ns)[:, None] + orders)[:, None, :]
     Y[:, hp + 1 :] += below
     return Y[:, hp:]
+
+
+def _block_columns(Z: np.ndarray, quads, block: _Block, C: np.ndarray) -> None:
+    """Orders |m| = a..b-1 of Wigner columns off the folded bins Z of a _Block.
+
+    Column i is sum_p Delta_{p m} Delta_{p n} Y[p, m] over the bin rows p
+    of its degree and gamma frequency, read as Z (from _fold_bins, one
+    plane per column or one for all) over p >= 0 and the quadrants of
+    quads (_quadrants), whose columns -m follow from m with sign
+    (-1)^(ell+p).  The orders +-m go to C, centred, 2h+1 per column.
+    """
+    Q, t, U = quads
+    h = C.shape[1] // 2
+    a, b, neg = block.a, block.b, block.neg
+    lo = b - neg
+    C[:, h + a : h + b] = np.einsum("ipm,ip,ipm->im", Q[..., a:b], U, Z[..., neg:])
+    below = np.einsum("ipm,ip,ipm->im", Q[..., lo:b], U * t, Z[..., :neg][..., ::-1])
+    C[:, h + 1 - b : h + 1 - lo] = below[:, ::-1]
+
+
+def _phased_columns(C: np.ndarray, ns, ells) -> list:
+    """The columns of C (from _block_columns) with the phase i^(m-n), 2 ell + 1 entries each."""
+    h = C.shape[1] // 2
+    C *= ipow_vec(np.arange(-h, h + 1) - np.asarray(ns)[:, None])
+    return [col[h - ell : h + ell + 1] for col, ell in zip(C, ells)]
 
 
 def _wigner_columns(Z: np.ndarray, tab, ns, ells) -> list:
     """Columns n of the coefficient planes of degrees ell, off folded bins Z.
 
-    Column i is sum_p Delta_{p m} Delta_{p n} Y[p, m] over the bin rows p
-    at degree ells[i] and gamma frequency ns[i], read as Z (from
-    _fold_bins, one plane per column or one for all) over p >= 0 and the
-    table's quadrants, whose columns -m follow from m with sign
-    (-1)^(ell+p).  Returns the columns, 2 ell + 1 entries each.
+    One block of every order (_block_columns) at degrees ells and gamma
+    frequencies ns, Z cropped to their largest degree.  Returns the
+    columns, 2 ell + 1 entries each.
     """
     ns, ells = np.asarray(ns), np.asarray(ells)
     h = int(ells.max())
-    Q, t = _quadrants(tab, ells, h)
-    U = _delta_columns(Q, t, ns)
     c = Z.shape[-1] // 2
+    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
     Z = Z[:, : h + 1, c - h : c + h + 1]
-    pos = np.einsum("ipm,ip,ipm->im", Q, U, Z[..., h:])
-    neg = np.einsum("ipm,ip,ipm->im", Q, U * t, Z[..., h::-1])
-    cols = np.concatenate((neg[:, :0:-1], pos), axis=1)
-    cols *= ipow_vec(np.arange(-h, h + 1) - ns[:, None])
-    return [col[h - ell : h + ell + 1] for col, ell in zip(cols, ells)]
+    _block_columns(Z, _quadrants(tab, ns, ells, h), _block(0, h + 1), C)
+    return _phased_columns(C, ns, ells)
 
 
-def _column_bins(cols, tab, ns, ells, L: int) -> np.ndarray:
-    """Bin planes of Wigner columns, the inverse of _wigner_columns.
+def _curvelet_columns(spectra, tab, ns) -> list:
+    """Columns n = ns[i] of degree |n| off the triangle spectra of a gamma batch.
 
-    Plane i holds Delta_{p m} Delta_{p n} e^{i p pi/K} c[m] (2l+1)/(8 pi^2)
-    i^(n-m) for the column c = cols[i] (2l+1 entries) at degree
-    l = ells[i] and gamma frequency n = ns[i], over the alpha bins
-    |m| <= h = max(ells) and the K = 2L-1 beta bins p in FFT order, zero
-    beyond |p| = h: the layout _bins_to_beta inverts, so the planes go to
-    it with no copy.  The bins p >= 0 come from the table's quadrants
-    (columns -m from m with sign (-1)^(l+p)), the bins -p from those with
-    sign (-1)^(m+n) and the conjugate phase.  Returns (len(ells), 2h+1,
-    K).
+    The forward curvelet kernel: _beta_to_bins, _fold_bins and
+    _block_columns run on one block of alpha orders at a time
+    (_order_blocks), so the batch's bin planes take at most _BIN_BUDGET
+    whatever L.  Returns the columns, 2|n| + 1 entries each.
+    """
+    ns = np.asarray(ns)
+    ells = np.abs(ns)
+    h = int(ells.max())
+    quads = _quadrants(tab, ns, ells, h)
+    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
+    row_bytes = len(ns) * _kernel_fft(spectra[0].shape[0], h)[0] * 16
+    for block in _order_blocks(h, row_bytes):
+        Z = _fold_bins(_beta_to_bins(spectra, ns, h, block), ns, block)
+        _block_columns(Z, quads, block, C)
+        del Z  # so the next block's buffer is not built beside this one
+    return _phased_columns(C, ns, ells)
+
+
+def _column_factors(cols, tab, ns, ells, L: int) -> tuple:
+    """What _block_bins multiplies into the bin planes of Wigner columns.
+
+    For the beta bins p = 0..h and p = -1..-h in turn: the table's
+    quadrants, the centred rows c[m] (2l+1)/(8 pi^2) i^(n-m) of the
+    columns c = cols[i] (2l+1 entries) at degree l = ells[i] and gamma
+    frequency n = ns[i] (for -p with sign (-1)^(m+n)), the factor
+    Delta_{p n} e^{i p pi/K} (the conjugate phase for -p), and the sign
+    (-1)^(l+p) that reflects a quadrant's columns m onto -m.
     """
     ns, ells = np.asarray(ns), np.asarray(ells)
     h = int(ells.max())
-    K = 2 * L - 1
-    Q, t = _quadrants(tab, ells, h)
-    U = _delta_columns(Q, t, ns)
+    Q, t, U = _quadrants(tab, ns, ells, h)
     m = np.arange(-h, h + 1)
     R = np.zeros((len(ells), 2 * h + 1), dtype=complex)
-    for r, col, ell in zip(R, cols, ells):
+    for r, col, ell in zip(R, cols, ells.tolist()):
         r[h - ell : h + ell + 1] = col
     R *= ipow_vec(ns[:, None] - m) * ((2 * ells + 1) / (8.0 * math.pi**2))[:, None]
-    e = np.exp(1j * np.arange(h + 1) * (math.pi / K))
-    B = np.zeros((len(ells), 2 * h + 1, K), dtype=complex)
+    e = np.exp(1j * np.arange(h + 1) * (math.pi / (2 * L - 1)))
+    mirrored = R * alt_sign(ns[:, None] + m)
+    return (Q, R, U * e, t), (Q[:, 1:], mirrored, (U * e.conj())[:, 1:], t[:, 1:])
+
+
+def _block_bins(factors, block: _Block, L: int) -> np.ndarray:
+    """Bin planes of the alpha orders |m| = a..b-1 of Wigner columns, for a _Block.
+
+    Plane i holds Delta_{p m} Delta_{p n} e^{i p pi/K} c[m] (2l+1)/(8 pi^2)
+    i^(n-m) (_column_factors) over the block's orders m and the K = 2L-1
+    beta bins p in FFT order, zero beyond |p| = h: the layout
+    _bins_to_beta inverts, so the planes go to it with no copy.  The bins
+    p >= 0 come from the table's quadrants (columns -m from m with sign
+    (-1)^(l+p)), the bins -p from those with sign (-1)^(m+n) and the
+    conjugate phase.  Returns (batch, orders, K).
+    """
+    R = factors[0][1]
+    h = R.shape[1] // 2
+    K = 2 * L - 1
+    a, b, neg = block.a, block.b, block.neg
+    lo = b - neg
+    B = np.zeros((len(R), neg + b - a, K), dtype=complex)
     # (p, m) views of the beta bins p = 0..h and p = -1..-h.
     above = B[..., : h + 1].swapaxes(1, 2)
     below = B[..., K - h :][..., ::-1].swapaxes(1, 2)
-    mirrored = R * alt_sign(ns[:, None] + m)
-    for half, q, r, w, s in (
-        (above, Q, R, U * e, t),
-        (below, Q[:, 1:], mirrored, (U * e.conj())[:, 1:], t[:, 1:]),
-    ):
-        np.multiply(q, r[:, None, h:], out=half[..., h:])
-        np.multiply(q[..., :0:-1], r[:, None, :h], out=half[..., :h])
-        half[..., h:] *= w[..., None]
-        half[..., :h] *= (w * s)[..., None]
+    for half, (q, r, w, s) in zip((above, below), factors):
+        np.multiply(q[..., a:b], r[:, None, h + a : h + b], out=half[..., neg:])
+        mirror = q[..., b - 1 : lo - 1 : -1]
+        np.multiply(mirror, r[:, None, h + 1 - b : h + 1 - lo], out=half[..., :neg])
+        half[..., neg:] *= w[..., None]
+        half[..., :neg] *= (w * s)[..., None]
     return B
+
+
+def _column_bins(cols, tab, ns, ells, L: int) -> np.ndarray:
+    """Bin planes of Wigner columns over every alpha order |m| <= max(ells).
+
+    The inverse of _wigner_columns: one block (_block_bins) of every
+    order, (len(ells), 2h+1, 2L-1).
+    """
+    return _block_bins(_column_factors(cols, tab, ns, ells, L), _block(0, max(ells) + 1), L)
+
+
+def _curvelet_nodes(w, tab, ns, L: int, put) -> None:
+    """Alpha spectra at the beta nodes of the curvelet columns of a gamma batch.
+
+    The inverse curvelet kernel: the columns n = ns[i] of w run through
+    _block_bins and _bins_to_beta one block of alpha orders at a time
+    (_order_blocks), so the batch's bin planes take at most _BIN_BUDGET
+    whatever L; put(block, R) receives each _Block and its (len(ns), L,
+    orders) nodes.
+    """
+    ns = np.asarray(ns)
+    ells = np.abs(ns)
+    factors = _column_factors([w.row(n) for n in ns.tolist()], tab, ns, ells, L)
+    for block in _order_blocks(int(ells.max()), len(ns) * (2 * L - 1) * 16):
+        put(block, _bins_to_beta(_block_bins(factors, block, L), L))
 
 
 def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
@@ -564,10 +717,8 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
     tab = halfpi_table(L)
 
     def forward_chunk(chunk):
-        ells = [abs(n) for n in chunk]
         spectra = [S[:, cols[n % len(cols)]] for n in chunk]
-        Z = _fold_bins(_beta_to_bins(spectra, chunk, max(ells)), chunk)
-        for n, col in zip(chunk, _wigner_columns(Z, tab, chunk, ells)):
+        for n, col in zip(chunk, _curvelet_columns(spectra, tab, chunk)):
             out.set_row(n, col)
 
     _run_chunks(forward_chunk, _batches(_gamma_order(L, f.real)))
@@ -622,11 +773,15 @@ def _so3_inverse_curvelet(
     S[:, -1] = 0.0
 
     def inverse_chunk(chunk):
-        ells = [abs(n) for n in chunk]
-        planes = _column_bins([w.row(n) for n in chunk], tab, chunk, ells, L)
-        h = max(ells)
-        for n, ell, R in zip(chunk, ells, _bins_to_beta(planes, L)):
-            S[:, cols[n % len(cols)]] = R[:, h - ell : h + ell + 1]
+        def put(block, R):
+            for n, X in zip(chunk, R):
+                # Column of order 0 in gamma frequency n's run of the triangle.
+                zero = cols[n % len(cols)].start + abs(n)
+                for m0, r0, count in block.runs:
+                    lo, hi = _overlap(m0, count, abs(n))
+                    S[:, zero + m0 + lo : zero + m0 + hi] = X[:, r0 + lo : r0 + hi]
+
+        _curvelet_nodes(w, tab, chunk, L, put)
 
     _run_chunks(inverse_chunk, _batches(_gamma_order(L, real)))
     if sink is not None:
@@ -641,20 +796,37 @@ def _inverse_in_place(w: CurveletWignerCoeffs, tab) -> np.ndarray:
     """Complex samples of sparse coefficients, computed in their own cube.
 
     A complex cube in memory is large enough to hold its own dense
-    spectrum, so the gamma batches write their alpha samples straight
-    into it and the gamma inverse runs in place, block by block; the
-    triangle would add half a cube of fresh memory beside the output
-    (and the page faults of touching it) without lowering the peak.
-    The result is bitwise that of the triangle path, the same 1-D FFTs
-    on the same values.
+    spectrum, so each block of a gamma batch's alpha orders is written
+    straight into the batch's gamma rows, the orders past the batch's
+    degrees are zeroed, the alpha inverse runs there in place, and then
+    the gamma inverse, block by block of beta rows; the triangle would add
+    half a cube of fresh memory beside the output (and the page faults of
+    touching it) without lowering the peak.  The result is bitwise that
+    of the triangle path, the same 1-D FFTs on the same values.
     """
     L = w.band_limit
     K = 2 * L - 1
     values = np.empty((K, L, K), dtype=complex)
 
     def inverse_chunk(chunk):
-        planes = _column_bins([w.row(n) for n in chunk], tab, chunk, [abs(n) for n in chunk], L)
-        values[[n % K for n in chunk]] = _alpha_samples(_bins_to_beta(planes, L), K)
+        rows = [n % K for n in chunk]
+        index = np.array(rows)
+        h = max(abs(n) for n in chunk)
+
+        def put(block, R):
+            # Alpha order m sits in column m % K: the negative orders at the end.
+            a, b, neg = block.a, block.b, block.neg
+            values[index, :, K + 1 - b : K + 1 - b + neg] = R[..., :neg]
+            values[index, :, a:b] = R[..., neg:]
+
+        _curvelet_nodes(w, tab, chunk, L, put)
+        if h < L - 1:
+            values[index, :, h + 1 : K - h] = 0.0
+        # The batch's n >= 0 and n < 0 (_gamma_order) hold two runs of gamma rows.
+        for run in ([g for g in rows if g < L], [g for g in rows if g >= L]):
+            if run:
+                dense = values[min(run) : max(run) + 1]
+                sfft.ifft(dense, norm="forward", out=dense)
 
     def inverse_block(rows):
         sfft.ifft(values[rows], axis=0, norm="forward", out=values[rows])

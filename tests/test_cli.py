@@ -448,13 +448,43 @@ class TestPreflight:
         assert resampled == []
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["analyze", "sparsity"])
+    def test_pgm_header_is_counted_before_the_raster_is_read(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """A small file whose header claims a huge raster exits 3 unread."""
+        img = tmp_path / "img.pgm"
+        img.write_bytes(b"P5\n# huge\n100000 50000\n65535\n" + bytes(64))
+        read = []
+        monkeypatch.setattr(container, "read_pgm", lambda *a: read.append(a))
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2**34)
+        before = sorted(tmp_path.iterdir())
+        assert run([command, str(img), "--L", "8", "--out", str(tmp_path / "out")]) == 3
+        assert "estimated peak memory" in capsys.readouterr().err
+        assert read == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flags", [[], ["--rescale"], ["--clip", "90", "--rescale"]])
+    def test_pgm_note_counts_the_image(self, tmp_path, capsys, flags):
+        """The raster's bytes beside its float image; --clip adds the percentile's copy."""
+        img = tmp_path / "img.pgm"
+        pixels = np.arange(24 * 40, dtype=">u2").reshape(24, 40)
+        img.write_bytes(b"P5\n40 24\n65535\n" + pixels.tobytes())
+        assert run(["analyze", str(img), "--L", "8", *flags, "--out", str(tmp_path / "c")]) == 0
+        note = json.loads(capsys.readouterr().out)
+        image = 16 * 960 if flags[:1] == ["--clip"] else 10 * 960
+        expected = cli._estimated_peak_mib(8, True, fourier.fft_workers()) + image / 2**20
+        assert note["estimated_peak_mib"] == round(expected, 1)
+        assert cli._pgm_bytes(40, 24, 65535, bool(flags[:1] == ["--clip"])) == image
+
     @pytest.mark.parametrize("command", ["roundtrip", "bench"])
     def test_in_memory_budget_counts_every_scale_cube(
         self, tmp_path, capsys, monkeypatch, command
     ):
         """The estimate at the largest band limit adds one complex cube per scale.
 
-        A refused command writes nothing.
+        Beside them it counts the round trip's own signals
+        (_round_trip_bytes).  A refused command writes nothing.
         """
         params = scurve.TilingParams(8, 1, 2.0, 1)
         cubes = sum(
@@ -463,6 +493,7 @@ class TestPreflight:
         )
         assert cli._held_cube_bytes(params) == cubes
         estimate = cli._estimated_peak_mib(8, False, fourier.fft_workers()) * 2**20 + cubes
+        estimate += cli._round_trip_bytes(8)
         out = tmp_path / "table.csv"
         argv = [command, "--L", "8,4", "--spin", "1", "--jmin", "1", "--repeats", "1"]
         argv += ["--out", str(out)]

@@ -612,6 +612,12 @@ class TestPgm:
         with pytest.raises(container.ContainerError, match="truncated"):
             container.read_pgm(path)
 
+    def test_rejects_overlong_header_field(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n" + b"7" * 100000)
+        with pytest.raises(container.ContainerError, match="header field over"):
+            container.read_pgm(path)
+
     def test_rejects_non_numeric_header(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\nwide tall\n255\n")

@@ -325,6 +325,77 @@ class TestBinKernel:
         assert expected < len(ns) * K * K
 
 
+class TestOrderBlocks:
+    """Gamma batches run their bin kernels by blocks of alpha orders within _BIN_BUDGET."""
+
+    def test_blocks_cover_every_order_once(self):
+        for h, row_bytes in ((0, 1), (5, 1), (31, 10**5), (127, 8 * 512 * 16), (40, 1 << 30)):
+            blocks = so3._order_blocks(h, row_bytes)
+            orders = np.concatenate([b.orders for b in blocks])
+            assert sorted(orders.tolist()) == list(range(-h, h + 1))
+            # Within the budget, unless one order +-m alone exceeds it.
+            rows = max(len(b.orders) for b in blocks)
+            assert rows * row_bytes <= so3._BIN_BUDGET or rows <= 2
+        assert so3._order_blocks(5, 100) == [so3._block(0, 6)]
+        assert so3._order_blocks(5, so3._BIN_BUDGET) == [so3._block(a, a + 1) for a in range(6)]
+
+    @staticmethod
+    def outputs(L):
+        """Bytes of every curvelet transform path at L, on fixed coefficients."""
+        grid = scurve.SO3Grid(L, L, L)
+        w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(L))
+        wr = sparse_with_real_symmetry(L, np.random.default_rng(L + 1))
+        f = scurve.so3_inverse_curvelet(w, grid)
+        fr = scurve.so3_inverse_curvelet_real(wr, grid)
+        sunk = np.empty(grid.shape, complex)
+        scurve.so3_inverse_curvelet(w, grid, sink=so3._array_sink(sunk))
+        sunk_real = np.empty(grid.shape)
+        scurve.so3_inverse_curvelet_real(wr, grid, sink=so3._array_sink(sunk_real))
+        forward = scurve.so3_forward_curvelet(f)
+        forward_real = scurve.so3_forward_curvelet(fr)
+        arrays = (f.values, fr.values, sunk, sunk_real, forward.values, forward_real.values)
+        return [a.tobytes() for a in arrays]
+
+    @pytest.mark.parametrize("orders", [1, 3])
+    @pytest.mark.parametrize("L", [16, 32])
+    def test_outputs_do_not_depend_on_block_width(self, monkeypatch, L, orders):
+        """Blocks of one or three orders +-m give the bytes of the default run.
+
+        On every path: forward and inverse, complex and real; the inverse
+        in its own cube, on the triangle and into a sink.
+        """
+        default = self.outputs(L)
+        row_bytes = so3._CHUNK * so3._kernel_fft(L, L - 1)[0] * 16
+        monkeypatch.setattr(so3, "_BIN_BUDGET", 2 * orders * row_bytes)
+        assert len(so3._order_blocks(L - 1, row_bytes)) == -(-L // orders)
+        assert self.outputs(L) == default
+
+    @pytest.mark.parametrize("L", [64, 128])
+    def test_widest_forward_chunk_stays_within_the_budget(self, L):
+        """The traced peak of the widest forward batch no longer grows with its planes.
+
+        It holds one block's buffer within _BIN_BUDGET beside the batch's
+        quadrants; the batch's whole planes take 4.2 MiB at L = 64 and
+        16.7 MiB at L = 128.
+        """
+        rng = np.random.default_rng(L)
+        widest = so3._gamma_order(L, False)[-so3._CHUNK :]
+        spectra = [rng.standard_normal((L, 2 * abs(n) + 1)) + 0j for n in widest]
+        tab = scurve.halfpi_table(L)
+        so3._curvelet_columns(spectra, tab, widest)  # build the cached kernels untraced
+        tracemalloc.start()
+        try:
+            so3._curvelet_columns(spectra, tab, widest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        quadrants = so3._CHUNK * L * L * 8
+        bound = so3._BIN_BUDGET + quadrants + 2**20
+        assert peak <= bound, peak
+        if L == 128:
+            assert bound < so3._CHUNK * (2 * L - 1) * so3._kernel_fft(L, L - 1)[0] * 16
+
+
 class TestCountedWork:
     """The O(L^3 log L) claim on counted FFT work, which no machine drift moves."""
 
@@ -648,7 +719,8 @@ class TestChunkPool:
         widest = so3._gamma_order(L, False)[-so3._CHUNK :]
         cols = so3._triangle(L, False)[0]
         spectra = [W1[:, cols[n % len(cols)]] for n in widest]
-        one_chunk = traced_peak(lambda: so3._beta_to_bins(spectra, widest, L - 1))
+        tab = scurve.halfpi_table(L)
+        one_chunk = traced_peak(lambda: so3._curvelet_columns(spectra, tab, widest))
         # The chunk's planes padded to about twice their length for the
         # convolution, in one buffer: about two stacks of planes.
         planes = so3._CHUNK * (2 * L - 1) ** 2 * 16
