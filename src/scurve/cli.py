@@ -22,10 +22,11 @@ analyze, synthesize and sparsity hold no whole scale signal: they stream
 each scale's samples, one block of beta rows at a time, into or out of
 the container, or reduce them to its histogram.  Before building the
 tiling they estimate their peak memory from the band limit, the real
-flag and the worker count (analyze and sparsity add a PGM image from
-its header, before its raster is read); roundtrip and bench, which hold
-every scale in memory, add the scale cubes and their signals at their
-largest band limit.  When the estimate exceeds
+flag and the worker count (analyze and sparsity take the larger of
+that and the read of a PGM image, counted from its header before its
+raster is read); roundtrip and bench, which hold every scale in memory,
+add the scale cubes and their signals at their largest band limit.
+When the estimate exceeds
 what the process could reach (MemAvailable plus SwapFree, lowered by
 the room left in its cgroup-v2 group, its cgroup-v1 memory group and
 their ancestors), the command exits 3 with both numbers and writes
@@ -55,8 +56,8 @@ import numpy as np
 
 from . import container
 from .fourier import fft_workers
-from .so3 import _CHUNK, _curvelet_peak_parts
-from .sphere import random_coeffs, sht_forward, sht_inverse
+from .so3 import _curvelet_peak_parts
+from .sphere import _sht_inverse_bytes, random_coeffs, sht_forward, sht_inverse
 from .tiling import (
     QuadratureError,
     TilingError,
@@ -152,16 +153,18 @@ def _make_params(args, band_limit: int, spin: int) -> TilingParams:
     return TilingParams(band_limit, spin, args.lam, args.jmin)
 
 
-def _pgm_bytes(width: int, height: int, maxval: int, clip: bool) -> int:
-    """Peak bytes of reading a PGM image and preparing it for resampling.
+def _pgm_bytes(width: int, height: int, maxval: int, clip: bool, band_limit: int) -> int:
+    """Peak bytes of reading a PGM image and resampling it at a band limit.
 
     read_pgm holds the raster's bytes beside the float image; --clip's
     percentile sorts a copy of the image, and --clip and --rescale
-    otherwise work in place.
+    otherwise work in place.  The resampling holds the image beside four
+    arrays of the sphere's samples, counted as five.
     """
     pixels = width * height
     raster = pixels * (2 if maxval > 255 else 1)
-    return max(raster + 8 * pixels, 16 * pixels if clip else 0)
+    sphere = band_limit * (2 * band_limit - 1) * 8
+    return max(raster + 8 * pixels, 16 * pixels if clip else 0) + 5 * sphere
 
 
 def _load_sphere_input(path: str, args, magnitudes: bool = False):
@@ -170,8 +173,9 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
     The pre-flight (_preflight, given magnitudes) runs as soon as the
     band limit and the real flag are known.  A PGM is real and sampled at
     --L, so it runs once its header is read, before the raster is read
-    and resampled, and counts the image (_pgm_bytes); a container's
-    sphere is read first.
+    and resampled; the image is freed before any transform starts, so
+    its read (_pgm_bytes) is counted as a phase of its own.  A
+    container's sphere is read first.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(container.MAGIC))
@@ -184,8 +188,10 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
             raise UsageError("--clip expects a percentile in (0, 100]")
         params = _make_params(args, args.L, 0)
         with open(path, "rb") as fh:
-            image_bytes = _pgm_bytes(*container._pgm_header(fh, path), args.clip is not None)
-        estimate = _preflight(args.L, True, magnitudes, held=image_bytes)
+            header = container._pgm_header(fh, path)
+        estimate = _preflight(
+            args.L, True, magnitudes, before=_pgm_bytes(*header, args.clip is not None, args.L)
+        )
         image = container.read_pgm(path)
         if args.clip is not None:
             np.minimum(image, np.percentile(image, args.clip), out=image)
@@ -397,17 +403,22 @@ def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int
     return min(room) + held
 
 
-def _preflight(band_limit: int, real: bool, magnitudes: bool = False, held: int = 0) -> dict:
+def _preflight(
+    band_limit: int, real: bool, magnitudes: bool = False, held: int = 0, before: int = 0
+) -> dict:
     """{"estimated_peak_mib": ...}, or ValueError if that cannot fit.
 
     Runs before the tiling, the half-pi table or any scale is built, so a
     refused command allocates nothing large and writes nothing.
     magnitudes is passed on to _estimated_peak_mib; held adds the bytes a
-    command keeps beside one streamed transform or before it: the image
-    of a PGM input (_pgm_bytes), the cubes of an in-memory round trip
-    (_held_cube_bytes, _round_trip_bytes).
+    command keeps beside one streamed transform, the cubes of an
+    in-memory round trip (_held_cube_bytes, _round_trip_bytes).  before
+    is the peak bytes of a phase that ends before the transform starts,
+    the read of a PGM input (_pgm_bytes): the estimate is the larger of
+    the two phases.
     """
-    estimate = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes) + held / 2**20
+    transform = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes) + held / 2**20
+    estimate = max(transform, _BASELINE_MIB + before / 2**20)
     available = _available_memory()
     if available is not None and estimate * 2**20 > available:
         raise ValueError(
@@ -489,19 +500,21 @@ def _held_cube_bytes(params: TilingParams) -> int:
 
 
 # Resident memory of numpy's random generator, which roundtrip and bench
-# import for their test signals.
+# import for their test signals: RSS grows by 5.8 MiB across
+# np.random.default_rng and one random_coeffs in a fresh interpreter that
+# has imported scurve.
 _RANDOM_MIB = 6.0
 
 
 def _round_trip_bytes(band_limit: int) -> int:
     """Bytes a round trip at a band limit holds beside its transforms and cubes.
 
-    Its input and output sphere signals and harmonic coefficients, and
-    the batch of _CHUNK bin planes the closing sphere synthesis builds
-    beside the scale cubes, all complex, and numpy's random generator.
+    Its input and output sphere signals and harmonic coefficients, all
+    complex, the closing sphere synthesis' buffers (_sht_inverse_bytes),
+    built beside the scale cubes, and numpy's random generator.
     """
     L, K = band_limit, 2 * band_limit - 1
-    return 2 * (L * K + L * L) * 16 + _CHUNK * K * K * 16 + int(_RANDOM_MIB * 2**20)
+    return 2 * (L * K + L * L) * 16 + _sht_inverse_bytes(L) + int(_RANDOM_MIB * 2**20)
 
 
 def _preflight_in_memory(args) -> None:

@@ -445,6 +445,7 @@ def _order_blocks(h: int, row_bytes: int) -> list:
     return [_block(a, min(a + width, h + 1)) for a in range(0, h + 1, width)]
 
 
+@lru_cache
 def _overlap(m0: int, n: int, k: int) -> tuple:
     """Rows lo:hi of a run of n orders from m0 that fall within |m| <= k."""
     return min(max(-k - m0, 0), n), max(min(k + 1 - m0, n), 0)

@@ -22,6 +22,7 @@ from numpy import fft as sfft
 # wraps scurve.sphere.weighted_convolve by name.
 from .fourier import weighted_convolve  # noqa: F401
 from .so3 import (
+    _CHUNK,
     _batches,
     _alpha_orders,
     _alpha_samples,
@@ -209,6 +210,16 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     if f.real:
         _impose_real_symmetry(out)
     return HarmonicCoeffs(L, s, out, real=f.real)
+
+
+def _sht_inverse_bytes(L: int) -> int:
+    """Bytes sht_inverse holds at band limit L beside its coefficients and its output.
+
+    The running sum X of the bin planes, one batch of _CHUNK degrees'
+    planes and that batch's sum, (2L-1, 2L-1) complex each at the widest
+    batch; the larger of the sphere transforms' buffers.
+    """
+    return (_CHUNK + 2) * (2 * L - 1) ** 2 * 16
 
 
 def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:

@@ -464,18 +464,39 @@ class TestPreflight:
         assert read == []
         assert sorted(tmp_path.iterdir()) == before
 
+    @staticmethod
+    def write_pgm(path, width, height):
+        pixels = np.arange(width * height, dtype=">u2").reshape(height, width)
+        path.write_bytes(f"P5\n{width} {height}\n65535\n".encode() + pixels.tobytes())
+
     @pytest.mark.parametrize("flags", [[], ["--rescale"], ["--clip", "90", "--rescale"]])
-    def test_pgm_note_counts_the_image(self, tmp_path, capsys, flags):
-        """The raster's bytes beside its float image; --clip adds the percentile's copy."""
+    def test_small_pgm_note_is_the_transform_estimate(self, tmp_path, capsys, flags):
+        """The image is freed before the transform starts, so it adds nothing to its peak."""
         img = tmp_path / "img.pgm"
-        pixels = np.arange(24 * 40, dtype=">u2").reshape(24, 40)
-        img.write_bytes(b"P5\n40 24\n65535\n" + pixels.tobytes())
+        self.write_pgm(img, 40, 24)
+        assert run(["analyze", str(img), "--L", "16", *flags, "--out", str(tmp_path / "c")]) == 0
+        note = json.loads(capsys.readouterr().out)
+        expected = cli._estimated_peak_mib(16, True, fourier.fft_workers())
+        assert note["estimated_peak_mib"] == round(expected, 1)
+
+    @pytest.mark.parametrize("flags", [[], ["--clip", "90", "--rescale"]])
+    def test_large_pgm_note_is_its_read(self, tmp_path, capsys, flags):
+        """An image whose read outgrows the transform sets the estimate.
+
+        The raster's bytes beside its float image (--clip: the
+        percentile's copy beside it instead) and five arrays of the
+        sphere's samples for the resampling, over the interpreter.
+        """
+        img = tmp_path / "img.pgm"
+        self.write_pgm(img, 1000, 600)
         assert run(["analyze", str(img), "--L", "8", *flags, "--out", str(tmp_path / "c")]) == 0
         note = json.loads(capsys.readouterr().out)
-        image = 16 * 960 if flags[:1] == ["--clip"] else 10 * 960
-        expected = cli._estimated_peak_mib(8, True, fourier.fft_workers()) + image / 2**20
+        clip = flags[:1] == ["--clip"]
+        image = (16 if clip else 10) * 600_000 + 5 * 8 * 15 * 8
+        assert cli._pgm_bytes(1000, 600, 65535, clip, 8) == image
+        expected = cli._BASELINE_MIB + image / 2**20
+        assert expected > cli._estimated_peak_mib(8, True, fourier.fft_workers())
         assert note["estimated_peak_mib"] == round(expected, 1)
-        assert cli._pgm_bytes(40, 24, 65535, bool(flags[:1] == ["--clip"])) == image
 
     @pytest.mark.parametrize("command", ["roundtrip", "bench"])
     def test_in_memory_budget_counts_every_scale_cube(

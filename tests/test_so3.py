@@ -719,8 +719,7 @@ class TestChunkPool:
         widest = so3._gamma_order(L, False)[-so3._CHUNK :]
         cols = so3._triangle(L, False)[0]
         spectra = [W1[:, cols[n % len(cols)]] for n in widest]
-        tab = scurve.halfpi_table(L)
-        one_chunk = traced_peak(lambda: so3._curvelet_columns(spectra, tab, widest))
+        one_chunk = traced_peak(lambda: so3._beta_to_bins(spectra, widest, L - 1))
         # The chunk's planes padded to about twice their length for the
         # convolution, in one buffer: about two stacks of planes.
         planes = so3._CHUNK * (2 * L - 1) ** 2 * 16

@@ -1,6 +1,7 @@
 """Checks for the spin spherical harmonic transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ class TestContainers:
         a = scurve.random_coeffs(8, 1, np.random.default_rng(7))
         b = scurve.random_coeffs(8, 1, np.random.default_rng(7))
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestInverseMemory:
+    @pytest.mark.parametrize("L", [64, 128])
+    def test_peak_is_its_counted_buffers(self, L):
+        """_sht_inverse_bytes, which the round-trip pre-flight adds, is what sht_inverse holds.
+
+        The traced peak beside the output signal lies within 2% of it
+        and 128 KiB.
+        """
+        flm = scurve.random_coeffs(L, 2, np.random.default_rng(L))
+        sphere.sht_inverse(flm)  # build the cached half-pi table untraced
+        tracemalloc.start()
+        try:
+            sphere.sht_inverse(flm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = sphere._sht_inverse_bytes(L)
+        output = L * (2 * L - 1) * 16
+        assert 0.9 * counted <= peak - output <= 1.02 * counted + 2**17, (peak, counted)
 
 
 class TestRoundTrip:
