@@ -3,10 +3,12 @@
 Samples live on odd-length equiangular grids, so every periodic axis maps
 onto signed Fourier bins with no Nyquist ambiguity.  Colatitude is the
 delicate direction: its nodes only cover half a period, so the bin kernel
-in so3.py extends them through the poles before transforming.  This
-module holds what the kernel shares with the rest of the package: the FFT
-worker count, and the exact sin(beta) weighting, applied in place as a
-convolution over the kernel's padded buffer of colatitude bins.
+in so3.py extends them through the poles before transforming, which makes
+each plane even or odd in its bins.  This module holds what the kernel
+shares with the rest of the package: the FFT worker count, and the exact
+sin(beta) weighting, applied in place as a convolution over the kernel's
+padded buffer of colatitude bins with the even part of the weights, all
+that the kernel's fold of the bins onto p >= 0 reads.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ def _next_fast_len(n: int) -> int:
 def _kernel_fft(L: int, h: int) -> tuple:
     """(pad, kernel spectrum) of the convolution from 2L-1 bins to the 2h+1 kept.
 
-    The kernel v[q] = w(L-1+h - q), q = 0..2(L-1+h), is laid out so that a
-    plain circular convolution of bins stored in FFT order puts out[m'] at
-    index L-1+h+m'.  The pad is the smallest fast length >= 2L-1+2h.
+    The kernel v[q] = w_e(L-1+h - q), q = 0..2(L-1+h), is laid out so that
+    a plain circular convolution of bins stored in FFT order puts out[m']
+    at index L-1+h+m'.  w_e(q) = (w(q) + w(-q))/2 is the even part of the
+    weights: real, 2/(1-q^2) at even q and zero at odd q, the +-i pi/2 at
+    q = +-1 cancelling.  The pad is the smallest fast length >= 2L-1+2h.
     """
     pad = _next_fast_len(2 * L - 1 + 2 * h)
-    kernel = sfft.fft(weight_kernel(L - 1 + h)[::-1], n=pad)
+    kernel = sfft.fft(weight_kernel(L - 1 + h)[::-1].real, n=pad)
     kernel.setflags(write=False)
     return pad, kernel
 
@@ -82,13 +86,18 @@ def _kernel_fft(L: int, h: int) -> tuple:
 def weighted_convolve(buf: np.ndarray, h: int, L: int) -> np.ndarray:
     """Apply the exact sin(beta) quadrature weights in the bin domain, in place.
 
-    buf holds, along its last axis, the centred bins m'' = -(L-1)..L-1 in
-    FFT order at the padded length of _kernel_fft(L, h): m'' >= 0 from the
-    front, m'' < 0 at the back, zeros between; the bin kernel in so3.py
-    fills one so the convolution needs no copy.  The result is a view of
-    buf holding the 2h+1 centred bins |m'| <= h, out[m'] = sum_m''
-    bin[m''] w(m'' - m').  The circular convolution at a padded length
-    >= 2L-1+2h is alias-free: the kernel spans |m'' - m'| <= L-1+h.
+    The bin kernel folds its output onto p >= 0 as Y[p] + sigma Y[-p] of
+    bins that are sigma-symmetric, sigma = +-1, and that fold reads only
+    the even part w_e of the weights w(q), the integrals of sin(beta)
+    exp(i q beta) over [0, pi] (_kernel_fft): the odd part cancels in it,
+    and at p = 0 only sigma = +1 is read.  buf holds, along its last
+    axis, the centred bins m'' = -(L-1)..L-1 in FFT order at the padded
+    length of _kernel_fft(L, h): m'' >= 0 from the front, m'' < 0 at the
+    back, zeros between; the bin kernel in so3.py fills one so the
+    convolution needs no copy.  The result is a view of buf holding the
+    2h+1 centred bins |m'| <= h, out[m'] = sum_m'' bin[m''] w_e(m'' - m').
+    The circular convolution at a padded length >= 2L-1+2h is alias-free:
+    the kernel spans |m'' - m'| <= L-1+h.
     """
     if not 0 <= h < L:
         raise ValueError(f"kept half-width {h} out of range for {2 * L - 1} bins")

@@ -20,20 +20,24 @@ padded for the convolution, and keeps only the 2h+1 beta bins
 |m'| <= h.  The curvelet transforms batch gamma frequencies in order of
 |n| and pass each batch's largest |n|, which brings their beta work
 towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
-the sphere transforms read every degree and pass the full width.  Every
-alpha order runs through the kernel on its own, so a batch runs it by
-blocks of orders +-m (_Block), each in a buffer within _BIN_BUDGET: a
-worker's planes no longer grow as L^2 (one buffer of 16.7 MB at
-L = 128 and 67 MB at L = 256 otherwise), and a batch whose planes fit
-runs as one block, bitwise the same, the same 1-D FFTs on the same
-values.  The batches run on a pool of fft_workers() threads, and so do
-the whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
+the sphere transforms read every degree and pass the full width.  The
+plane of alpha order m and gamma frequency n is even or odd in its beta
+bins, with parity (-1)^(m+n), and the forward kernel keeps only its fold
+onto p >= 0, so two frequencies of opposite parity share its beta FFT
+and convolution (a batch of 8 runs as 4 pairs).  The inverse keeps one
+inverse FFT per plane: splitting a paired sum at the beta nodes cost as
+much as it saved (L = 32 to 128, 2-core VM).  A batch runs the kernels
+by blocks of orders +-m (_Block), each in a buffer within _BIN_BUDGET,
+so a worker's planes do not grow as L^2; each row runs the same 1-D
+FFTs on the same values in any block, so the block width changes no
+bit.  The batches run on a pool of fft_workers() threads, and so do the
+whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
 batch or block writes only its own rows, so results are bitwise the same
 for any worker count.
 
 Between the bins and the coefficients sits Delta = d(pi/2), of which the
 half-pi table keeps the m', m >= 0 quadrant.  _wigner_columns and
-_column_bins read it through the reflections Delta_{-m',m} =
+_block_bins read it through the reflections Delta_{-m',m} =
 (-1)^(ell+m) Delta_{m'm} and Delta_{m',-m} = (-1)^(ell+m') Delta_{m'm}:
 bin rows +-p fold with sign (-1)^(m+n), columns +-m with sign
 (-1)^(ell+p).  They work on a batch of columns at once, the quadrants of
@@ -115,7 +119,8 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     workers; a transform that reads or writes its samples block by block
     holds no whole cube.  A worker holds, never both at once, either the
     bin planes of one gamma batch (the widest block of _order_blocks,
-    within _BIN_BUDGET, beside the batch's quadrants) or one dense beta
+    within _BIN_BUDGET, one padded row per order and pair of gamma
+    frequencies, beside the batch's quadrants) or one dense beta
     block of the whole-cube FFTs beside its block of samples; it is
     counted as the larger, and a quarter more for what the allocator of
     its thread keeps resident between blocks (2-worker `scurve analyze` at
@@ -124,7 +129,8 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     """
     K = 2 * L - 1
     G = L if real else K
-    row_bytes = _CHUNK * _next_fast_len(4 * L - 3) * 16  # the widest batch, h = L-1
+    pad = _next_fast_len(4 * L - 3)  # the widest batch, h = L-1
+    row_bytes = (_CHUNK + 1) // 2 * (pad + pad % 2) * 16
     rows = min(2 * _order_width(L - 1, row_bytes), K)
     planes = rows * row_bytes + _CHUNK * L * L * 8
     blocks = min(_BETA_BLOCK, L) * K * (G * 16 + K * (8 if real else 16))
@@ -430,9 +436,10 @@ def _block(a: int, b: int) -> _Block:
 def _order_width(h: int, row_bytes: int) -> int:
     """Orders +-m per block of a gamma batch whose bin buffer takes row_bytes per order.
 
-    The 2h+1 orders |m| <= h run as one block when they fit _BIN_BUDGET,
-    and otherwise in blocks of as many orders +-m as fit it (at least
-    one).
+    An order holds a padded row per pair of frequencies in the forward
+    kernel, 2L-1 bins per frequency in the inverse.  The 2h+1 orders
+    |m| <= h run as one block when they fit _BIN_BUDGET, and otherwise in
+    blocks of as many orders +-m as fit it (at least one).
     """
     if (2 * h + 1) * row_bytes <= _BIN_BUDGET:
         return h + 1
@@ -451,51 +458,109 @@ def _overlap(m0: int, n: int, k: int) -> tuple:
     return min(max(-k - m0, 0), n), max(min(k + 1 - m0, n), 0)
 
 
+def _pair_slots(ns) -> list:
+    """ns as _beta_to_bins pairs it, slots 2j and 2j+1 sharing a row.
+
+    A placeholder of the other parity leads when ns[0] and ns[1] share
+    one, so every run of _gamma_order pairs up; ValueError otherwise.
+    """
+    ns = [int(n) for n in ns]
+    slots = [ns[0] - 1] + ns if len(ns) > 1 and (ns[0] - ns[1]) % 2 == 0 else ns
+    if any((x - y) % 2 == 0 for x, y in zip(slots[0::2], slots[1::2])):
+        raise ValueError(f"gamma frequencies {ns} do not pair with opposite parity")
+    return slots
+
+
+@lru_cache
+def _pair_signs(parities: tuple, a: int, b: int) -> tuple:
+    """sigma_x over _block(a, b)'s orders and pairs whose first frequencies have these parities.
+
+    (orders, pairs, 1), then where it is +1 and where -1 as (orders, pairs) masks.
+    """
+    sign = alt_sign(_block(a, b).orders[:, None] + np.array(parities, dtype=int))
+    out = sign[..., None], sign > 0, sign < 0
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
 def _beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> np.ndarray:
-    """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
+    """Weighted centred (beta bin, alpha bin) planes of alpha spectra, folded onto p >= 0.
 
     spectra[i] is the centred alpha spectrum of gamma frequency ns[i] at
     the L beta nodes: an (L, 2k+1) array of the orders m = -k..k, k <= h,
     such as its columns of a triangle spectrum (k = |n|) or a full-width
     row (k = L-1).  Degree ell reads only the bins |m'|, |m| <= ell, so
-    the planes of a stack whose degrees stay at or below h keep only the
-    2h+1 beta bins |m'| <= h, and only the alpha orders of block, in its
-    row order (_Block; default all 2h+1 orders, centred), the orders past
-    k zero.  Each plane is extended through the poles with parity
-    (-1)^(m + n), transformed along beta, stripped of the node offset and
-    weighted by sin(beta).  All of that runs in one buffer per block,
-    beta-last, at the padded length of the convolution: the spectra are
-    copied into its first L entries and extended into the next L-1, the
-    beta FFT runs there in place, and the negative bins move to the end of
-    the buffer as the node-offset phase is applied, which is the FFT-order
-    layout weighted_convolve takes.  The result is a (len(ns), 2h+1,
-    orders) transposed view of that buffer.
+    the planes keep only the beta bins |m'| <= h and the alpha orders of
+    block (_Block; default all 2h+1, centred), the orders past k zero.
+    Each plane is extended through the poles with parity sigma =
+    (-1)^(m + n) (an odd one vanishes at beta = pi for a band-limited
+    signal, and its sample there is not read), transformed along beta,
+    stripped of the node offset and weighted by sin(beta).  Since
+    Delta_{-p m} Delta_{-p n} = sigma Delta_{p m} Delta_{p n},
+    _block_columns reads only the fold F[p] = Y[p] + sigma Y[-p], p >= 0
+    (F[0] only where sigma = +1), of the weighted bins Y, and that sees
+    the even part of the weights alone.  So two frequencies x, y of
+    opposite parity (_pair_slots) share one beta FFT and one convolution
+    per order: the transform Z of their sum gives F_x[p] = Z[p] + sigma_x
+    Z[-p] and F_y[p] = Z[p] - sigma_x Z[-p].  It all runs in one buffer
+    per block, (orders, pairs, beta), at the padded length and in the
+    FFT-order layout of weighted_convolve; F_x and F_y are folded into
+    the two halves of each row, and the result is a (len(ns), h+1,
+    orders) view of them.
     """
+    slots = _pair_slots(ns)
+    lead = len(slots) - len(ns)
     block = block or _block(0, h + 1)
+    sign, plus, minus = _pair_signs(tuple(n % 2 for n in slots[0::2]), block.a, block.b)
     L = spectra[0].shape[0]
     K = 2 * L - 1
     pad = _kernel_fft(L, h)[0]
-    buf = np.empty((len(ns), len(block.orders), pad), dtype=complex)
-    parity = alt_sign(np.asarray(ns)[:, None] + block.orders)
-    for i, S in enumerate(spectra):
+    half = (pad + 1) // 2
+    buf = np.empty((len(block.orders), (len(slots) + 1) // 2, 2 * half), dtype=complex)
+    if lead:
+        buf[:, 0, :K] = 0.0
+    for i, S in enumerate(spectra, lead):
         k = S.shape[1] // 2
-        P = buf[i, :, :L]
+        row, signs = buf[:, i // 2], sign[:, i // 2]
         for m0, r0, n in block.runs:
             lo, hi = _overlap(m0, n, k)
-            P[r0 : r0 + lo] = 0.0
-            P[r0 + lo : r0 + hi] = S[:, k + m0 + lo : k + m0 + hi].T
-            P[r0 + hi : r0 + n] = 0.0
-        # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
-        np.multiply(P[:, L - 2 :: -1], parity[i, :, None], out=buf[i, :, L:K])
+            X = S[:, k + m0 + lo : k + m0 + hi].T
+            P, s = row[r0 + lo : r0 + hi], signs[r0 + lo : r0 + hi]
+            # Beta node b >= L is sigma_x times the reflection of node 2L-2-b
+            # through beta = pi.  Rows odd::2 have sigma = +1; the others'
+            # samples at beta = pi are not read.
+            odd = (m0 + lo + slots[i]) % 2
+            if i % 2:
+                P[:, : L - 1] += X[:, : L - 1]
+                P[odd::2, L - 1] += X[odd::2, L - 1]
+                P[:, L:K] -= s * X[:, : L - 1][:, ::-1]
+            else:
+                if lo or hi < n:
+                    row[r0 : r0 + lo, :K] = row[r0 + hi : r0 + n, :K] = 0.0
+                P[:, :L] = X
+                P[1 - odd :: 2, L - 1] = 0.0
+                np.multiply(X[:, : L - 1][:, ::-1], s, out=P[:, L:K])
     E = buf[..., :K]
     sfft.fft(E, norm="forward", out=E)
     # The node-offset phase of bin m'' (with the 4 pi^2 of the transform's
     # normalisation); the bins m'' < 0 move from [L, 2L-1) to the end.
     phase = (4.0 * math.pi**2) * np.exp(-1j * np.arange(1 - L, L) * (math.pi / K))
-    np.multiply(buf[..., L:K], phase[: L - 1], out=buf[..., pad - L + 1 :])
+    np.multiply(buf[..., L:K], phase[: L - 1], out=buf[..., pad - L + 1 : pad])
     buf[..., :L] *= phase[L - 1 :]
     buf[..., L : pad - L + 1] = 0.0
-    return weighted_convolve(buf, h, L).swapaxes(1, 2)
+    weighted_convolve(buf[..., :pad], h, L)
+    # Z[p] sits at c + p; F_x[p] goes to L-1+p, F_y[p] to half+L-1+p.
+    c = L - 1 + h
+    above, below = buf[..., c + 1 : c + h + 1], buf[..., L - 1 : c][..., ::-1]
+    Fy = buf[..., half + L : half + L + h]
+    np.multiply(below, sign, out=Fy)
+    np.multiply(buf[..., c], minus, out=buf[..., half + L - 1])
+    np.multiply(buf[..., c], plus, out=buf[..., L - 1])
+    np.add(above, Fy, out=buf[..., L : c + 1])
+    np.subtract(above, Fy, out=Fy)
+    rows = buf.reshape(len(buf), -1, half)[:, lead : lead + len(ns), L - 1 : c + 1]
+    return rows.transpose(1, 2, 0)
 
 
 def _bins_to_beta(B: np.ndarray, L: int) -> np.ndarray:
@@ -543,29 +608,12 @@ def _quadrants(tab, ns, ells, h: int) -> tuple:
     return Q, t, np.where((ns < 0)[:, None], col * t, col)
 
 
-def _fold_bins(Y: np.ndarray, ns, block: _Block | None = None) -> np.ndarray:
-    """Fold centred bin rows -p onto p, in place; returns the rows p >= 0.
-
-    Y holds one (2h'+1, orders) plane of centred bins per gamma frequency
-    n of ns, over the alpha orders of block (default the 2h+1 centred
-    orders).  Delta_{-p m} Delta_{-p n} = (-1)^(m+n) Delta_{p m}
-    Delta_{p n}, so row p gains (-1)^(m+n) times row -p and the sums over
-    p in _block_columns need only p >= 0.
-    """
-    hp = Y.shape[-2] // 2
-    orders = (block or _block(0, Y.shape[-1] // 2 + 1)).orders
-    below = Y[:, :hp][:, ::-1]
-    below *= alt_sign(np.asarray(ns)[:, None] + orders)[:, None, :]
-    Y[:, hp + 1 :] += below
-    return Y[:, hp:]
-
-
 def _block_columns(Z: np.ndarray, quads, block: _Block, C: np.ndarray) -> None:
     """Orders |m| = a..b-1 of Wigner columns off the folded bins Z of a _Block.
 
     Column i is sum_p Delta_{p m} Delta_{p n} Y[p, m] over the bin rows p
-    of its degree and gamma frequency, read as Z (from _fold_bins, one
-    plane per column or one for all) over p >= 0 and the quadrants of
+    of its degree and gamma frequency, read as Z (folded by _beta_to_bins,
+    one plane per column or one for all) over p >= 0 and the quadrants of
     quads (_quadrants), whose columns -m follow from m with sign
     (-1)^(ell+p).  The orders +-m go to C, centred, 2h+1 per column.
     """
@@ -604,19 +652,21 @@ def _wigner_columns(Z: np.ndarray, tab, ns, ells) -> list:
 def _curvelet_columns(spectra, tab, ns) -> list:
     """Columns n = ns[i] of degree |n| off the triangle spectra of a gamma batch.
 
-    The forward curvelet kernel: _beta_to_bins, _fold_bins and
-    _block_columns run on one block of alpha orders at a time
-    (_order_blocks), so the batch's bin planes take at most _BIN_BUDGET
-    whatever L.  Returns the columns, 2|n| + 1 entries each.
+    The forward curvelet kernel: _beta_to_bins and _block_columns run on
+    one block of alpha orders at a time (_order_blocks), so the batch's
+    bin planes take at most _BIN_BUDGET whatever L; an order's row of them
+    holds one padded row per pair of gamma frequencies.  Returns the
+    columns, 2|n| + 1 entries each.
     """
     ns = np.asarray(ns)
     ells = np.abs(ns)
     h = int(ells.max())
     quads = _quadrants(tab, ns, ells, h)
     C = np.empty((len(ns), 2 * h + 1), dtype=complex)
-    row_bytes = len(ns) * _kernel_fft(spectra[0].shape[0], h)[0] * 16
-    for block in _order_blocks(h, row_bytes):
-        Z = _fold_bins(_beta_to_bins(spectra, ns, h, block), ns, block)
+    pad = _kernel_fft(spectra[0].shape[0], h)[0]
+    pairs = (len(_pair_slots(ns)) + 1) // 2
+    for block in _order_blocks(h, pairs * (pad + pad % 2) * 16):
+        Z = _beta_to_bins(spectra, ns, h, block)
         _block_columns(Z, quads, block, C)
         del Z  # so the next block's buffer is not built beside this one
     return _phased_columns(C, ns, ells)
@@ -674,13 +724,20 @@ def _block_bins(factors, block: _Block, L: int) -> np.ndarray:
     return B
 
 
-def _column_bins(cols, tab, ns, ells, L: int) -> np.ndarray:
-    """Bin planes of Wigner columns over every alpha order |m| <= max(ells).
+def _add_column_bins(X: np.ndarray, cols, tab, ns, ells, L: int) -> None:
+    """Add the summed bin planes (_block_bins) of Wigner columns of one gamma frequency to X.
 
-    The inverse of _wigner_columns: one block (_block_bins) of every
-    order, (len(ells), 2h+1, 2L-1).
+    X is (2c+1, 2L-1), centred alpha orders |m| <= c by beta bins in FFT
+    order, the layout _bins_to_beta inverts.  One einsum per half of the
+    bins and sign of the orders contracts the columns: no plane is built.
     """
-    return _block_bins(_column_factors(cols, tab, ns, ells, L), _block(0, max(ells) + 1), L)
+    h = int(max(ells))
+    K = 2 * L - 1
+    c = len(X) // 2
+    bins = (X[:, : h + 1], X[:, K - h :][:, ::-1])
+    for half, (q, r, w, s) in zip(bins, _column_factors(cols, tab, ns, ells, L)):
+        half[c : c + h + 1] += np.einsum("ipm,im,ip->mp", q, r[:, h:], w)
+        half[c - h : c][::-1] += np.einsum("ipm,im,ip->mp", q[..., 1:], r[:, :h][:, ::-1], w * s)
 
 
 def _curvelet_nodes(w, tab, ns, L: int, put) -> None:

@@ -23,14 +23,13 @@ from numpy import fft as sfft
 from .fourier import weighted_convolve  # noqa: F401
 from .so3 import (
     _CHUNK,
+    _add_column_bins,
     _batches,
     _alpha_orders,
     _alpha_samples,
     _beta_to_bins,
     _bins_to_beta,
     _check_real,
-    _column_bins,
-    _fold_bins,
     _wigner_columns,
 )
 from .wigner import alt_sign, halfpi_table
@@ -201,7 +200,7 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
     if abs(s) >= L:
         raise ValueError(f"spin {s} out of range for band limit {L}")
     W = _alpha_orders(sfft.fft(f.values, norm="forward"), L - 1)
-    Z = _fold_bins(_beta_to_bins([W], [-s], L - 1), [-s])
+    Z = _beta_to_bins([W], [-s], L - 1)
     tab = halfpi_table(L)
     out = np.zeros(L * L, dtype=complex)
     for ells in _batches(range(abs(s), L)):
@@ -215,11 +214,15 @@ def sht_forward(f: SphereSignal) -> HarmonicCoeffs:
 def _sht_inverse_bytes(L: int) -> int:
     """Bytes sht_inverse holds at band limit L beside its coefficients and its output.
 
-    The running sum X of the bin planes, one batch of _CHUNK degrees'
-    planes and that batch's sum, (2L-1, 2L-1) complex each at the widest
-    batch; the larger of the sphere transforms' buffers.
+    Its peak falls in the widest batches of degrees, before the output
+    exists: the running sum X of the bin planes, (2L-1, 2L-1) complex,
+    beside a batch's _CHUNK quadrants and one (L, L) complex einsum result
+    at the widest batch, and the buffers einsum casts its three operands
+    through, 8192 complex values each.  The output, which the caller
+    counts, is taken off.
     """
-    return (_CHUNK + 2) * (2 * L - 1) ** 2 * 16
+    K = 2 * L - 1
+    return (K * K + L * L - L * K) * 16 + _CHUNK * L * L * 8 + 3 * 8192 * 16
 
 
 def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
@@ -233,8 +236,7 @@ def sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:
     X = np.zeros((2 * L - 1, 2 * L - 1), dtype=complex)
     for ells in _batches(range(abs(s), L)):
         cols = [_column_scale(ell, s) * flm.degree_slice(ell) for ell in ells]
-        h = ells[-1]
-        X[L - 1 - h : L + h] += _column_bins(cols, tab, [-s] * len(ells), ells, L).sum(0)
+        _add_column_bins(X, cols, tab, [-s] * len(ells), ells, L)
     F = _alpha_samples(_bins_to_beta(X, L), 2 * L - 1)
     return SphereSignal(SphereGrid(L), s, F.real if flm.real else F, real=flm.real)
 

@@ -13,7 +13,9 @@ the library's half-pi recursion and fast curvelet transforms; the library
 itself never calls them.  The dense transforms run on the library's
 colatitude-bin kernel, so they check the curvelet transforms' column
 bookkeeping and batching, not the kernel itself; the direct summations
-below pin that down.
+below pin that down, and the unpaired forward kernel at the end, which
+runs every (alpha order, gamma frequency) plane through its own beta FFTs,
+pins the library's pairing of gamma frequencies.
 """
 
 import cmath
@@ -25,23 +27,30 @@ import numpy as np
 from numpy import fft as sfft
 
 from scurve import HarmonicCoeffs, SphereGrid, SphereSignal, sht_forward, sht_inverse
+from scurve.fourier import _kernel_fft, weighted_convolve
 from scurve.so3 import (
     CurveletWignerCoeffs,
     SO3Grid,
     SO3Signal,
     WignerCoeffs,
+    _add_column_bins,
     _alpha_orders,
     _alpha_samples,
     _batches,
     _beta_to_bins,
     _bins_to_beta,
-    _column_bins,
-    _fold_bins,
+    _Block,
+    _block,
+    _block_columns,
+    _order_blocks,
+    _overlap,
+    _phased_columns,
+    _quadrants,
     _wigner_columns,
 )
 from scurve.tiling import Tiling
 from scurve.transform import _check_signal, _scale_wigner, rotate_to_north, scale_band_limit
-from scurve.wigner import _check_orders, halfpi_table, weight_kernel
+from scurve.wigner import _check_orders, alt_sign, halfpi_table, weight_kernel
 
 
 @dataclass(frozen=True)
@@ -194,11 +203,13 @@ def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCo
     W1 = _alpha_orders(sfft.fft2(f.values, axes=(0, 2), norm="forward"), L - 1)
     tab = halfpi_table(L)
     out = WignerCoeffs.zeros(L)
-    for n in range(-(L - 1), L):
-        Z = _fold_bins(_beta_to_bins([W1[n % len(W1)]], [n], L - 1), [n])
-        for ells in _batches(range(abs(n), L)):
-            for ell, col in zip(ells, _wigner_columns(Z, tab, [n] * len(ells), ells)):
-                out.planes[ell][:, n + ell] = col
+    ns = list(range(-(L - 1), L))
+    for pair in (ns[i : i + 2] for i in range(0, len(ns), 2)):
+        Zs = _beta_to_bins([W1[n % len(W1)] for n in pair], pair, L - 1)
+        for n, Z in zip(pair, Zs):
+            for ells in _batches(range(abs(n), L)):
+                for ell, col in zip(ells, _wigner_columns(Z[None], tab, [n] * len(ells), ells)):
+                    out.planes[ell][:, n + ell] = col
     return out
 
 
@@ -215,8 +226,7 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
         X = np.zeros((2 * L - 1, 2 * grid.L - 1), dtype=complex)
         for ells in _batches(range(abs(n), L)):
             cols = [w.planes[ell][:, n + ell] for ell in ells]
-            h = ells[-1]
-            X[L - 1 - h : L + h] += _column_bins(cols, tab, [n] * len(ells), ells, grid.L).sum(0)
+            _add_column_bins(X, cols, tab, [n] * len(ells), ells, grid.L)
         out[n % (2 * grid.N - 1)] = _alpha_samples(_bins_to_beta(X, grid.L), 2 * grid.M - 1)
     sfft.ifft(out, axis=0, norm="forward", out=out)
     return SO3Signal(grid, out)
@@ -290,15 +300,19 @@ def sphere_inner_product(flm: HarmonicCoeffs, glm: HarmonicCoeffs) -> complex:
     return complex(sht_forward(h).at(0, 0)) * np.sqrt(4.0 * np.pi)
 
 
-def dense_weighted_convolve(spectrum: np.ndarray, axis: int = 0) -> np.ndarray:
+def dense_weighted_convolve(spectrum: np.ndarray, axis: int = 0, even: bool = True) -> np.ndarray:
     """fourier.weighted_convolve through the dense weight matrix.
 
-    Builds matrix[p, q] = w(q - p) over the 2L-1 centred bins and applies
-    it along axis; quadratic in L, with no padding or FFT involved.
+    Builds matrix[p, q] = w_e(q - p) over the 2L-1 centred bins, w_e(q) =
+    (w(q) + w(-q))/2 the even part of the weights, and applies it along
+    axis; quadratic in L, with no padding or FFT involved.  even=False
+    takes the full weights w instead.
     """
     L = (spectrum.shape[axis] + 1) // 2
     offsets = np.arange(-(L - 1), L)
-    matrix = weight_kernel(2 * (L - 1))[offsets[None, :] - offsets[:, None] + 2 * (L - 1)]
+    w = weight_kernel(2 * (L - 1))
+    w = (w + w[::-1]) / 2 if even else w
+    matrix = w[offsets[None, :] - offsets[:, None] + 2 * (L - 1)]
     out = np.tensordot(matrix, np.moveaxis(spectrum, axis, 0), axes=(1, 0))
     return np.moveaxis(out, 0, axis)
 
@@ -379,3 +393,87 @@ def coeffs_from_rows(rows: dict, band_limit: int, spin: int) -> HarmonicCoeffs:
     for ell, row in rows.items():
         vals[ell * ell : ell * ell + 2 * ell + 1] = row
     return HarmonicCoeffs(band_limit, spin, vals)
+
+# The forward colatitude-bin kernel as it ran before the library paired its
+# gamma frequencies: every (alpha order, gamma frequency) plane through its
+# own beta FFTs, then folded.  It is what the paired kernel in so3 is
+# checked against, and what its FFT work is counted against.
+
+
+def unpaired_beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> np.ndarray:
+    """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
+
+    spectra[i] is the centred alpha spectrum of gamma frequency ns[i] at
+    the L beta nodes: an (L, 2k+1) array of the orders m = -k..k, k <= h,
+    such as its columns of a triangle spectrum (k = |n|) or a full-width
+    row (k = L-1).  Degree ell reads only the bins |m'|, |m| <= ell, so
+    the planes of a stack whose degrees stay at or below h keep only the
+    2h+1 beta bins |m'| <= h, and only the alpha orders of block, in its
+    row order (_Block; default all 2h+1 orders, centred), the orders past
+    k zero.  Each plane is extended through the poles with parity
+    (-1)^(m + n), transformed along beta, stripped of the node offset and
+    weighted by sin(beta).  All of that runs in one buffer per block,
+    beta-last, at the padded length of the convolution: the spectra are
+    copied into its first L entries and extended into the next L-1, the
+    beta FFT runs there in place, and the negative bins move to the end of
+    the buffer as the node-offset phase is applied, which is the FFT-order
+    layout weighted_convolve takes.  The result is a (len(ns), 2h+1,
+    orders) transposed view of that buffer.
+    """
+    block = block or _block(0, h + 1)
+    L = spectra[0].shape[0]
+    K = 2 * L - 1
+    pad = _kernel_fft(L, h)[0]
+    buf = np.empty((len(ns), len(block.orders), pad), dtype=complex)
+    parity = alt_sign(np.asarray(ns)[:, None] + block.orders)
+    for i, S in enumerate(spectra):
+        k = S.shape[1] // 2
+        P = buf[i, :, :L]
+        for m0, r0, n in block.runs:
+            lo, hi = _overlap(m0, n, k)
+            P[r0 : r0 + lo] = 0.0
+            P[r0 + lo : r0 + hi] = S[:, k + m0 + lo : k + m0 + hi].T
+            P[r0 + hi : r0 + n] = 0.0
+        # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
+        np.multiply(P[:, L - 2 :: -1], parity[i, :, None], out=buf[i, :, L:K])
+    E = buf[..., :K]
+    sfft.fft(E, norm="forward", out=E)
+    # The node-offset phase of bin m'' (with the 4 pi^2 of the transform's
+    # normalisation); the bins m'' < 0 move from [L, 2L-1) to the end.
+    phase = (4.0 * math.pi**2) * np.exp(-1j * np.arange(1 - L, L) * (math.pi / K))
+    np.multiply(buf[..., L:K], phase[: L - 1], out=buf[..., pad - L + 1 :])
+    buf[..., :L] *= phase[L - 1 :]
+    buf[..., L : pad - L + 1] = 0.0
+    return weighted_convolve(buf, h, L).swapaxes(1, 2)
+
+
+def fold_bins(Y: np.ndarray, ns, block: _Block | None = None) -> np.ndarray:
+    """Fold centred bin rows -p onto p, in place; returns the rows p >= 0.
+
+    Y holds one (2h'+1, orders) plane of centred bins per gamma frequency
+    n of ns, over the alpha orders of block (default the 2h+1 centred
+    orders).  Delta_{-p m} Delta_{-p n} = (-1)^(m+n) Delta_{p m}
+    Delta_{p n}, so row p gains (-1)^(m+n) times row -p and the sums over
+    p in _block_columns need only p >= 0.
+    """
+    hp = Y.shape[-2] // 2
+    orders = (block or _block(0, Y.shape[-1] // 2 + 1)).orders
+    below = Y[:, :hp][:, ::-1]
+    below *= alt_sign(np.asarray(ns)[:, None] + orders)[:, None, :]
+    Y[:, hp + 1 :] += below
+    return Y[:, hp:]
+
+
+def unpaired_curvelet_columns(spectra, tab, ns) -> list:
+    """so3._curvelet_columns on the unpaired kernel, one plane per gamma frequency."""
+    ns = np.asarray(ns)
+    ells = np.abs(ns)
+    h = int(ells.max())
+    quads = _quadrants(tab, ns, ells, h)
+    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
+    row_bytes = len(ns) * _kernel_fft(spectra[0].shape[0], h)[0] * 16
+    for block in _order_blocks(h, row_bytes):
+        Z = fold_bins(unpaired_beta_to_bins(spectra, ns, h, block), ns, block)
+        _block_columns(Z, quads, block, C)
+        del Z
+    return _phased_columns(C, ns, ells)

@@ -47,6 +47,29 @@ class TestWeightedConvolve:
             assert np.shares_memory(fast, buf)
             assert np.abs(fast - slow[:, L - 1 - h : L + h]).max() <= 1e-11
 
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("L", [2, 5, 16])
+    def test_fold_reads_only_the_even_weights(self, rng, L, sigma):
+        """Folded onto p >= 0, sigma-symmetric bins see the even part of the weights only.
+
+        The bin kernel's planes satisfy X[-m] = sigma X[m] and it keeps
+        F[p] = Y[p] + sigma Y[-p] of their convolution Y, F[0] only where
+        sigma = +1: the full weights and their even part give the same F.
+        """
+        half = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+        if sigma < 0:
+            half[:, 0] = 0.0
+        bins = np.concatenate([sigma * half[:, :0:-1], half], axis=1)
+
+        def fold(Y):
+            F = Y[:, L - 1 :] + sigma * Y[:, L - 1 :: -1]
+            F[:, 0] = Y[:, L - 1] if sigma > 0 else 0.0
+            return F
+
+        full = fold(oracles.dense_weighted_convolve(bins, axis=1, even=False))
+        even = fold(fourier.weighted_convolve(self.padded(bins, L, L - 1), L - 1, L))
+        assert np.abs(even - full).max() <= 1e-14 * np.abs(full).max()
+
     def test_band_limit_validation(self):
         with pytest.raises(ValueError, match="half-width"):
             fourier.weighted_convolve(np.zeros(9, dtype=complex), 3, 3)

@@ -283,8 +283,8 @@ class TestBinKernel:
         spectra = [so3._alpha_orders(W[n % K], L - 1) for n in ns]
         full = so3._beta_to_bins(spectra, ns, L - 1)
         narrow = so3._beta_to_bins([S[:, L - 1 - h : L + h] for S in spectra], ns, h)
-        assert narrow.shape == (len(ns), 2 * h + 1, 2 * h + 1)
-        centred = full[:, L - 1 - h : L + h, L - 1 - h : L + h]
+        assert narrow.shape == (len(ns), h + 1, 2 * h + 1)
+        centred = full[:, : h + 1, L - 1 - h : L + h]
         assert np.abs(narrow - centred).max() <= 1e-14 * np.abs(full).max()
 
         X = rng.standard_normal((2 * h + 1, K)) + 1j * rng.standard_normal((2 * h + 1, K))
@@ -320,9 +320,72 @@ class TestBinKernel:
         ns = so3._gamma_order(L, False)
         assert sorted(ns) == list(range(1 - L, L))
         chunks = [ns[lo : lo + so3._CHUNK] for lo in range(0, len(ns), so3._CHUNK)]
-        expected = sum(len(c) * (2 * max(map(abs, c)) + 1) ** 2 for c in chunks)
+        # One row per order and pair of gamma frequencies, 2h+1 bins each.
+        expected = sum((len(c) + 1) // 2 * (2 * max(map(abs, c)) + 1) ** 2 for c in chunks)
         assert sum(points) == expected
         assert expected < len(ns) * K * K
+
+
+class TestPairedKernel:
+    """The forward kernel, gamma frequencies of opposite parity paired, against the unpaired one."""
+
+    @staticmethod
+    def batches(L):
+        """Runs of gamma frequencies that start on either parity, of odd and even length."""
+        order, real = so3._gamma_order(L, False), so3._gamma_order(L, True)
+        return [order[:8], order[1:8], order[3:10], order[-8:], real[:7], real[1:9], order[4:5]]
+
+    @staticmethod
+    def spectrum(L, n, rng):
+        """Random alpha orders |m| <= |n| at the beta nodes, as a band-limited signal has them.
+
+        The planes of odd m + n are odd through the last node, beta = pi,
+        so such a signal vanishes there.
+        """
+        k = abs(n)
+        S = rng.standard_normal((L, 2 * k + 1)) + 1j * rng.standard_normal((L, 2 * k + 1))
+        S[L - 1, (np.arange(-k, k + 1) + n) % 2 == 1] = 0.0
+        return S
+
+    @pytest.mark.parametrize("one_order", [False, True])
+    @pytest.mark.parametrize("L", [8, 17, 32])
+    def test_matches_the_unpaired_kernel(self, monkeypatch, L, one_order):
+        """Every block's folded planes, and the batch's columns, to 1e-14.
+
+        With one_order, _BIN_BUDGET is so small that every block holds one
+        order +-m.
+        """
+        if one_order:
+            monkeypatch.setattr(so3, "_BIN_BUDGET", 1)
+        rng = np.random.default_rng(L)
+        tab = scurve.halfpi_table(L)
+        for ns in self.batches(L):
+            spectra = [self.spectrum(L, n, rng) for n in ns]
+            h = max(map(abs, ns))
+            for block in so3._order_blocks(h, 1 if one_order else 0):
+                paired = so3._beta_to_bins(spectra, ns, h, block)
+                plain = oracles.fold_bins(oracles.unpaired_beta_to_bins(spectra, ns, h, block), ns, block)
+                assert paired.shape == plain.shape
+                assert np.abs(paired - plain).max() <= 1e-14 * np.abs(plain).max()
+            got = so3._curvelet_columns(spectra, tab, ns)
+            want = oracles.unpaired_curvelet_columns(spectra, tab, ns)
+            top = max(np.abs(c).max() for c in want)
+            assert all(np.abs(g - c).max() <= 1e-14 * top for g, c in zip(got, want))
+
+    def test_a_pair_reads_as_its_frequencies_alone(self, rng):
+        """Pairing leaks nothing between the two frequencies, whatever the samples at beta = pi."""
+        L, ns = 16, [4, -5]
+        spectra = [rng.standard_normal((L, 2 * abs(n) + 1)) + 1j for n in ns]
+        paired = so3._beta_to_bins(spectra, ns, 5)
+        for i, n in enumerate(ns):
+            alone = so3._beta_to_bins(spectra[i : i + 1], [n], 5)[0]
+            assert np.abs(paired[i] - alone).max() <= 1e-14 * np.abs(alone).max()
+
+    def test_rejects_frequencies_that_do_not_pair(self):
+        L = 8
+        spectra = [np.zeros((L, 2 * abs(n) + 1), complex) for n in (0, 2, 4)]
+        with pytest.raises(ValueError, match="opposite parity"):
+            so3._beta_to_bins(spectra, [0, 2, 4], 4)
 
 
 class TestOrderBlocks:
@@ -419,6 +482,56 @@ class TestCountedWork:
             assert math.log(f1 / f0) / math.log(L1 / L0) < 3.5
         ratios = [f / (L**3 * math.log2(L)) for L, f in zip(Ls, flops)]
         assert all(ratios[0] / 2 <= r <= 2 * ratios[0] for r in ratios)
+
+    @pytest.mark.parametrize("name", ["sht_forward", "sht_inverse"])
+    def test_sphere_fft_flops_grow_as_l2_log_l(self, tracer, name):
+        rng = np.random.default_rng(4)
+        Ls = (16, 32, 64, 128)
+        flops = []
+        for L in Ls:
+            flm = scurve.random_coeffs(L, 2, rng)
+            arg = scurve.sht_inverse(flm) if name == "sht_forward" else flm
+            tr = tracer.Tracer()
+            tr.install()
+            try:
+                getattr(scurve, name)(arg)
+            finally:
+                tr.uninstall()
+            flops.append(sum(counts["flop"] for counts in tr.fft.values()))
+        points = list(zip(Ls, flops))
+        for (L0, f0), (L1, f1) in zip(points, points[1:]):
+            assert math.log(f1 / f0) / math.log(L1 / L0) < 2.5
+        ratios = [f / (L**2 * math.log2(L)) for L, f in zip(Ls, flops)]
+        assert all(ratios[0] / 2 <= r <= 2 * ratios[0] for r in ratios)
+
+    def test_pairing_halves_the_forward_kernel_flops(self, tracer, monkeypatch):
+        """The forward bin kernel of an L = 64 transform counts at most 0.6x the unpaired one.
+
+        Both run every gamma batch of so3_forward_curvelet on the same
+        triangle spectra; the unpaired kernel's beta FFTs are counted with
+        the library's through the so3 binding.
+        """
+        L = 64
+        w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(5))
+        S = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)).values)
+        cols = so3._triangle(L, False)[0]
+        tab = scurve.halfpi_table(L)
+        batches = so3._batches(so3._gamma_order(L, False))
+        for chunk in batches:  # build the cached convolution kernels untraced
+            fourier._kernel_fft(L, max(map(abs, chunk)))
+        counted = {}
+        for name, kernel in (("paired", so3._curvelet_columns), ("unpaired", oracles.unpaired_curvelet_columns)):
+            tr = tracer.Tracer()
+            tr.install()
+            monkeypatch.setattr(oracles, "sfft", so3.sfft)
+            try:
+                for chunk in batches:
+                    kernel([S[:, cols[n % len(cols)]] for n in chunk], tab, chunk)
+            finally:
+                monkeypatch.undo()
+                tr.uninstall()
+            counted[name] = tr.fft["so3"]["flop"] + tr.fft["fourier"]["flop"]
+        assert counted["paired"] <= 0.6 * counted["unpaired"], counted
 
 
 class TestScaling:
