@@ -607,7 +607,8 @@ def resample_to_sphere(image: np.ndarray, band_limit: int) -> SphereSignal:
 
     Pixel (r, c) sits at colatitude pi*(r + 1/2)/H and longitude
     2*pi*(c + 1/2)/W; longitude wraps around, colatitude clamps at the
-    poles.
+    poles.  The grid's last row, colatitude pi, is one point, the south
+    pole: it takes the mean of its samples over longitude.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
@@ -625,4 +626,6 @@ def resample_to_sphere(image: np.ndarray, band_limit: int) -> SphereSignal:
     c1 = (c0 + 1) % W
     top = (1.0 - fc) * image[r0[:, None], c0] + fc * image[r0[:, None], c1]
     bottom = (1.0 - fc) * image[r1[:, None], c0] + fc * image[r1[:, None], c1]
-    return SphereSignal(grid, 0, (1.0 - fr) * top + fr * bottom, real=True)
+    values = (1.0 - fr) * top + fr * bottom
+    values[-1] = values[-1].mean()
+    return SphereSignal(grid, 0, values, real=True)

@@ -66,6 +66,18 @@ container supplies a section that reads or writes each block in its
 file, which is how `scurve analyze` and `scurve synthesize` run without
 holding a cube.  A complex inverse in memory skips the triangle: its
 output cube can hold its own dense spectrum (_inverse_in_place).
+
+A curvelet scale has no Wigner content below a degree floor L0, near
+lambda^(j-1), where its kernel starts.  Gamma frequency n reaches only
+degree |n|, so the transforms run only the gamma batches whose largest
+|n| reaches L0 (_live), and the alpha FFTs of the whole cube only on
+those batches' gamma rows, which are one range of the dense spectrum.
+The inverse reads its floor off the coefficients, the lowest degree with
+a nonzero entry, and zeroes the other rows; the forward is told L0 and
+returns zero below it.  A batch that runs sees the same values as
+without a floor, so its rows do not change by a bit.  At L = 128, spin
+2, the floors of the scales take the counted FFT work of `analyze` from
+2.16 to 1.78 GFLOP and of `synthesize` from 3.16 to 2.68.
 """
 
 from __future__ import annotations
@@ -286,61 +298,65 @@ def _triangle(L: int, real: bool) -> tuple:
     return cols, gather, scatter
 
 
-def _analysis_spectrum(values, real: bool = False) -> np.ndarray:
+def _analysis_spectrum(values, real: bool = False, L0: int = 0) -> np.ndarray:
     """Triangle of the FFT over gamma and alpha, normalised to Fourier coefficients.
 
-    Per block of beta rows, one fft2 (a real signal: an rfft over gamma,
-    keeping n >= 0, then the alpha FFT in place) runs into a dense block
-    of the worker's own, laid out (beta, gamma, alpha), and one take
+    Per block of beta rows, an FFT over gamma (rfft for a real signal,
+    keeping n >= 0) runs into a dense block of the worker's own, laid
+    out (beta, gamma, alpha), then the alpha FFT in place on the gamma
+    rows of the batches that reach degree L0 (_live), and one take
     gathers the block's |m| <= |n| columns into its rows of the (L, T+1)
-    spectrum (_triangle).  values is read only as values.shape and
-    values[rows], one slice of _beta_blocks at a time: an array, or a
-    stored section that reads each block of rows from its file.  The
-    caller's values are never overwritten.
+    spectrum (_triangle); the columns of the other frequencies are zero.
+    values is read only as values.shape and values[rows], one slice of
+    _beta_blocks at a time: an array, or a stored section that reads
+    each block of rows from its file.  The caller's values are never
+    overwritten.
     """
     G, L, Ka = values.shape
     gather = _triangle(L, real)[1]
+    _, gammas, kept = _live(L, real, L0)
     S = np.empty((L, len(gather)), dtype=complex)
 
     def block(rows):
         V = values[rows]
         D = np.empty((V.shape[1], L if real else G, Ka), dtype=complex)
-        if real:
-            sfft.rfft(V, axis=0, norm="forward", out=D.transpose(1, 0, 2))
-            sfft.fft(D, norm="forward", out=D)
-        else:
-            sfft.fft2(V, axes=(0, 2), norm="forward", out=D.transpose(1, 0, 2))
+        (sfft.rfft if real else sfft.fft)(V, axis=0, norm="forward", out=D.transpose(1, 0, 2))
+        sfft.fft(D[:, gammas], norm="forward", out=D[:, gammas])
         np.take(D.reshape(len(D), -1), gather, axis=1, out=S[rows[1]], mode="clip")
 
     _run_chunks(block, _beta_blocks(L))
-    S[:, -1] = 0.0
+    S[:, : kept.start] = 0.0
+    S[:, kept.stop :] = 0.0
     return S
 
 
-def _synthesis_blocks(spectrum: np.ndarray, real: bool, sink) -> None:
+def _synthesis_blocks(spectrum: np.ndarray, real: bool, sink, L0: int = 0) -> None:
     """Samples of a triangle spectrum, handed to sink one block of beta rows at a time.
 
     spectrum is the (L, T+1) layout of _triangle, of all 2L-1 gamma
-    frequencies, or only n >= 0 when real, its last column zero.  Per
-    block of beta rows, on the pool, sink(rows, fill) is called with a
-    function fill(dst) that writes the block's samples into dst, an array
-    of the block's shape and dtype (float when real, complex otherwise):
-    it scatters the block's triangle into a dense block of its own, laid
-    out (beta, gamma, alpha) and zero outside the triangle, inverts alpha
-    there and then gamma into dst, the order of ifft2.  The sink decides
-    where the block goes: sampled into a cube (_array_sink), written to a
-    file, or reduced.
+    frequencies, or only n >= 0 when real, its last column zero, and
+    zero too in the columns of the batches that do not reach degree L0
+    (_live).  Per block of beta rows, on the pool, sink(rows, fill) is
+    called with a function fill(dst) that writes the block's samples into
+    dst, an array of the block's shape and dtype (float when real,
+    complex otherwise): it scatters the block's triangle into a dense
+    block of its own, laid out (beta, gamma, alpha) and zero outside the
+    triangle, inverts alpha there on the live gamma rows (the others
+    stay zero) and then gamma into dst, the order of ifft2.  The sink
+    decides where the block goes: sampled into a cube (_array_sink),
+    written to a file, or reduced.
     """
     L = spectrum.shape[0]
     K = 2 * L - 1
     scatter = _triangle(L, real)[2]
+    gammas = _live(L, real, L0)[1]
 
     def block(rows):
         def fill(dst):
             D = np.empty((dst.shape[1], L if real else K, K), dtype=complex)
             flat = D.reshape(len(D), -1)
             np.take(spectrum[rows[1]], scatter, axis=1, out=flat, mode="clip")
-            sfft.ifft(D, norm="forward", out=D)
+            sfft.ifft(D[:, gammas], norm="forward", out=D[:, gammas])
             if real:
                 sfft.irfft(D, n=K, axis=1, norm="forward", out=dst.transpose(1, 0, 2))
             else:
@@ -380,6 +396,31 @@ def _batches(items) -> list:
     """Batches of _CHUNK items: gamma frequencies, or degrees of one frequency."""
     return [items[lo : lo + _CHUNK] for lo in range(0, len(items), _CHUNK)]
 
+
+@lru_cache
+def _live(L: int, real: bool, L0: int) -> tuple:
+    """(batches, gammas, kept): what a curvelet transform runs above degree floor L0.
+
+    batches are those of _batches(_gamma_order(L, real)) whose largest
+    |n| reaches L0: a tail of them, since they run in order of |n|.
+    Their frequencies fill one slice of gamma rows of the dense spectrum
+    in FFT order, gammas (n >= 0 from its start up, n < 0 below its
+    stop), and one slice of columns of the triangle (_triangle), kept.
+    """
+    batches = [b for b in _batches(_gamma_order(L, real)) if abs(b[-1]) >= L0]
+    if not batches:
+        return [], slice(0, 0), slice(0, 0)
+    K = 2 * L - 1
+    rows = [n % K for b in batches for n in b]
+    lo, hi = min(rows), max(rows) + 1
+    cols = _triangle(L, real)[0]
+    return batches, slice(lo, hi), slice(cols[lo].start, cols[hi - 1].stop)
+
+
+def _degree_floor(w: CurveletWignerCoeffs) -> int:
+    """The lowest degree with a nonzero coefficient in w; its band limit when none has one."""
+    degrees = np.flatnonzero(w.values.any(axis=(0, 2)))
+    return int(degrees[0]) if len(degrees) else w.band_limit
 
 
 def _run_chunks(task, items) -> None:
@@ -756,20 +797,24 @@ def _curvelet_nodes(w, tab, ns, L: int, put) -> None:
         put(block, _bins_to_beta(_block_bins(factors, block, L), L))
 
 
-def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
+def so3_forward_curvelet(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
     """Forward Wigner transform onto the n = +-ell columns; O(L^3 log L).
 
     Exact when the signal is a synthesis of such columns, which is the
     only way curvelet analysis produces rotation-group signals.  A
     real-flagged signal runs on half the gamma spectrum.  f.values is read
     one block of beta rows at a time (_analysis_spectrum), so it may be a
-    stored section that reads each block from its file.
+    stored section that reads each block from its file.  The degrees
+    below L0 are returned as zero and only the gamma batches that reach
+    L0 run (_live); every other degree is bitwise that of L0 = 0.
     """
     grid = f.grid
     L = grid.L
     if not (grid.M == L and grid.N == L):
         raise ValueError("sparse path requires N = M = L")
-    S = _analysis_spectrum(f.values, real=f.real)
+    if L0 < 0:
+        raise ValueError(f"degree floor must not be negative, got {L0}")
+    S = _analysis_spectrum(f.values, f.real, L0)
     cols = _triangle(L, f.real)[0]
     out = CurveletWignerCoeffs.zeros(L)
     tab = halfpi_table(L)
@@ -779,9 +824,10 @@ def so3_forward_curvelet(f: SO3Signal) -> CurveletWignerCoeffs:
         for n, col in zip(chunk, _curvelet_columns(spectra, tab, chunk)):
             out.set_row(n, col)
 
-    _run_chunks(forward_chunk, _batches(_gamma_order(L, f.real)))
+    _run_chunks(forward_chunk, _live(L, f.real, L0)[0])
     if f.real:
         _impose_real_pairing(out.values)
+    out.values[:, :L0] = 0.0
     return out
 
 
@@ -814,7 +860,9 @@ def _so3_inverse_curvelet(
     With a sink, the blocks of beta rows go to sink (_synthesis_blocks)
     instead of into a returned signal, and None is returned.  Without
     one, complex samples are computed in their own cube
-    (_inverse_in_place).
+    (_inverse_in_place).  Only the gamma batches that reach the lowest
+    degree with a nonzero coefficient run (_live); the other gamma
+    frequencies hold zeros.
     """
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
@@ -824,11 +872,14 @@ def _so3_inverse_curvelet(
     if real:
         _check_real(w.values, _impose_real_pairing)
     tab = halfpi_table(L)
+    L0 = _degree_floor(w)
     if sink is None and not real:
-        return SO3Signal(grid, _inverse_in_place(w, tab))
+        return SO3Signal(grid, _inverse_in_place(w, tab, L0))
     cols, gather, _ = _triangle(L, real)
+    batches, _, kept = _live(L, real, L0)
     S = np.empty((L, len(gather)), dtype=complex)
-    S[:, -1] = 0.0
+    S[:, : kept.start] = 0.0
+    S[:, kept.stop :] = 0.0
 
     def inverse_chunk(chunk):
         def put(block, R):
@@ -841,17 +892,17 @@ def _so3_inverse_curvelet(
 
         _curvelet_nodes(w, tab, chunk, L, put)
 
-    _run_chunks(inverse_chunk, _batches(_gamma_order(L, real)))
+    _run_chunks(inverse_chunk, batches)
     if sink is not None:
-        _synthesis_blocks(S, real, sink)
+        _synthesis_blocks(S, real, sink, L0)
         return None
     values = np.empty(grid.shape)
-    _synthesis_blocks(S, real, _array_sink(values))
+    _synthesis_blocks(S, real, _array_sink(values), L0)
     return SO3Signal(grid, values, real=real)
 
 
-def _inverse_in_place(w: CurveletWignerCoeffs, tab) -> np.ndarray:
-    """Complex samples of sparse coefficients, computed in their own cube.
+def _inverse_in_place(w: CurveletWignerCoeffs, tab, L0: int) -> np.ndarray:
+    """Complex samples of sparse coefficients, zero below degree L0, in their own cube.
 
     A complex cube in memory is large enough to hold its own dense
     spectrum, so each block of a gamma batch's alpha orders is written
@@ -859,12 +910,17 @@ def _inverse_in_place(w: CurveletWignerCoeffs, tab) -> np.ndarray:
     degrees are zeroed, the alpha inverse runs there in place, and then
     the gamma inverse, block by block of beta rows; the triangle would add
     half a cube of fresh memory beside the output (and the page faults of
-    touching it) without lowering the peak.  The result is bitwise that
-    of the triangle path, the same 1-D FFTs on the same values.
+    touching it) without lowering the peak.  Only the batches that reach
+    L0 run (_live); the other gamma rows are zeroed.  The result is
+    bitwise that of the triangle path, the same 1-D FFTs on the same
+    values.
     """
     L = w.band_limit
     K = 2 * L - 1
     values = np.empty((K, L, K), dtype=complex)
+    batches, gammas, _ = _live(L, False, L0)
+    values[: gammas.start] = 0.0
+    values[gammas.stop :] = 0.0
 
     def inverse_chunk(chunk):
         rows = [n % K for n in chunk]
@@ -889,7 +945,7 @@ def _inverse_in_place(w: CurveletWignerCoeffs, tab) -> np.ndarray:
     def inverse_block(rows):
         sfft.ifft(values[rows], axis=0, norm="forward", out=values[rows])
 
-    _run_chunks(inverse_chunk, _batches(_gamma_order(L, False)))
+    _run_chunks(inverse_chunk, batches)
     _run_chunks(inverse_block, _beta_blocks(L))
     return values
 
@@ -906,11 +962,11 @@ def so3_inverse_curvelet(
     return _so3_inverse_curvelet(w, grid, False, sink)
 
 
-def so3_forward_curvelet_real(f: SO3Signal) -> CurveletWignerCoeffs:
+def so3_forward_curvelet_real(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
     """Sparse forward transform that insists on a real-flagged signal."""
     if not f.real:
         raise ValueError("real path requires a real-flagged signal")
-    return so3_forward_curvelet(f)
+    return so3_forward_curvelet(f, L0=L0)
 
 
 def so3_inverse_curvelet_real(

@@ -224,9 +224,12 @@ def _synthesis_from(t: Tiling, scaling: SphereSignal, scales, multires: bool, re
         expected = scale_band_limit(p, j) if multires else L
         if sig.grid.L != expected:
             raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {expected}")
-        w = so3_fwd(sig)
-        del sig  # a cube the iterator built goes before the next scale is read
         pos, neg = curvelet_harmonics(t, j)
+        # The scale's Wigner rows below its kernel's lowest degree are
+        # multiplied by zero, so the transform does not compute them.
+        degrees = np.flatnonzero((pos != 0) | (neg != 0))
+        w = so3_fwd(sig, L0=int(degrees[0]) if len(degrees) else L)
+        del sig  # a cube the iterator built goes before the next scale is read
         ell, col = _sheet_index(w.band_limit)
         acc[1 : w.band_limit**2] += (
             w.values[0, ell, col] * pos[ell] + w.values[1, ell, col] * neg[ell]

@@ -159,6 +159,10 @@ SIGNATURES = {
     "write_sphere": ["path", "signal"],
     "write_coeffs": ["path", "coeffs"],
     "fourier.weighted_convolve": ["buf", "h", "L"],
+    "so3.so3_forward_curvelet": ["f", "L0"],
+    "so3.so3_forward_curvelet_real": ["f", "L0"],
+    "so3.so3_inverse_curvelet": ["w", "grid", "sink"],
+    "so3.so3_inverse_curvelet_real": ["w", "grid", "sink"],
 }
 
 

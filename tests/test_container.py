@@ -639,6 +639,14 @@ class TestResample:
         rows = np.clip(scurve.SphereGrid(L).thetas * H / np.pi - 0.5, 0, H - 1)
         np.testing.assert_allclose(f.values, np.repeat(rows[:, None], 2 * L - 1, 1))
 
+    def test_south_pole_is_one_value(self, rng):
+        L = 16
+        image = rng.uniform(0.0, 1.0, (24, 40))
+        f = container.resample_to_sphere(image, L)
+        assert scurve.SphereGrid(L).thetas[-1] == pytest.approx(np.pi)
+        assert np.unique(f.values[-1]).size == 1
+        assert np.unique(f.values[0]).size > 1  # the other rows vary with longitude
+
     def test_longitude_wraparound(self):
         image = np.array([[0.0, 1.0, 2.0, 3.0]])
         f = container.resample_to_sphere(image, 2)

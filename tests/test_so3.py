@@ -245,6 +245,80 @@ class TestRealPath:
         np.testing.assert_array_equal(sym, back.values)
 
 
+def floor_case(real, L, rng):
+    """Coefficients of a real or complex field, and the matching transforms."""
+    if real:
+        w = sparse_with_real_symmetry(L, rng)
+        return w, scurve.so3_forward_curvelet_real, scurve.so3_inverse_curvelet_real
+    w = oracles.random_curvelet_wigner_coeffs(L, rng)
+    return w, scurve.so3_forward_curvelet, scurve.so3_inverse_curvelet
+
+
+def sunk(inverse, w, grid):
+    """The samples of inverse(w, grid) as its sink receives them, block by block."""
+    values = np.full(grid.shape, np.nan, float if inverse is scurve.so3_inverse_curvelet_real else complex)
+    inverse(w, grid, sink=lambda rows, fill: fill(values[rows]))
+    return values
+
+
+class _NanEmpty:
+    """numpy as so3 sees it, but np.empty fills with NaN, so no buffer starts out zero."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+class TestDegreeFloor:
+    """The curvelet transforms run only the gamma batches that reach the lowest degree.
+
+    The inverse tests fill so3's fresh buffers with NaN, so a gamma row
+    that is skipped and not zeroed shows.
+    """
+
+    @pytest.mark.parametrize("L", [8, 17, 32])
+    def test_forward_keeps_every_degree_from_the_floor_up(self, rng, real, L):
+        w, forward, inverse = floor_case(real, L, rng)
+        f = inverse(w, scurve.SO3Grid(L, L, L))
+        full = forward(f).values
+        for k in sorted({1, 2, L // 2, L - 1, L}):
+            got = forward(f, L0=k).values
+            assert got[:, k:].tobytes() == full[:, k:].tobytes(), k
+            assert not got[:, :k].any(), k
+
+    @pytest.mark.parametrize("L", [8, 17, 32])
+    def test_inverse_of_coefficients_zero_below_a_degree(self, monkeypatch, rng, real, L):
+        monkeypatch.setattr(so3, "np", _NanEmpty())
+        grid = scurve.SO3Grid(L, L, L)
+        for k in sorted({1, 2, L // 2, L - 1}):
+            w, _, inverse = floor_case(real, L, rng)
+            w.values[:, :k] = 0.0
+            got = inverse(w, grid).values
+            slow = oracles.so3_inverse_general(oracles.densify(w), grid).values
+            assert np.abs(got - (slow.real if real else slow)).max() <= 1e-12, k
+            assert sunk(inverse, w, grid).tobytes() == got.tobytes(), k
+
+    def test_zero_coefficients_give_a_zero_cube(self, monkeypatch, rng, real):
+        monkeypatch.setattr(so3, "np", _NanEmpty())
+        L = 17
+        _, forward, inverse = floor_case(real, L, rng)
+        grid = scurve.SO3Grid(L, L, L)
+        w = scurve.CurveletWignerCoeffs.zeros(L)
+        f = inverse(w, grid)
+        assert not f.values.any()
+        assert not sunk(inverse, w, grid).any()
+        assert not forward(f, L0=3).values.any()
+
+    def test_rejects_a_negative_floor(self, rng, real):
+        w, forward, inverse = floor_case(real, 8, rng)
+        with pytest.raises(ValueError, match="floor"):
+            forward(inverse(w, scurve.SO3Grid(8, 8, 8)), L0=-1)
+
+
 class TestSphereColumn:
     """The sphere transform is column n = -s of the rotation-group one."""
 
@@ -533,6 +607,34 @@ class TestCountedWork:
             counted[name] = tr.fft["so3"]["flop"] + tr.fft["fourier"]["flop"]
         assert counted["paired"] <= 0.6 * counted["unpaired"], counted
 
+    def test_degree_floor_skips_the_kernels_below_it(self, tracer, monkeypatch):
+        """With no degree below 32 at L = 64, each transform counts at most 0.85x its FFT flops.
+
+        The inverse reads its floor off the coefficients; without one it
+        runs every gamma batch (the floor read as 0), the forward with
+        L0 = 0.
+        """
+        L, k = 64, 32
+        w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(6))
+        w.values[:, :k] = 0.0
+        grid = scurve.SO3Grid(L, L, L)
+        f = scurve.so3_inverse_curvelet(w, grid)  # the cached tables, untraced
+
+        def flops(run):
+            tr = tracer.Tracer()
+            tr.install()
+            try:
+                run()
+            finally:
+                tr.uninstall()
+            return tr.fft["so3"]["flop"] + tr.fft["fourier"]["flop"]
+
+        inverse = flops(lambda: scurve.so3_inverse_curvelet(w, grid))
+        forward = flops(lambda: scurve.so3_forward_curvelet(f, L0=k))
+        assert forward <= 0.85 * flops(lambda: scurve.so3_forward_curvelet(f))
+        monkeypatch.setattr(so3, "_degree_floor", lambda w: 0)
+        assert inverse <= 0.85 * flops(lambda: scurve.so3_inverse_curvelet(w, grid))
+
 
 class TestScaling:
     def test_cost_grows_slower_than_l_to_3_5(self, rng):
@@ -611,10 +713,9 @@ class TestBlockStreaming:
 
 
 def dense_spectrum(values, real):
-    """The whole-cube gamma-alpha FFT that the triangle layout keeps part of."""
-    if real:
-        return np.fft.fft(np.fft.rfft(values, axis=0, norm="forward"), axis=2, norm="forward")
-    return np.fft.fft2(values, axes=(0, 2), norm="forward")
+    """The whole-cube gamma-alpha FFT that the triangle layout keeps part of, gamma first."""
+    gamma = (np.fft.rfft if real else np.fft.fft)(values, axis=0, norm="forward")
+    return np.fft.fft(gamma, axis=2, norm="forward")
 
 
 def triangle_of(dense):
@@ -646,6 +747,9 @@ class TestTriangleLayout:
         assert expected.shape == (L, L * L + 1 if real else 2 * L * L)
         got = so3._analysis_spectrum(values, real)
         assert got.tobytes() == expected.tobytes()
+        if not real:  # the alpha-first order of fft2 differs by round-off only
+            alpha_first = triangle_of(np.fft.fft2(values, axes=(0, 2), norm="forward"))
+            np.testing.assert_allclose(got, alpha_first, rtol=0, atol=1e-15 * np.abs(got).max())
         reader = _BlockReader(values)
         assert so3._analysis_spectrum(reader, real).tobytes() == expected.tobytes()
         assert sorted(reader.reads) == [(0, 8), (8, 16)]
