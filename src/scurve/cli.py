@@ -66,17 +66,9 @@ from .tiling import (
     build_tiling,
     parabolic_accuracy_table,
 )
-from .transform import (
-    _analysis_stream,
-    _check_synthesizable,
-    _synthesis_from,
-    analyze,
-    scale_band_limit,
-    synthesize,
-)
+from .transform import _analysis_stream, _coeff_grids, analyze, scale_band_limit, synthesize
 
-# analyze_real and synthesize_real are not called here: analyze and
-# synthesize stream the scales.  They stay bound because
+# analyze_real and synthesize_real are not called here.  They stay bound because
 # perfbench/tracer.py wraps scurve.cli.analyze_real and
 # scurve.cli.synthesize_real by name.
 from .transform import analyze_real, synthesize_real  # noqa: F401
@@ -208,6 +200,10 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
     if args.clip is not None or args.rescale:
         raise UsageError("--clip and --rescale apply to PGM input only")
     f = container.read_sphere(path)
+    if not np.isfinite(f.values).all():
+        raise container.ContainerError(
+            f"{path}: {np.count_nonzero(~np.isfinite(f.values))} sphere samples are not finite"
+        )
     if args.L is not None and args.L != f.grid.band_limit:
         raise ValueError(
             f"--L {args.L} disagrees with the container band limit {f.grid.band_limit}"
@@ -430,11 +426,7 @@ def _preflight(
 
 def cmd_analyze(args) -> int:
     f, params, estimate = _load_sphere_input(args.input, args)
-    t = build_tiling(params)
-    stream = _analysis_stream(f, t, True)
-    container.write_coeffs(
-        args.out, container._CoeffStream(params, "unrotated", True, f.real, stream)
-    )
+    container.write_coeffs(args.out, _analysis_stream(f, build_tiling(params), True))
     print(
         json.dumps(
             {
@@ -456,12 +448,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    with container._read_coeff_stream(args.input) as (params, frame, multires, real, signals):
-        estimate = _preflight(params.band_limit, real)
-        t = build_tiling(params)
-        _check_synthesizable(params, frame, t)
-        scaling = next(signals)
-        f = _synthesis_from(t, scaling, signals, multires, real)
+    with container._read_coeff_stream(args.input) as c:
+        estimate = _preflight(c.params.band_limit, c.real)
+        f = synthesize(c, build_tiling(c.params))
     container.write_sphere(args.out, f)
     print(
         json.dumps(
@@ -493,10 +482,9 @@ def _check_spin_fits(args) -> None:
 def _held_cube_bytes(params: TilingParams) -> int:
     """Bytes of the complex scale cubes an in-memory analyze holds at once.
 
-    One (2Lj-1, Lj, 2Lj-1) cube per scale j, each at its own band limit.
+    One cube per scale, each at its own band limit.
     """
-    scales = range(params.j_min, params.j_max + 1)
-    return sum(16 * (2 * Lj - 1) ** 2 * Lj for Lj in (scale_band_limit(params, j) for j in scales))
+    return sum(16 * math.prod(grid.shape) for grid in _coeff_grids(params, True)[1])
 
 
 # Resident memory of numpy's random generator, which roundtrip and bench
@@ -621,14 +609,13 @@ def cmd_sparsity(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
     f, params, _ = _load_sphere_input(args.input, args, magnitudes=True)
-    t = build_tiling(params)
-    signals = _analysis_stream(f, t, True)
-    next(signals)  # the scaling signal; only the scales are histogrammed
+    c = _analysis_stream(f, build_tiling(params), True)
     csv_rows = []
     scale_notes = []
-    for j in range(params.j_min, params.j_max + 1):
-        # Each scale is reduced to its note and rows before the next is built.
-        note, rows = _scale_sparsity(j, _magnitudes(next(signals)), args.bins, params.band_limit)
+    # Only the scales are histogrammed, each reduced to its note and rows
+    # before the next is built.
+    for j, pending in zip(range(params.j_min, params.j_max + 1), c.scales):
+        note, rows = _scale_sparsity(j, _magnitudes(pending), args.bins, params.band_limit)
         scale_notes.append(note)
         csv_rows += rows
     summary = {

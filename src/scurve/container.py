@@ -41,13 +41,11 @@ synthesize` reads each scale's blocks as the analysis asks for them.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
 import struct
 import tempfile
-from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +53,7 @@ import numpy as np
 from .so3 import SO3Grid, SO3Signal
 from .sphere import SphereGrid, SphereSignal
 from .tiling import TilingParams
-from .transform import CurveletCoeffs, _PendingSignal, scale_band_limit, scaling_band_limit
+from .transform import CurveletCoeffs, _coeff_grids, _PendingSignal
 
 __all__ = [
     "MAGIC",
@@ -394,28 +392,9 @@ def read_sphere(path) -> SphereSignal:
 
 def _coeff_sections(params: TilingParams, multires: bool) -> list:
     """(section name, grid) of the scaling signal, then of each scale from j_min up."""
-    L = params.band_limit
-    sections = [("scaling", SphereGrid(scaling_band_limit(params) if multires else L))]
-    for j in range(params.j_min, params.j_max + 1):
-        Lj = scale_band_limit(params, j) if multires else L
-        sections.append((f"scale_{j}", SO3Grid(Lj, Lj, Lj)))
-    return sections
-
-
-class _CoeffStream(NamedTuple):
-    """An analysis still running: its parameters and flags, and its signals.
-
-    signals yields the scaling signal, then a pending synthesis per scale
-    from j_min up, as the analysis stream does; write_coeffs writes each
-    scale block by block as it is synthesised, so neither the whole
-    result nor one whole scale ever exists at once.
-    """
-
-    params: TilingParams
-    frame: str
-    multires: bool
-    real: bool
-    signals: Iterator
+    Ls, grids = _coeff_grids(params, multires)
+    names = [f"scale_{j}" for j in range(params.j_min, params.j_max + 1)]
+    return [("scaling", SphereGrid(Ls)), *zip(names, grids)]
 
 
 def _payload(signal):
@@ -426,16 +405,11 @@ def _payload(signal):
 def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
     """Write an analysis result: the scaling part plus every scale signal.
 
-    The section table follows from the parameters and the flags, so the
-    header goes out first.  Each section takes its array's own dtype; for
-    a _CoeffStream, whose samples do not exist yet, the real flag sets it.
+    The section table follows from the parameters and the flags, and each
+    section takes the dtype of its signal's samples (_declared), so the
+    header goes out first.  A pending scale is written block by block as
+    it is synthesised, so it is never held whole.
     """
-    if isinstance(coeffs, _CoeffStream):
-        signals = coeffs.signals
-        codes = itertools.repeat("<f8" if coeffs.real else "<c16")
-    else:
-        signals = [coeffs.scaling, *coeffs.scales]
-        codes = [_payload_code(sig.values) for sig in signals]
     params = coeffs.params
     header = {
         "kind": "curvelet",
@@ -444,17 +418,16 @@ def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
         "lambda": params.lam,
         "J0": params.j_min,
         "J": params.j_max,
-        "frame": coeffs.frame,
+        "frame": "unrotated",
         "multires": coeffs.multires,
         "real": coeffs.real,
     }
+    payloads = [_payload(sig) for sig in (coeffs.scaling, *coeffs.scales)]
     entries = [
-        (name, code, grid.shape)
-        for (name, grid), code in zip(_coeff_sections(params, coeffs.multires), codes)
+        (name, _declared(data)[0], grid.shape)
+        for (name, grid), data in zip(_coeff_sections(params, coeffs.multires), payloads)
     ]
-    # map keeps no reference to a signal once its payload is handed on.
-    arrays = map(_payload, signals)
-    _write_container(path, header, _layout(entries), arrays)
+    _write_container(path, header, _layout(entries), payloads)
 
 
 class _StoredCube:
@@ -488,12 +461,11 @@ class _StoredSignal(NamedTuple):
 
 @contextlib.contextmanager
 def _read_coeff_stream(path):
-    """Open a coefficient container and yield (params, frame, multires, real, signals).
+    """Open a coefficient container and yield its CurveletCoeffs until the block ends.
 
-    signals yields the scaling signal, read whole, then a _StoredSignal
-    per scale from j_min up, whose samples stay in the file until a
-    transform reads them block by block; the file closes when the block
-    ends.
+    The scaling signal is read whole; each scale is a _StoredSignal whose
+    samples stay in the file until a transform reads them block by block.
+    The file closes when the block ends.
     """
     with _open_container(path) as (header, table, read):
         if header.get("kind") != "curvelet":
@@ -501,11 +473,14 @@ def _read_coeff_stream(path):
         *fields, multires, real = _header_scalars(
             path, header, "coefficient", ("L", "spin", "lambda", "J0", "J", "multires", "real")
         )
+        if header.get("frame") != "unrotated":
+            raise ContainerError(
+                f"{path}: coefficient frame {header.get('frame')!r} is not 'unrotated'"
+            )
         try:
             params = TilingParams(*fields)
-            frame = header["frame"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContainerError(f"{path}: incomplete coefficient header: {exc}") from None
+        except ValueError as exc:
+            raise ContainerError(f"{path}: {exc}") from None
 
         def stored(name: str, grid: SO3Grid) -> _StoredSignal:
             if name not in table:
@@ -519,27 +494,19 @@ def _read_coeff_stream(path):
                 raise ContainerError(f"{path}: real signal carries complex values")
             return _StoredSignal(grid, _StoredCube(read, name, shape), real)
 
-        def signals():
-            for name, grid in _coeff_sections(params, multires):
-                if isinstance(grid, SphereGrid):
-                    try:
-                        yield SphereSignal(grid, 0, read(name), real=real)
-                    except ValueError as exc:
-                        raise ContainerError(f"{path}: {exc}") from None
-                else:
-                    yield stored(name, grid)
-
-        yield params, frame, multires, real, signals()
+        (_, scaling_grid), *sections = _coeff_sections(params, multires)
+        try:
+            scaling = SphereSignal(scaling_grid, 0, read("scaling"), real=real)
+        except ValueError as exc:
+            raise ContainerError(f"{path}: {exc}") from None
+        scales = [stored(name, grid) for name, grid in sections]
+        yield CurveletCoeffs(params, scaling, scales, multires, real)
 
 
 def read_coeffs(path) -> CurveletCoeffs:
-    with _read_coeff_stream(path) as (params, frame, multires, real, signals):
-        scaling = next(signals)
-        scales = [SO3Signal(s.grid, s.values.load(), real=real) for s in signals]
-    try:
-        return CurveletCoeffs(params, frame, scaling, scales, multires, real)
-    except ValueError as exc:
-        raise ContainerError(f"{path}: {exc}") from None
+    with _read_coeff_stream(path) as c:
+        c.scales = [SO3Signal(s.grid, s.values.load(), real=c.real) for s in c.scales]
+    return c
 
 
 # Bytes of the longest PGM header field read: the magic and three decimal

@@ -156,37 +156,34 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
 
 @dataclass(frozen=True)
 class SO3Grid:
-    """Euler-angle product grid: L colatitudes, 2M-1 alphas, 2N-1 gammas."""
+    """Euler-angle product grid: L colatitudes, 2L-1 alphas and 2L-1 gammas."""
 
     L: int
-    M: int
-    N: int
 
     def __post_init__(self):
-        for name in ("L", "M", "N"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.L < 1:
+            raise ValueError(f"L must be positive, got {self.L}")
 
     @cached_property
     def alphas(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(2 * self.M - 1) / (2 * self.M - 1)
+        return 2.0 * math.pi * np.arange(2 * self.L - 1) / (2 * self.L - 1)
 
     @cached_property
     def betas(self) -> np.ndarray:
         return math.pi * (2.0 * np.arange(self.L) + 1.0) / (2 * self.L - 1)
 
-    @cached_property
+    @property
     def gammas(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(2 * self.N - 1) / (2 * self.N - 1)
+        return self.alphas
 
     @property
     def shape(self):
-        return (2 * self.N - 1, self.L, 2 * self.M - 1)
+        return (2 * self.L - 1, self.L, 2 * self.L - 1)
 
 
 @dataclass
 class SO3Signal:
-    """Samples on an SO3Grid, shape (2N-1, L, 2M-1), (gamma, beta, alpha)."""
+    """Samples on an SO3Grid, shape (2L-1, L, 2L-1), (gamma, beta, alpha)."""
 
     grid: SO3Grid
     values: np.ndarray
@@ -808,10 +805,7 @@ def so3_forward_curvelet(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
     below L0 are returned as zero and only the gamma batches that reach
     L0 run (_live); every other degree is bitwise that of L0 = 0.
     """
-    grid = f.grid
-    L = grid.L
-    if not (grid.M == L and grid.N == L):
-        raise ValueError("sparse path requires N = M = L")
+    L = f.grid.L
     if L0 < 0:
         raise ValueError(f"degree floor must not be negative, got {L0}")
     S = _analysis_spectrum(f.values, f.real, L0)
@@ -844,7 +838,15 @@ def _impose_real_pairing(v: np.ndarray) -> None:
 
 
 def _check_real(values: np.ndarray, impose) -> None:
-    """Raise ValueError unless the in-place symmetrizer impose moves values by round-off."""
+    """Raise ValueError unless values are finite and the in-place
+    symmetrizer impose moves them by round-off.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(
+            f"{len(bad)} non-finite coefficient(s), first {values.flat[bad[0]]} at flat index "
+            f"{bad[0]}"
+        )
     sym = values.copy()
     impose(sym)
     sym -= values
@@ -867,8 +869,8 @@ def _so3_inverse_curvelet(
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
     L = w.band_limit
-    if not (grid.L == L and grid.M == L and grid.N == L):
-        raise ValueError("sparse path requires a grid with N = M = L matching the coefficients")
+    if grid.L != L:
+        raise ValueError(f"grid band limit {grid.L} does not match the coefficients' {L}")
     if real:
         _check_real(w.values, _impose_real_pairing)
     tab = halfpi_table(L)

@@ -91,6 +91,10 @@ class SphereSignal:
     real: bool = False
 
     def __post_init__(self):
+        if abs(self.spin) >= self.grid.band_limit:
+            raise ValueError(
+                f"spin {self.spin} out of range for band limit {self.grid.band_limit}"
+            )
         self.values = np.asarray(self.values)
         if self.values.shape != self.grid.shape:
             raise ValueError(

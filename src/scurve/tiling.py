@@ -168,6 +168,8 @@ class TilingParams:
         L = self.band_limit
         if L < 1:
             raise ValueError(f"band limit must be positive, got {L}")
+        if abs(self.spin) >= L:
+            raise ValueError(f"spin {self.spin} out of range for band limit {L}")
         if not 1.0 < self.lam < math.inf:
             raise ValueError(f"dilation parameter must be finite and exceed 1, got {self.lam}")
         if self.j_min < 0:

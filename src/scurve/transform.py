@@ -10,10 +10,11 @@ machine precision whenever the tiling resolves the identity.
 Scale signals default to their own reduced band limit (multi-resolution);
 pass multires=False to keep everything at the full band limit.
 
-Coefficients come out in the unrotated frame, where the n = +-ell columns
-are the native storage.  rotate_to_north moves a scale to the frame whose
-analysis function is centred on the North pole, which is the frame the
-coefficients are usually pictured in; rotate_from_north undoes it.
+Coefficients are always in the unrotated frame, where the n = +-ell
+columns are the native storage.  rotate_to_north moves a scale's Wigner
+coefficients to the frame whose analysis function is centred on the North
+pole, which is the frame the coefficients are usually pictured in;
+rotate_from_north undoes it.
 """
 
 from __future__ import annotations
@@ -74,24 +75,34 @@ def scaling_band_limit(params: TilingParams) -> int:
     return min(math.ceil(params.lam**params.j_min), params.band_limit)
 
 
+def _coeff_grids(params: TilingParams, multires: bool) -> tuple:
+    """(scaling band limit, [SO3Grid of each scale from j_min up]).
+
+    Each at its own reduced band limit with multires, else at the full one.
+    """
+    L = params.band_limit
+    scales = range(params.j_min, params.j_max + 1)
+    if not multires:
+        return L, [SO3Grid(L) for _ in scales]
+    return scaling_band_limit(params), [SO3Grid(scale_band_limit(params, j)) for j in scales]
+
+
 @dataclass
 class CurveletCoeffs:
     """One scale signal per analysis band plus the low-frequency residue.
 
-    frame is "unrotated" or "north"; only unrotated coefficients can be
-    synthesised directly.
+    A scale is an SO3Signal in memory, or, inside the command line, a
+    _PendingSignal not synthesised yet or a section left in an open
+    container (container._StoredSignal).
     """
 
     params: TilingParams
-    frame: str
     scaling: SphereSignal
     scales: list
     multires: bool = True
     real: bool = False
 
     def __post_init__(self):
-        if self.frame not in ("unrotated", "north"):
-            raise ValueError(f"unknown frame {self.frame!r}")
         if len(self.scales) != self.params.scale_count:
             raise ValueError(
                 f"expected {self.params.scale_count} scale signals, got {len(self.scales)}"
@@ -155,7 +166,8 @@ class _PendingSignal(NamedTuple):
     emit() runs it and returns the SO3Signal.  emit(sink=sink) runs it
     and hands each block of beta rows to sink instead (see
     so3_inverse_curvelet), so no cube of samples is ever held.  Only the
-    scale's sparse Wigner coefficients wait in the meantime.
+    signal's harmonic coefficients wait in the meantime; the scale's
+    Wigner coefficients are built when it is emitted.
     """
 
     grid: SO3Grid
@@ -163,28 +175,32 @@ class _PendingSignal(NamedTuple):
     emit: Callable
 
 
-def _analysis_stream(f: SphereSignal, t: Tiling, multires: bool):
-    """Yield the scaling signal, then a _PendingSignal per scale from j_min up.
+def _emit_scale(so3_inv, flm: HarmonicCoeffs, t: Tiling, j: int, grid: SO3Grid, sink=None):
+    """Synthesise scale j; its Wigner coefficients exist only during the call."""
+    return so3_inv(_scale_wigner(flm, t, j, grid.L), grid, sink=sink)
 
-    This is the section order of a coefficient container.  Each scale is
-    built from the harmonic coefficients on its own, and the consumer
-    chooses where its samples go: analyze gathers them, `scurve analyze`
-    writes them to the container block by block.  The generator keeps no
-    reference to what it has yielded.
+
+def _analysis_stream(f: SphereSignal, t: Tiling, multires: bool) -> CurveletCoeffs:
+    """The analysis of f with its scaling signal done and every scale pending.
+
+    Each scale is a _PendingSignal built from the harmonic coefficients on
+    its own when emitted, and the consumer chooses where its samples go:
+    analyze gathers them, `scurve analyze` writes them to the container
+    block by block, `scurve sparsity` reduces them to magnitudes.
     """
     _check_signal(f, t)
     p = t.params
-    L = p.band_limit
     real = f.real
     sht_fwd, sht_inv, _, so3_inv = _stages(real)
     flm = sht_fwd(f)
-    Ls = scaling_band_limit(p) if multires else L
+    Ls, grids = _coeff_grids(p, multires)
     scaling_vals = _scaling_weights(t, Ls) * flm.values[: Ls * Ls]
-    yield sht_inv(HarmonicCoeffs(Ls, 0, scaling_vals, real=real))
-    for j in range(p.j_min, p.j_max + 1):
-        Lj = scale_band_limit(p, j) if multires else L
-        grid = SO3Grid(Lj, Lj, Lj)
-        yield _PendingSignal(grid, real, partial(so3_inv, _scale_wigner(flm, t, j, Lj), grid))
+    scaling = sht_inv(HarmonicCoeffs(Ls, 0, scaling_vals, real=real))
+    scales = [
+        _PendingSignal(grid, real, partial(_emit_scale, so3_inv, flm, t, j, grid))
+        for j, grid in zip(range(p.j_min, p.j_max + 1), grids)
+    ]
+    return CurveletCoeffs(p, scaling, scales, multires, real)
 
 
 def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:
@@ -194,65 +210,47 @@ def analyze(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs
     signals are real on the rotation group, so the Wigner stages run on
     half the orientation spectrum and cost roughly half as much.
     """
-    signals = _analysis_stream(f, t, multires)
-    scaling = next(signals)
-    scales = [pending.emit() for pending in signals]
-    return CurveletCoeffs(t.params, "unrotated", scaling, scales, multires, real=f.real)
-
-
-def _check_synthesizable(params: TilingParams, frame: str, t: Tiling) -> None:
-    if params != t.params:
-        raise ValueError("coefficients were built for a different tiling")
-    if frame != "unrotated":
-        raise ValueError("synthesis needs unrotated coefficients; apply rotate_from_north first")
-
-
-def _synthesis_from(t: Tiling, scaling: SphereSignal, scales, multires: bool, real: bool):
-    """Synthesis from the scaling signal and an iterator of scale signals.
-
-    The scales are taken from j_min up, one at a time, and each is dropped
-    once its Wigner rows are summed.  A scale's values are read one block
-    of beta rows at a time (so3_forward_curvelet), so an iterator of
-    stored sections holds no cube of samples.
-    """
-    p = t.params
-    L = p.band_limit
-    sht_fwd, sht_inv, so3_fwd, _ = _stages(real)
-    acc = np.zeros(L * L, dtype=complex)
-    for j in range(p.j_min, p.j_max + 1):
-        sig = next(scales)
-        expected = scale_band_limit(p, j) if multires else L
-        if sig.grid.L != expected:
-            raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {expected}")
-        pos, neg = curvelet_harmonics(t, j)
-        # The scale's Wigner rows below its kernel's lowest degree are
-        # multiplied by zero, so the transform does not compute them.
-        degrees = np.flatnonzero((pos != 0) | (neg != 0))
-        w = so3_fwd(sig, L0=int(degrees[0]) if len(degrees) else L)
-        del sig  # a cube the iterator built goes before the next scale is read
-        ell, col = _sheet_index(w.band_limit)
-        acc[1 : w.band_limit**2] += (
-            w.values[0, ell, col] * pos[ell] + w.values[1, ell, col] * neg[ell]
-        )
-    slm = sht_fwd(scaling)
-    Ls = slm.band_limit
-    acc[: Ls * Ls] += _scaling_weights(t, Ls) * slm.values
-    acc[: p.spin * p.spin] = 0.0
-    if real:
-        # Half-spectrum dust can leave the symmetry broken at the last
-        # digit; re-impose it exactly before handing the coefficients on.
-        _impose_real_symmetry(acc)
-    return sht_inv(HarmonicCoeffs(L, p.spin, acc, real=real))
+    c = _analysis_stream(f, t, multires)
+    c.scales = [pending.emit() for pending in c.scales]
+    return c
 
 
 def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
     """Reassemble the sphere signal from its scale signals; exact.
 
     Real-flagged coefficients synthesise through the half-spectrum Wigner
-    transforms to a real-flagged signal.
+    transforms to a real-flagged signal.  A scale's values are read one
+    block of beta rows at a time (so3_forward_curvelet), so scales left in
+    their container are never held whole.
     """
-    _check_synthesizable(c.params, c.frame, t)
-    return _synthesis_from(t, c.scaling, iter(c.scales), c.multires, c.real)
+    p = t.params
+    if c.params != p:
+        raise ValueError("coefficients were built for a different tiling")
+    L = p.band_limit
+    sht_fwd, sht_inv, so3_fwd, _ = _stages(c.real)
+    acc = np.zeros(L * L, dtype=complex)
+    grids = _coeff_grids(p, c.multires)[1]
+    for j, sig, grid in zip(range(p.j_min, p.j_max + 1), c.scales, grids):
+        if sig.grid != grid:
+            raise ValueError(f"scale {j} stored at band limit {sig.grid.L}, expected {grid.L}")
+        pos, neg = curvelet_harmonics(t, j)
+        # The scale's Wigner rows below its kernel's lowest degree are
+        # multiplied by zero, so the transform does not compute them.
+        degrees = np.flatnonzero((pos != 0) | (neg != 0))
+        w = so3_fwd(sig, L0=int(degrees[0]) if len(degrees) else L)
+        ell, col = _sheet_index(w.band_limit)
+        acc[1 : w.band_limit**2] += (
+            w.values[0, ell, col] * pos[ell] + w.values[1, ell, col] * neg[ell]
+        )
+    slm = sht_fwd(c.scaling)
+    Ls = slm.band_limit
+    acc[: Ls * Ls] += _scaling_weights(t, Ls) * slm.values
+    acc[: p.spin * p.spin] = 0.0
+    if c.real:
+        # Half-spectrum dust can leave the symmetry broken at the last
+        # digit; re-impose it exactly before handing the coefficients on.
+        _impose_real_symmetry(acc)
+    return sht_inv(HarmonicCoeffs(L, p.spin, acc, real=c.real))
 
 
 def analyze_real(f: SphereSignal, t: Tiling, multires: bool = True) -> CurveletCoeffs:

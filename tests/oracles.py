@@ -198,7 +198,7 @@ def so3_forward_general(f: SO3Signal, band_limit: int | None = None) -> WignerCo
     """Dense forward Wigner transform, O(L^4); the reference path."""
     grid = f.grid
     L = grid.L if band_limit is None else band_limit
-    if L > min(grid.L, grid.M, grid.N):
+    if L > grid.L:
         raise ValueError(f"band limit {L} exceeds grid {grid}")
     W1 = _alpha_orders(sfft.fft2(f.values, axes=(0, 2), norm="forward"), L - 1)
     tab = halfpi_table(L)
@@ -218,7 +218,7 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
     if isinstance(w, CurveletWignerCoeffs):
         raise TypeError("dense synthesis requires WignerCoeffs; use densify() first")
     L = w.band_limit
-    if L > min(grid.L, grid.M, grid.N):
+    if L > grid.L:
         raise ValueError(f"band limit {L} exceeds grid {grid}")
     tab = halfpi_table(L)
     out = np.zeros(grid.shape, dtype=complex)
@@ -227,7 +227,7 @@ def so3_inverse_general(w: WignerCoeffs, grid: SO3Grid) -> SO3Signal:
         for ells in _batches(range(abs(n), L)):
             cols = [w.planes[ell][:, n + ell] for ell in ells]
             _add_column_bins(X, cols, tab, [n] * len(ells), ells, grid.L)
-        out[n % (2 * grid.N - 1)] = _alpha_samples(_bins_to_beta(X, grid.L), 2 * grid.M - 1)
+        out[n % (2 * grid.L - 1)] = _alpha_samples(_bins_to_beta(X, grid.L), 2 * grid.L - 1)
     sfft.ifft(out, axis=0, norm="forward", out=out)
     return SO3Signal(grid, out)
 
@@ -252,7 +252,7 @@ def analyze_north_validation(
             f"band limit {Lj} exceeds the dense validation cap {max_band_limit}"
         )
     w = _scale_wigner(sht_forward(f), t, j, Lj)
-    return so3_inverse_general(rotate_to_north(w, j, t), SO3Grid(Lj, Lj, Lj))
+    return so3_inverse_general(rotate_to_north(w, j, t), SO3Grid(Lj))
 
 
 def direct_sht_inverse(flm: HarmonicCoeffs) -> SphereSignal:

@@ -172,7 +172,7 @@ def test_6c_sparse_rotation_transforms(capsys):
     worst = 0.0
     for L in (4, 8, 16, 32):
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         sig = scurve.so3_inverse_curvelet(w, grid)
         dense_sig = oracles.so3_inverse_general(oracles.densify(w), grid)
         worst = max(worst, float(np.abs(sig.values - dense_sig.values).max()))
@@ -217,9 +217,9 @@ def test_6e_pole_frame_field_vs_inner_products(capsys):
     grid = out.grid
     worst = 0.0
     picks = lambda n: (0, n // 2, n - 1)
-    for gi in picks(2 * grid.N - 1):
+    for gi in picks(2 * grid.L - 1):
         for bi in picks(grid.L):
-            for ai in picks(2 * grid.M - 1):
+            for ai in picks(2 * grid.L - 1):
                 node = (grid.alphas[ai], grid.betas[bi], grid.gammas[gi])
                 psi = oracles.coeffs_from_rows(oracles.rotate_rows(rows, node), L, 0)
                 ref = oracles.sphere_inner_product(flm, psi)

@@ -78,7 +78,7 @@ def test_round_trip_reaches_traced_bindings(tracer, layer):
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
 
         def run():
-            scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))
+            scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L)))
 
     tr = tracer.Tracer()
     tr.install()

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import scurve
-from scurve import cli, container, fourier, so3
+from scurve import cli, container, fourier, so3, transform
+from test_container import rewrite_header
 
 
 def run(argv):
@@ -113,6 +114,12 @@ class TestTiling:
         assert run(["tiling", "--L", "8", "--jmin", "5"]) == 3
         assert "scurve: error:" in capsys.readouterr().err
 
+    def test_spin_beyond_band_limit_is_data_error(self, capsys):
+        assert run(["tiling", "--L", "4", "--spin", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spin 9 out of range for band limit 4" in captured.err
+
 
 class TestAnalyzeSynthesize:
     def test_container_round_trip(self, tmp_path, rng, capsys):
@@ -197,6 +204,25 @@ class TestAnalyzeSynthesize:
         src = tmp_path / "f.scrv"
         write_sphere_file(src, 8, 0, rng)
         assert run(["synthesize", str(src), "--out", str(tmp_path / "g.scrv")]) == 3
+
+    @pytest.mark.parametrize("command", ["analyze", "sparsity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_data_error(
+        self, tmp_path, rng, capsys, monkeypatch, command, bad
+    ):
+        """Refused with exit 3 before the pre-flight and the tiling, writing nothing."""
+        src = tmp_path / "f.scrv"
+        f = write_sphere_file(src, 8, 2, rng)
+        f.values[3, 5] = bad
+        container.write_sphere(src, f)
+        for name in ("_preflight", "build_tiling"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(name))
+        out = tmp_path / "out"
+        assert run([command, str(src), "--jmin", "1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(src) in captured.err and "not finite" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.scrv"]
 
     def test_bad_thread_count_is_data_error(self, tmp_path, rng, capsys, monkeypatch):
         src = tmp_path / "f.scrv"
@@ -284,19 +310,19 @@ class TestStreaming:
 
     def test_analyze_writes_through_write_coeffs(self, tmp_path, rng, capsys, monkeypatch):
         """The container write stays behind container.write_coeffs, which
-        perfbench/tracer.py times; the coefficients arrive as a stream."""
+        perfbench/tracer.py times; every scale arrives still pending."""
         src = tmp_path / "f.scrv"
         write_sphere_file(src, 8, 0, rng, real=True)
         seen = []
         write = container.write_coeffs
 
         def spy(path, coeffs):
-            seen.append(type(coeffs))
+            seen.append((type(coeffs), {type(s) for s in coeffs.scales}))
             write(path, coeffs)
 
         monkeypatch.setattr(container, "write_coeffs", spy)
         assert run(["analyze", str(src), "--out", str(tmp_path / "c.scrv")]) == 0
-        assert seen == [container._CoeffStream]
+        assert seen == [(scurve.CurveletCoeffs, {transform._PendingSignal})]
 
     def test_full_resolution_container_synthesizes(self, tmp_path, rng, capsys):
         f = scurve.sht_inverse(scurve.random_coeffs(16, 2, rng))
@@ -312,9 +338,8 @@ class TestStreaming:
     def test_north_frame_is_data_error(self, tmp_path, rng, capsys):
         f = scurve.sht_inverse(scurve.random_coeffs(8, 0, rng))
         t = scurve.build_tiling(scurve.TilingParams(8, 0, 2.0, 0))
-        c = scurve.analyze(f, t)
-        c.frame = "north"
-        container.write_coeffs(tmp_path / "c.scrv", c)
+        container.write_coeffs(tmp_path / "c.scrv", scurve.analyze(f, t))
+        rewrite_header(tmp_path / "c.scrv", lambda h: h.__setitem__("frame", "north"))
         assert run(["synthesize", str(tmp_path / "c.scrv"), "--out", str(tmp_path / "g")]) == 3
         assert "unrotated" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()

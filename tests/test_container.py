@@ -84,7 +84,6 @@ class TestCoeffContainer:
         container.write_coeffs(path, c)
         d = container.read_coeffs(path)
         assert d.params == c.params
-        assert d.frame == c.frame
         assert d.multires == c.multires
         assert d.real == c.real
         np.testing.assert_array_equal(d.scaling.values, c.scaling.values)
@@ -116,7 +115,7 @@ class TestCoeffContainer:
         r, _ = make_coeffs(8, 0, rng, j_min=0, real=True)
         scaling = scurve.SphereSignal(r.scaling.grid, 0, r.scaling.values)
         scales = [scurve.SO3Signal(s.grid, s.values) for s in r.scales]
-        c = scurve.CurveletCoeffs(r.params, r.frame, scaling, scales, r.multires)
+        c = scurve.CurveletCoeffs(r.params, scaling, scales, r.multires)
         container.write_coeffs(path, c)
         header, _ = container.read_container(path)
         assert {sec["dtype"] for sec in header["sections"]} == {"<f8"}
@@ -125,6 +124,26 @@ class TestCoeffContainer:
         for a, b in zip([d.scaling, *d.scales], [c.scaling, *c.scales]):
             assert a.values.dtype == b.values.dtype == np.float64
             np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("multires", [True, False], ids=["multires", "full"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_one_layout(self, tmp_path, rng, multires, real):
+        """analyze's signals and the container's sections follow _coeff_grids."""
+        c, t = make_coeffs(16, 0, rng, j_min=0, real=real, multires=multires)
+        Ls, grids = transform._coeff_grids(t.params, multires)
+        scales = range(t.params.j_min, t.params.j_max + 1)
+        expect = [transform.scale_band_limit(t.params, j) if multires else 16 for j in scales]
+        assert [g.L for g in grids] == expect
+        assert Ls == (transform.scaling_band_limit(t.params) if multires else 16)
+        assert c.scaling.grid == scurve.SphereGrid(Ls)
+        assert [s.grid for s in c.scales] == grids
+        container.write_coeffs(tmp_path / "c.scrv", c)
+        header, _ = container.read_container(tmp_path / "c.scrv")
+        shapes = [tuple(sec["shape"]) for sec in header["sections"]]
+        assert shapes == [c.scaling.grid.shape, *(g.shape for g in grids)]
+        assert header["frame"] == "unrotated"
+        with container._read_coeff_stream(tmp_path / "c.scrv") as d:
+            assert [s.grid for s in d.scales] == grids
 
     def test_wrong_kind_rejected(self, tmp_path, rng):
         path = tmp_path / "f.scrv"
@@ -258,6 +277,27 @@ class TestContainerHardening:
         rewrite_header(path, lambda h: h.update(fields))
         with pytest.raises(container.ContainerError, match=f"{next(iter(fields))!r} must be"):
             read(path)
+
+    @pytest.mark.parametrize("kind", ["sphere", "curvelet"])
+    def test_spin_beyond_band_limit(self, tmp_path, rng, kind):
+        path = tmp_path / "f.scrv"
+        if kind == "sphere":
+            container.write_sphere(path, make_signal(4, 0, rng))
+            read = container.read_sphere
+        else:
+            container.write_coeffs(path, make_coeffs(4, 0, rng, j_min=0)[0])
+            read = container.read_coeffs
+        rewrite_header(path, lambda h: h.__setitem__("spin", 9))
+        with pytest.raises(container.ContainerError, match="spin 9 out of range for band limit 4"):
+            read(path)
+
+    @pytest.mark.parametrize("frame", ["north", None])
+    def test_frame_other_than_unrotated(self, tmp_path, rng, frame):
+        path = tmp_path / "c.scrv"
+        container.write_coeffs(path, make_coeffs(8, 0, rng)[0])
+        rewrite_header(path, lambda h: h.__setitem__("frame", frame))
+        with pytest.raises(container.ContainerError, match="is not 'unrotated'"):
+            container.read_coeffs(path)
 
     def test_integer_lambda_reads_as_float(self, tmp_path, rng):
         path = tmp_path / "c.scrv"
@@ -443,7 +483,7 @@ class TestBlockIO:
     L = 20  # blocks of 8, 8 and 4 beta rows
 
     def pending(self, rng):
-        grid = scurve.SO3Grid(self.L, self.L, self.L)
+        grid = scurve.SO3Grid(self.L)
         w = oracles.random_curvelet_wigner_coeffs(self.L, rng)
         emit = functools.partial(scurve.so3_inverse_curvelet, w, grid)
         return transform._PendingSignal(grid, False, emit), emit().values
@@ -467,9 +507,9 @@ class TestBlockIO:
         c, _ = make_coeffs(self.L, 2, rng)
         path = tmp_path / "c.scrv"
         container.write_coeffs(path, c)
-        with container._read_coeff_stream(path) as (_, _, _, _, signals):
-            next(signals)
-            for stored, sig in zip(signals, c.scales):
+        with container._read_coeff_stream(path) as d:
+            np.testing.assert_array_equal(d.scaling.values, c.scaling.values)
+            for stored, sig in zip(d.scales, c.scales):
                 assert stored.grid == sig.grid and not stored.real
                 assert stored.values.shape == sig.values.shape
                 for rows in so3._beta_blocks(sig.grid.L):
@@ -509,8 +549,8 @@ class TestBlockIO:
         with pytest.raises(container.ContainerError, match="does not match grid"):
             container.read_coeffs(path)
         with pytest.raises(container.ContainerError, match="does not match grid"):
-            with container._read_coeff_stream(path) as (_, _, _, _, signals):
-                list(signals)
+            with container._read_coeff_stream(path):
+                pass
 
 
 class TestContainerMemory:

@@ -34,20 +34,20 @@ def sparse_with_real_symmetry(L, rng):
 
 class TestGrid:
     def test_node_formulas(self):
-        g = scurve.SO3Grid(3, 4, 5)
-        assert g.shape == (9, 3, 7)
-        np.testing.assert_allclose(g.betas, np.pi * (2 * np.arange(3) + 1) / 5)
+        g = scurve.SO3Grid(4)
+        assert g.shape == (7, 4, 7)
+        np.testing.assert_allclose(g.betas, np.pi * (2 * np.arange(4) + 1) / 7)
         np.testing.assert_allclose(g.alphas, 2 * np.pi * np.arange(7) / 7)
-        np.testing.assert_allclose(g.gammas, 2 * np.pi * np.arange(9) / 9)
+        np.testing.assert_allclose(g.gammas, 2 * np.pi * np.arange(7) / 7)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            scurve.SO3Grid(0, 1, 1)
+            scurve.SO3Grid(0)
         with pytest.raises(ValueError):
-            scurve.SO3Signal(scurve.SO3Grid(2, 2, 2), np.zeros((3, 3, 3)) + 0j)
+            scurve.SO3Signal(scurve.SO3Grid(2), np.zeros((3, 3, 3)) + 0j)
         with pytest.raises(ValueError):
             scurve.SO3Signal(
-                scurve.SO3Grid(2, 2, 2), np.zeros((3, 2, 3), complex), real=True
+                scurve.SO3Grid(2), np.zeros((3, 2, 3), complex), real=True
             )
 
 
@@ -91,7 +91,7 @@ class TestGeneralTransforms:
     def test_constant_field(self):
         w = scurve.WignerCoeffs.zeros(4)
         w.planes[0][0, 0] = 8 * math.pi**2
-        f = oracles.so3_inverse_general(w, scurve.SO3Grid(4, 4, 4))
+        f = oracles.so3_inverse_general(w, scurve.SO3Grid(4))
         np.testing.assert_allclose(f.values, 1.0, atol=1e-12)
         back = oracles.so3_forward_general(f)
         assert back.planes[0][0, 0] == pytest.approx(8 * math.pi**2, abs=1e-10)
@@ -101,7 +101,7 @@ class TestGeneralTransforms:
     @pytest.mark.parametrize("L", [1, 2, 4, 8])
     def test_round_trip(self, L, rng):
         w = oracles.random_wigner_coeffs(L, rng)
-        f = oracles.so3_inverse_general(w, scurve.SO3Grid(L, L, L))
+        f = oracles.so3_inverse_general(w, scurve.SO3Grid(L))
         back = oracles.so3_forward_general(f)
         worst = max(
             np.abs(back.planes[ell] - w.planes[ell]).max() for ell in range(L)
@@ -111,7 +111,7 @@ class TestGeneralTransforms:
     def test_matches_direct_summation(self, rng):
         L = 6
         w = oracles.random_wigner_coeffs(L, rng)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         f = oracles.so3_inverse_general(w, grid)
         for _ in range(12):
             gi = int(rng.integers(0, 2 * L - 1))
@@ -125,7 +125,7 @@ class TestGeneralTransforms:
         # synthesis on a finer grid than the band limit needs
         L = 4
         w = oracles.random_wigner_coeffs(L, rng)
-        f = oracles.so3_inverse_general(w, scurve.SO3Grid(6, 6, 6))
+        f = oracles.so3_inverse_general(w, scurve.SO3Grid(6))
         back = oracles.so3_forward_general(f, band_limit=L)
         worst = max(
             np.abs(back.planes[ell] - w.planes[ell]).max() for ell in range(L)
@@ -135,10 +135,10 @@ class TestGeneralTransforms:
     def test_validation(self, rng):
         w = scurve.WignerCoeffs.zeros(8)
         with pytest.raises(ValueError):
-            oracles.so3_inverse_general(w, scurve.SO3Grid(4, 4, 4))
+            oracles.so3_inverse_general(w, scurve.SO3Grid(4))
         with pytest.raises(TypeError):
             oracles.so3_inverse_general(
-                scurve.CurveletWignerCoeffs.zeros(4), scurve.SO3Grid(4, 4, 4)
+                scurve.CurveletWignerCoeffs.zeros(4), scurve.SO3Grid(4)
             )
 
 
@@ -146,7 +146,7 @@ class TestCurveletTransforms:
     def test_constant_field(self):
         w = scurve.CurveletWignerCoeffs.zeros(4)
         w.row(0)[0] = 8 * math.pi**2
-        f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(4, 4, 4))
+        f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(4))
         np.testing.assert_allclose(f.values, 1.0, atol=1e-12)
         back = scurve.so3_forward_curvelet(f)
         assert back.row(0)[0] == pytest.approx(8 * math.pi**2, abs=1e-10)
@@ -156,7 +156,7 @@ class TestCurveletTransforms:
         L = 8
         w = scurve.CurveletWignerCoeffs.zeros(L)
         w.row(3)[1 + 3] = 1.0
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         fast = scurve.so3_inverse_curvelet(w, grid)
         slow = oracles.so3_inverse_general(oracles.densify(w), grid)
         assert np.abs(fast.values - slow.values).max() <= 1e-11
@@ -164,7 +164,7 @@ class TestCurveletTransforms:
     @pytest.mark.parametrize("L", [4, 8, 16, 32])
     def test_inverse_matches_general(self, L, rng):
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         fast = scurve.so3_inverse_curvelet(w, grid)
         slow = oracles.so3_inverse_general(oracles.densify(w), grid)
         assert np.abs(fast.values - slow.values).max() <= 1e-10
@@ -172,7 +172,7 @@ class TestCurveletTransforms:
     @pytest.mark.parametrize("L", [4, 8, 16, 32])
     def test_forward_matches_general(self, L, rng):
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
-        f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L))
+        f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L))
         fast = scurve.so3_forward_curvelet(f)
         slow = oracles.so3_forward_general(f)
         c = L - 1
@@ -191,21 +191,21 @@ class TestCurveletTransforms:
     @pytest.mark.parametrize("L", [4, 16, 64, 128])
     def test_round_trip(self, L, rng):
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
-        f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L))
+        f = scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L))
         back = scurve.so3_forward_curvelet(f)
         assert np.abs(back.values - w.values).max() <= 1e-10
 
     def test_grid_shape_validation(self, rng):
         w = oracles.random_curvelet_wigner_coeffs(4, rng)
         with pytest.raises(ValueError):
-            scurve.so3_inverse_curvelet(w, scurve.SO3Grid(3, 3, 3))
+            scurve.so3_inverse_curvelet(w, scurve.SO3Grid(3))
 
 
 class TestRealPath:
     @pytest.mark.parametrize("L", [2, 8, 24])
     def test_matches_complex_path(self, L, rng):
         w = sparse_with_real_symmetry(L, rng)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         via_complex = scurve.so3_inverse_curvelet(w, grid)
         via_real = scurve.so3_inverse_curvelet_real(w, grid)
         assert via_real.real
@@ -217,7 +217,7 @@ class TestRealPath:
     def test_forward_matches_complex_forward(self, rng):
         L = 16
         w = sparse_with_real_symmetry(L, rng)
-        f = scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(L, L, L))
+        f = scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(L))
         fc = scurve.SO3Signal(f.grid, f.values.astype(complex))
         a = scurve.so3_forward_curvelet_real(f)
         b = scurve.so3_forward_curvelet(fc)
@@ -229,16 +229,23 @@ class TestRealPath:
     def test_real_synthesis_requires_symmetry(self, rng):
         w = oracles.random_curvelet_wigner_coeffs(8, rng)
         with pytest.raises(ValueError, match="conjugate symmetry"):
-            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8, 8, 8))
+            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8))
         w = sparse_with_real_symmetry(8, rng)
         w.values[0, 0, 7] += 1e-6j
         with pytest.raises(ValueError, match="conjugate symmetry"):
-            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8, 8, 8))
+            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_real_synthesis_rejects_non_finite(self, rng, bad):
+        w = sparse_with_real_symmetry(8, rng)
+        w.values[0, 3, 7] = bad
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(8))
 
     def test_forward_output_carries_exact_symmetry(self, rng):
         L = 12
         w = sparse_with_real_symmetry(L, rng)
-        f = scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(L, L, L))
+        f = scurve.so3_inverse_curvelet_real(w, scurve.SO3Grid(L))
         back = scurve.so3_forward_curvelet(f)
         sym = back.values.copy()
         so3._impose_real_pairing(sym)
@@ -283,7 +290,7 @@ class TestDegreeFloor:
     @pytest.mark.parametrize("L", [8, 17, 32])
     def test_forward_keeps_every_degree_from_the_floor_up(self, rng, real, L):
         w, forward, inverse = floor_case(real, L, rng)
-        f = inverse(w, scurve.SO3Grid(L, L, L))
+        f = inverse(w, scurve.SO3Grid(L))
         full = forward(f).values
         for k in sorted({1, 2, L // 2, L - 1, L}):
             got = forward(f, L0=k).values
@@ -293,7 +300,7 @@ class TestDegreeFloor:
     @pytest.mark.parametrize("L", [8, 17, 32])
     def test_inverse_of_coefficients_zero_below_a_degree(self, monkeypatch, rng, real, L):
         monkeypatch.setattr(so3, "np", _NanEmpty())
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         for k in sorted({1, 2, L // 2, L - 1}):
             w, _, inverse = floor_case(real, L, rng)
             w.values[:, :k] = 0.0
@@ -306,7 +313,7 @@ class TestDegreeFloor:
         monkeypatch.setattr(so3, "np", _NanEmpty())
         L = 17
         _, forward, inverse = floor_case(real, L, rng)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         w = scurve.CurveletWignerCoeffs.zeros(L)
         f = inverse(w, grid)
         assert not f.values.any()
@@ -316,7 +323,7 @@ class TestDegreeFloor:
     def test_rejects_a_negative_floor(self, rng, real):
         w, forward, inverse = floor_case(real, 8, rng)
         with pytest.raises(ValueError, match="floor"):
-            forward(inverse(w, scurve.SO3Grid(8, 8, 8)), L0=-1)
+            forward(inverse(w, scurve.SO3Grid(8)), L0=-1)
 
 
 class TestSphereColumn:
@@ -327,7 +334,7 @@ class TestSphereColumn:
         L = 8
         flm = scurve.random_coeffs(L, s, rng)
         f = scurve.sht_inverse(flm)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         # F(alpha, beta, gamma) = f(beta, alpha) exp(-i s gamma), cube (gamma, beta, alpha)
         cube = np.exp(-1j * s * grid.gammas)[:, None, None] * f.values[None, :, :]
         w = oracles.so3_forward_general(scurve.SO3Signal(grid, cube))
@@ -380,7 +387,7 @@ class TestBinKernel:
     def test_forward_convolves_only_the_bins_each_chunk_reads(self, rng, monkeypatch):
         L = 32
         K = 2 * L - 1
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         f = scurve.so3_inverse_curvelet(oracles.random_curvelet_wigner_coeffs(L, rng), grid)
         points = []
 
@@ -479,7 +486,7 @@ class TestOrderBlocks:
     @staticmethod
     def outputs(L):
         """Bytes of every curvelet transform path at L, on fixed coefficients."""
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(L))
         wr = sparse_with_real_symmetry(L, np.random.default_rng(L + 1))
         f = scurve.so3_inverse_curvelet(w, grid)
@@ -546,7 +553,7 @@ class TestCountedWork:
             tr.install()
             try:
                 scurve.so3_forward_curvelet(
-                    scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L))
+                    scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L))
                 )
             finally:
                 tr.uninstall()
@@ -587,7 +594,7 @@ class TestCountedWork:
         """
         L = 64
         w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(5))
-        S = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)).values)
+        S = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L)).values)
         cols = so3._triangle(L, False)[0]
         tab = scurve.halfpi_table(L)
         batches = so3._batches(so3._gamma_order(L, False))
@@ -617,7 +624,7 @@ class TestCountedWork:
         L, k = 64, 32
         w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(6))
         w.values[:, :k] = 0.0
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         f = scurve.so3_inverse_curvelet(w, grid)  # the cached tables, untraced
 
         def flops(run):
@@ -640,7 +647,7 @@ class TestScaling:
     def test_cost_grows_slower_than_l_to_3_5(self, rng):
         def timed(L):
             w = oracles.random_curvelet_wigner_coeffs(L, rng)
-            grid = scurve.SO3Grid(L, L, L)
+            grid = scurve.SO3Grid(L)
             scurve.so3_inverse_curvelet(w, grid)  # warm caches
             best = math.inf
             for _ in range(3):
@@ -676,7 +683,7 @@ class TestBlockStreaming:
     def test_sink_receives_each_block_once(self, monkeypatch, rng, threads, real):
         monkeypatch.setenv("SCURVE_THREADS", threads)
         L = 20  # blocks of 8, 8 and 4 beta rows
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         if real:
             w = sparse_with_real_symmetry(L, rng)
             inverse = scurve.so3_inverse_curvelet_real
@@ -700,7 +707,7 @@ class TestBlockStreaming:
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_forward_reads_values_by_blocks(self, rng, real):
         L = 20
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         if real:
             f = scurve.so3_inverse_curvelet_real(sparse_with_real_symmetry(L, rng), grid)
         else:
@@ -778,7 +785,7 @@ class TestTriangleLayout:
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_peak_model_counts_the_spectrum_the_transforms_allocate(self, monkeypatch, rng, real):
         L = 16
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         if real:
             w = sparse_with_real_symmetry(L, rng)
             inverse = scurve.so3_inverse_curvelet_real
@@ -816,7 +823,7 @@ class TestTriangleLayout:
         monkeypatch.setenv("SCURVE_THREADS", "1")
         L = 64
         K = 2 * L - 1
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         if real:
             w = sparse_with_real_symmetry(L, rng)
             inverse = scurve.so3_inverse_curvelet_real
@@ -848,7 +855,7 @@ class TestChunkPool:
 
     def test_outputs_do_not_depend_on_worker_count(self, monkeypatch, rng):
         L = 32
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
         f = scurve.so3_inverse_curvelet(w, grid)
         runs = []
@@ -882,7 +889,7 @@ class TestChunkPool:
         L = 32
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
         before = threading.active_count()
-        scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L, L, L)))
+        scurve.so3_forward_curvelet(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L)))
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -891,7 +898,7 @@ class TestChunkPool:
         monkeypatch.setenv("SCURVE_THREADS", "2")
         L = 16
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         expected = scurve.so3_inverse_curvelet(w, grid).values
 
         def in_child():
@@ -913,7 +920,7 @@ class TestChunkPool:
         convolution.
         """
         L = 64
-        grid = scurve.SO3Grid(L, L, L)
+        grid = scurve.SO3Grid(L)
         w = oracles.random_curvelet_wigner_coeffs(L, rng)
 
         def traced_peak(run):

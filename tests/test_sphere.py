@@ -57,9 +57,16 @@ class TestContainers:
             scurve.SphereSignal(g, 0, np.zeros((3, 3), dtype=complex))
 
     def test_real_signal_flag(self):
-        g = scurve.SphereGrid(2)
-        with pytest.raises(ValueError):
+        g = scurve.SphereGrid(4)
+        with pytest.raises(ValueError, match="real signals must have spin 0"):
             scurve.SphereSignal(g, 2, np.zeros(g.shape), real=True)
+
+    @pytest.mark.parametrize("spin", [4, -4, 9])
+    def test_spin_beyond_band_limit(self, spin):
+        g = scurve.SphereGrid(4)
+        with pytest.raises(ValueError, match=f"spin {spin} out of range for band limit 4"):
+            scurve.SphereSignal(g, spin, np.zeros(g.shape, complex))
+        scurve.SphereSignal(g, 3, np.zeros(g.shape, complex))
 
     def test_random_coeffs_determinism(self):
         a = scurve.random_coeffs(8, 1, np.random.default_rng(7))
@@ -205,6 +212,13 @@ class TestRealPath:
         sym[sphere.lm_index(3, -2)] += 1e-6
         with pytest.raises(ValueError, match="conjugate symmetry"):
             scurve.HarmonicCoeffs(8, 0, sym, real=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_real_flag_rejects_non_finite(self, rng, bad):
+        vals = scurve.random_coeffs(4, 0, rng, real=True).values
+        vals[0] = bad
+        with pytest.raises(ValueError, match="1 non-finite coefficient"):
+            scurve.HarmonicCoeffs(4, 0, vals, real=True)
 
     def test_forward_output_carries_exact_symmetry(self, rng):
         L = 16

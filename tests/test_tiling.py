@@ -128,6 +128,12 @@ class TestParams:
         with pytest.raises(ValueError):
             scurve.TilingParams(32, 0, 2.0, 0, 2)  # finest kernel short of L-1
 
+    @pytest.mark.parametrize("spin", [4, -4, 9])
+    def test_spin_beyond_band_limit(self, spin):
+        with pytest.raises(ValueError, match=f"spin {spin} out of range for band limit 4"):
+            scurve.TilingParams(4, spin=spin)
+        assert scurve.TilingParams(4, spin=3).spin == 3
+
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_lambda_is_rejected(self, lam):
         with pytest.raises(ValueError, match="finite and exceed 1"):
