@@ -19,10 +19,10 @@ Beside the two peaks, "estimate_parts_mib" breaks the estimate into its
 components, as the measured library computes them (null for a checkout
 without the breakdown): the gamma spectrum (its |m| <= |n| triangle
 where the library keeps one), the half-pi table, the scale's Wigner
-coefficients, the workers (each the larger of one block of a batch's
-bin planes and one dense beta block beside its samples; a checkout
-that holds a batch's planes whole splits them into "planes" and
-"blocks") and the interpreter baseline.
+coefficients, the workers (each the largest of one block of a batch's
+bin planes, one block of its beta nodes and one dense beta block beside
+its samples; a checkout that holds a batch's planes whole splits them
+into "planes" and "blocks") and the interpreter baseline.
 
 glibc's heap placement alone can move resident memory by a few percent
 from run to run, which is why the tracemalloc peak is printed beside it.

@@ -10,39 +10,34 @@ analysis signals; they cost O(L^3 log L) because each gamma frequency n
 then touches exactly one degree.  WignerCoeffs holds full (2l+1)^2
 planes, the layout rotate_to_north returns.
 
-Every transform runs on one colatitude-bin kernel (_beta_to_bins and its
-inverse _bins_to_beta), which moves a stack of centred alpha spectra at
-the beta nodes to and from weighted centred (beta bin, alpha bin)
-planes.  Degree ell reads only the bins |m'|, |m| <= ell, so the kernel
-is told the largest degree h its planes serve and transforms only the
-2h+1 alpha columns |m| <= h; the forward kernel runs in one buffer,
-padded for the convolution, and keeps only the 2h+1 beta bins
-|m'| <= h.  The curvelet transforms batch gamma frequencies in order of
-|n| and pass each batch's largest |n|, which brings their beta work
-towards half of full width as L grows (0.58 at L = 32, 0.52 at L = 128);
-the sphere transforms read every degree and pass the full width.  The
-plane of alpha order m and gamma frequency n is even or odd in its beta
-bins, with parity (-1)^(m+n), and the forward kernel keeps only its fold
-onto p >= 0, so two frequencies of opposite parity share its beta FFT
-and convolution (a batch of 8 runs as 4 pairs).  The inverse keeps one
-inverse FFT per plane: splitting a paired sum at the beta nodes cost as
-much as it saved (L = 32 to 128, 2-core VM).  A batch runs the kernels
-by blocks of orders +-m (_Block), each in a buffer within _BIN_BUDGET,
-so a worker's planes do not grow as L^2; each row runs the same 1-D
-FFTs on the same values in any block, so the block width changes no
-bit.  The batches run on a pool of fft_workers() threads, and so do the
-whole-cube FFTs over gamma and alpha, in blocks of beta rows.  Every
-batch or block writes only its own rows, so results are bitwise the same
-for any worker count.
+The forward transforms run on one colatitude-bin kernel (_beta_to_bins),
+which moves a stack of centred alpha spectra at the beta nodes to
+weighted centred (beta bin, alpha bin) planes.  Degree ell reads only the
+bins |m'|, |m| <= ell, so the kernel is told the largest degree h its
+planes serve and transforms only the alpha columns and keeps only the
+beta bins up to h, in one buffer padded for the convolution: the
+curvelet transforms batch gamma frequencies in order of |n| and pass each
+batch's largest |n|, the sphere transforms the full width.  The plane
+of alpha order m and gamma frequency n is even or odd in its beta bins,
+with parity (-1)^(m+n), and the kernel keeps only its fold onto p >= 0,
+so two frequencies of opposite parity share its beta FFT and convolution.
+The inverse curvelet transform needs no bins: gamma frequency n holds
+only the edge column of degree |n|, whose colatitude profile has a closed
+form (wigner._edge_nodes), so _curvelet_nodes evaluates a batch's alpha
+spectra at the beta nodes directly, in O(L^3) with no beta FFT.
+
+Each kernel runs a batch by blocks of orders +-m (_Block) in a buffer
+within _BIN_BUDGET, and the block width changes no bit.  The batches, and
+the whole-cube FFTs over gamma and alpha by blocks of beta rows, run on a
+pool of fft_workers() threads; each writes only its own rows, so results
+are bitwise the same for any worker count.
 
 Between the bins and the coefficients sits Delta = d(pi/2), of which the
-half-pi table keeps the m', m >= 0 quadrant.  _wigner_columns and
-_block_bins read it through the reflections Delta_{-m',m} =
-(-1)^(ell+m) Delta_{m'm} and Delta_{m',-m} = (-1)^(ell+m') Delta_{m'm}:
-bin rows +-p fold with sign (-1)^(m+n), columns +-m with sign
-(-1)^(ell+p).  They work on a batch of columns at once, the quadrants of
-its degrees zero-padded to the largest, so the numpy calls per batch do
-not grow with its size.
+half-pi table keeps the m', m >= 0 quadrant.  _block_columns and
+_add_column_bins read it through the reflections Delta_{-m',m} =
+(-1)^(ell+m) Delta_{m'm} and Delta_{m',-m} = (-1)^(ell+m') Delta_{m'm},
+a batch of columns at once, the quadrants of its degrees zero-padded to
+the largest, so the numpy calls per batch do not grow with its size.
 
 The curvelet transforms keep their gamma spectrum in a ragged layout.
 A scale signal has Wigner content only in the columns n = +-ell, so at
@@ -51,9 +46,9 @@ alpha orders |m| <= |n|; the spectrum keeps, for each of the L beta
 nodes, only that triangle (_triangle), T = 2L^2 - 1 columns in all
 (L^2 when real, n >= 0 only) against (2L-1)^2 for the dense plane, and
 one column of zeros for the orders outside it.  Gamma frequency n owns
-one run of 2|n|+1 columns, centred on m = 0, and the bin kernel reads
-or writes it in place.  The sphere transforms hand the kernel full-width
-rows instead, |m| <= L-1.
+one run of 2|n|+1 columns, centred on m = 0, which the forward kernel
+reads and the inverse writes in place.  The sphere transforms hand the
+kernel full-width rows instead, |m| <= L-1.
 
 The FFTs over gamma and alpha are the only steps that touch the
 samples, and they run per block of beta rows, each in a dense block of
@@ -75,9 +70,7 @@ those batches' gamma rows, which are one range of the dense spectrum.
 The inverse reads its floor off the coefficients, the lowest degree with
 a nonzero entry, and zeroes the other rows; the forward is told L0 and
 returns zero below it.  A batch that runs sees the same values as
-without a floor, so its rows do not change by a bit.  At L = 128, spin
-2, the floors of the scales take the counted FFT work of `analyze` from
-2.16 to 1.78 GFLOP and of `synthesize` from 3.16 to 2.68.
+without a floor, so its rows do not change by a bit.
 """
 
 from __future__ import annotations
@@ -93,7 +86,7 @@ import numpy as np
 from numpy import fft as sfft
 
 from .fourier import _kernel_fft, _next_fast_len, fft_workers, weighted_convolve
-from .wigner import alt_sign, halfpi_table, ipow_vec
+from .wigner import _edge_nodes, alt_sign, halfpi_table, ipow_vec
 
 __all__ = [
     "CurveletWignerCoeffs",
@@ -114,9 +107,9 @@ _CHUNK = 8
 # copies and shares them between the pool's threads.
 _BETA_BLOCK = 8
 
-# Bytes of one buffer of a gamma batch's bin planes.  A batch whose planes
-# would take more runs over blocks of alpha orders |m| (_order_blocks); up
-# to L = 64 every batch fits in one block.  Below 5 MiB the freed blocks no
+# Bytes of one buffer of a gamma batch's bin planes or beta nodes; a batch
+# that needs more runs by blocks of alpha orders |m| (_order_blocks), from
+# L = 128 forward and L = 256 inverse.  Below 5 MiB the freed blocks no
 # longer raise glibc's trim threshold above a worker's dense beta block and
 # its samples, and `scurve analyze` at L = 128 refaults their pages for
 # every block (82 000 minor faults against 25 000 at 4 MiB, 5% more time).
@@ -128,16 +121,15 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     The triangle of the gamma spectrum (_triangle, T+1 columns of L
     beta nodes, T = 2L^2 - 1 or L^2 when real), the half-pi table, the
     scale's Wigner columns with the triangle's index arrays, and the
-    workers; a transform that reads or writes its samples block by block
-    holds no whole cube.  A worker holds, never both at once, either the
-    bin planes of one gamma batch (the widest block of _order_blocks,
-    within _BIN_BUDGET, one padded row per order and pair of gamma
-    frequencies, beside the batch's quadrants) or one dense beta
-    block of the whole-cube FFTs beside its block of samples; it is
-    counted as the larger, and a quarter more for what the allocator of
-    its thread keeps resident between blocks (2-worker `scurve analyze` at
-    L = 256 holds 47 MiB beyond its traced peak, 1 worker 33 MiB).  This
-    fits the peaks scripts/cli_peaks.py measures.
+    workers; a block-streamed transform holds no whole cube.  A worker
+    holds, never two at once, the widest block (_order_blocks) of a
+    forward batch's bin planes (a padded row per order and pair of
+    frequencies, beside its quadrants) or of an inverse batch's beta nodes
+    (L per order and frequency, beside their real exponents), or a dense
+    beta block of the whole-cube FFTs beside its samples; it is counted as
+    the largest, and a quarter more for what its thread's allocator keeps
+    resident between blocks (2-worker `scurve analyze` at L = 256 holds 47
+    MiB beyond its traced peak).  This fits scripts/cli_peaks.py.
     """
     K = 2 * L - 1
     G = L if real else K
@@ -145,12 +137,13 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
     row_bytes = (_CHUNK + 1) // 2 * (pad + pad % 2) * 16
     rows = min(2 * _order_width(L - 1, row_bytes), K)
     planes = rows * row_bytes + _CHUNK * L * L * 8
+    nodes = min(2 * _order_width(L - 1, _CHUNK * L * 16), K) * _CHUNK * L * 24
     blocks = min(_BETA_BLOCK, L) * K * (G * 16 + K * (8 if real else 16))
     return {
         "spectrum": L * (L * L + 1 if real else 2 * L * L) * 16,
         "table": 8 * L * (L + 1) * (2 * L + 1) // 6,  # sum of (l+1)^2 doubles, l < L
         "coefficients": 2 * L * K * 16 + (L * (L if real else 2 * L) + 1 + G * K) * 8,
-        "workers": workers * max(planes, blocks) * 5 // 4,
+        "workers": workers * max(planes, nodes, blocks) * 5 // 4,
     }
 
 
@@ -472,11 +465,11 @@ def _block(a: int, b: int) -> _Block:
 
 
 def _order_width(h: int, row_bytes: int) -> int:
-    """Orders +-m per block of a gamma batch whose bin buffer takes row_bytes per order.
+    """Orders +-m per block of a gamma batch whose buffer takes row_bytes per order.
 
-    An order holds a padded row per pair of frequencies in the forward
-    kernel, 2L-1 bins per frequency in the inverse.  The 2h+1 orders
-    |m| <= h run as one block when they fit _BIN_BUDGET, and otherwise in
+    An order holds a padded row of bins per pair of frequencies in the
+    forward kernel, L beta nodes per frequency in the inverse.  The 2h+1
+    orders |m| <= h run as one block when they fit _BIN_BUDGET, else in
     blocks of as many orders +-m as fit it (at least one).
     """
     if (2 * h + 1) * row_bytes <= _BIN_BUDGET:
@@ -602,15 +595,9 @@ def _beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> np.ndarra
 
 
 def _bins_to_beta(B: np.ndarray, L: int) -> np.ndarray:
-    """Centred alpha spectra at the L beta nodes of beta-last bin planes; B is overwritten.
+    """(..., L, orders) view of alpha spectra at the L beta nodes of bin planes; B is overwritten.
 
-    B holds one plane or a stack of them in its last two axes: alpha
-    orders (the 2h+1 centred ones |m| <= h its degrees reach, or one
-    _Block of them), by the 2L-1 beta bins in FFT order with the
-    node-offset phase applied, the layout _block_bins writes.  Beta is
-    inverted in place along the contiguous last axis; the result is an
-    (..., L, orders) view of the L beta nodes on (0, pi], the layout
-    _beta_to_bins reads.
+    B holds centred alpha orders by the 2L-1 beta bins in FFT order, as _add_column_bins adds them.
     """
     sfft.ifft(B, norm="forward", out=B)
     return B[..., :L].swapaxes(-1, -2)
@@ -710,88 +697,63 @@ def _curvelet_columns(spectra, tab, ns) -> list:
     return _phased_columns(C, ns, ells)
 
 
-def _column_factors(cols, tab, ns, ells, L: int) -> tuple:
-    """What _block_bins multiplies into the bin planes of Wigner columns.
+def _add_column_bins(X: np.ndarray, cols, tab, ns, ells, L: int) -> None:
+    """Add the summed bin planes of Wigner columns of one gamma frequency to X.
 
-    For the beta bins p = 0..h and p = -1..-h in turn: the table's
-    quadrants, the centred rows c[m] (2l+1)/(8 pi^2) i^(n-m) of the
-    columns c = cols[i] (2l+1 entries) at degree l = ells[i] and gamma
-    frequency n = ns[i] (for -p with sign (-1)^(m+n)), the factor
-    Delta_{p n} e^{i p pi/K} (the conjugate phase for -p), and the sign
-    (-1)^(l+p) that reflects a quadrant's columns m onto -m.
+    Column c = cols[i] of degree l = ells[i] and frequency n = ns[i] has
+    the planes Delta_{p m} Delta_{p n} e^{i p pi/K} c[m] (2l+1)/(8 pi^2)
+    i^(n-m) over beta bins p and alpha orders m, for -p with sign
+    (-1)^(m+n) and the conjugate phase.  X is (2c+1, 2L-1), orders |m| <= c
+    by bins in FFT order.  One einsum per half of the bins and sign of m.
     """
     ns, ells = np.asarray(ns), np.asarray(ells)
     h = int(ells.max())
+    K = 2 * L - 1
     Q, t, U = _quadrants(tab, ns, ells, h)
     m = np.arange(-h, h + 1)
     R = np.zeros((len(ells), 2 * h + 1), dtype=complex)
     for r, col, ell in zip(R, cols, ells.tolist()):
         r[h - ell : h + ell + 1] = col
     R *= ipow_vec(ns[:, None] - m) * ((2 * ells + 1) / (8.0 * math.pi**2))[:, None]
-    e = np.exp(1j * np.arange(h + 1) * (math.pi / (2 * L - 1)))
+    e = np.exp(1j * np.arange(h + 1) * (math.pi / K))
     mirrored = R * alt_sign(ns[:, None] + m)
-    return (Q, R, U * e, t), (Q[:, 1:], mirrored, (U * e.conj())[:, 1:], t[:, 1:])
-
-
-def _block_bins(factors, block: _Block, L: int) -> np.ndarray:
-    """Bin planes of the alpha orders |m| = a..b-1 of Wigner columns, for a _Block.
-
-    Plane i holds Delta_{p m} Delta_{p n} e^{i p pi/K} c[m] (2l+1)/(8 pi^2)
-    i^(n-m) (_column_factors) over the block's orders m and the K = 2L-1
-    beta bins p in FFT order, zero beyond |p| = h: the layout
-    _bins_to_beta inverts, so the planes go to it with no copy.  The bins
-    p >= 0 come from the table's quadrants (columns -m from m with sign
-    (-1)^(l+p)), the bins -p from those with sign (-1)^(m+n) and the
-    conjugate phase.  Returns (batch, orders, K).
-    """
-    R = factors[0][1]
-    h = R.shape[1] // 2
-    K = 2 * L - 1
-    a, b, neg = block.a, block.b, block.neg
-    lo = b - neg
-    B = np.zeros((len(R), neg + b - a, K), dtype=complex)
-    # (p, m) views of the beta bins p = 0..h and p = -1..-h.
-    above = B[..., : h + 1].swapaxes(1, 2)
-    below = B[..., K - h :][..., ::-1].swapaxes(1, 2)
-    for half, (q, r, w, s) in zip((above, below), factors):
-        np.multiply(q[..., a:b], r[:, None, h + a : h + b], out=half[..., neg:])
-        mirror = q[..., b - 1 : lo - 1 : -1]
-        np.multiply(mirror, r[:, None, h + 1 - b : h + 1 - lo], out=half[..., :neg])
-        half[..., neg:] *= w[..., None]
-        half[..., :neg] *= (w * s)[..., None]
-    return B
-
-
-def _add_column_bins(X: np.ndarray, cols, tab, ns, ells, L: int) -> None:
-    """Add the summed bin planes (_block_bins) of Wigner columns of one gamma frequency to X.
-
-    X is (2c+1, 2L-1), centred alpha orders |m| <= c by beta bins in FFT
-    order, the layout _bins_to_beta inverts.  One einsum per half of the
-    bins and sign of the orders contracts the columns: no plane is built.
-    """
-    h = int(max(ells))
-    K = 2 * L - 1
+    factors = (Q, R, U * e, t), (Q[:, 1:], mirrored, (U * e.conj())[:, 1:], t[:, 1:])
     c = len(X) // 2
     bins = (X[:, : h + 1], X[:, K - h :][:, ::-1])
-    for half, (q, r, w, s) in zip(bins, _column_factors(cols, tab, ns, ells, L)):
+    for half, (q, r, w, s) in zip(bins, factors):
         half[c : c + h + 1] += np.einsum("ipm,im,ip->mp", q, r[:, h:], w)
         half[c - h : c][::-1] += np.einsum("ipm,im,ip->mp", q[..., 1:], r[:, :h][:, ::-1], w * s)
 
 
-def _curvelet_nodes(w, tab, ns, L: int, put) -> None:
+@lru_cache
+def _half_nodes(L: int) -> np.ndarray:
+    """Rows sin and cos of beta_b / 2 at the L beta nodes; the cos is exactly 0 at beta = pi."""
+    out = np.sin(math.pi * np.r_[1 : 2 * L : 2, 2 * L - 2 : -1 : -2].reshape(2, L) / (4 * L - 2))
+    out.setflags(write=False)
+    return out
+
+
+def _curvelet_nodes(w, ns, L: int, put) -> None:
     """Alpha spectra at the beta nodes of the curvelet columns of a gamma batch.
 
-    The inverse curvelet kernel: the columns n = ns[i] of w run through
-    _block_bins and _bins_to_beta one block of alpha orders at a time
-    (_order_blocks), so the batch's bin planes take at most _BIN_BUDGET
-    whatever L; put(block, R) receives each _Block and its (len(ns), L,
-    orders) nodes.
+    The inverse curvelet kernel: frequency n = ns[i], of degree l = |n|,
+    holds c[m] (2l+1)/(8 pi^2) d^l_{m n}(beta_b) at alpha order m and beta
+    node b, c = w.row(n), in the closed form of wigner._edge_nodes, with
+    d^l_{m,-l} = (-1)^(l-m) d^l_{-m,l} for n < 0.  put(block, R) receives
+    each _Block of _order_blocks and its (len(ns), L, orders) nodes.
     """
     ns = np.asarray(ns)
     ells = np.abs(ns)
-    factors = _column_factors([w.row(n) for n in ns.tolist()], tab, ns, ells, L)
-    for block in _order_blocks(int(ells.max()), len(ns) * (2 * L - 1) * 16):
-        put(block, _bins_to_beta(_block_bins(factors, block, L), L))
+    h = int(ells.max())
+    R = np.zeros((len(ns), 2 * h + 1), dtype=complex)
+    for r, n, ell in zip(R, ns.tolist(), ells.tolist()):
+        r[h - ell : h + ell + 1] = w.row(n)
+    R *= ((2 * ells + 1) / (8.0 * math.pi**2))[:, None]
+    flip = (ns < 0)[:, None]
+    for block in _order_blocks(h, len(ns) * L * 16):
+        m = block.orders
+        weights = R[:, h + m] * np.where(flip, alt_sign(ells[:, None] - m), 1.0)
+        put(block, _edge_nodes(ells, np.where(flip, -m, m), *_half_nodes(L), weights))
 
 
 def so3_forward_curvelet(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
@@ -873,10 +835,9 @@ def _so3_inverse_curvelet(
         raise ValueError(f"grid band limit {grid.L} does not match the coefficients' {L}")
     if real:
         _check_real(w.values, _impose_real_pairing)
-    tab = halfpi_table(L)
     L0 = _degree_floor(w)
     if sink is None and not real:
-        return SO3Signal(grid, _inverse_in_place(w, tab, L0))
+        return SO3Signal(grid, _inverse_in_place(w, L0))
     cols, gather, _ = _triangle(L, real)
     batches, _, kept = _live(L, real, L0)
     S = np.empty((L, len(gather)), dtype=complex)
@@ -892,7 +853,7 @@ def _so3_inverse_curvelet(
                     lo, hi = _overlap(m0, count, abs(n))
                     S[:, zero + m0 + lo : zero + m0 + hi] = X[:, r0 + lo : r0 + hi]
 
-        _curvelet_nodes(w, tab, chunk, L, put)
+        _curvelet_nodes(w, chunk, L, put)
 
     _run_chunks(inverse_chunk, batches)
     if sink is not None:
@@ -903,19 +864,17 @@ def _so3_inverse_curvelet(
     return SO3Signal(grid, values, real=real)
 
 
-def _inverse_in_place(w: CurveletWignerCoeffs, tab, L0: int) -> np.ndarray:
+def _inverse_in_place(w: CurveletWignerCoeffs, L0: int) -> np.ndarray:
     """Complex samples of sparse coefficients, zero below degree L0, in their own cube.
 
-    A complex cube in memory is large enough to hold its own dense
-    spectrum, so each block of a gamma batch's alpha orders is written
-    straight into the batch's gamma rows, the orders past the batch's
-    degrees are zeroed, the alpha inverse runs there in place, and then
-    the gamma inverse, block by block of beta rows; the triangle would add
-    half a cube of fresh memory beside the output (and the page faults of
-    touching it) without lowering the peak.  Only the batches that reach
-    L0 run (_live); the other gamma rows are zeroed.  The result is
-    bitwise that of the triangle path, the same 1-D FFTs on the same
-    values.
+    A complex cube in memory can hold its own dense spectrum, so each
+    block of a gamma batch's nodes goes straight into the batch's gamma
+    rows, the orders past its degrees are zeroed, the alpha inverse runs
+    there in place, then the gamma inverse by blocks of beta rows; the
+    triangle would add half a cube of fresh memory (and its page faults)
+    without lowering the peak.  Only the batches that reach L0 run
+    (_live); the other gamma rows are zeroed.  The result is bitwise that
+    of the triangle path, the same 1-D FFTs on the same values.
     """
     L = w.band_limit
     K = 2 * L - 1
@@ -935,7 +894,7 @@ def _inverse_in_place(w: CurveletWignerCoeffs, tab, L0: int) -> np.ndarray:
             values[index, :, K + 1 - b : K + 1 - b + neg] = R[..., :neg]
             values[index, :, a:b] = R[..., neg:]
 
-        _curvelet_nodes(w, tab, chunk, L, put)
+        _curvelet_nodes(w, chunk, L, put)
         if h < L - 1:
             values[index, :, h + 1 : K - h] = 0.0
         # The batch's n >= 0 and n < 0 (_gamma_order) hold two runs of gamma rows.

@@ -221,11 +221,14 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
     Real-flagged coefficients synthesise through the half-spectrum Wigner
     transforms to a real-flagged signal.  A scale's values are read one
     block of beta rows at a time (so3_forward_curvelet), so scales left in
-    their container are never held whole.
+    their container are never held whole.  A scale or scaling signal with
+    a non-finite sample raises ValueError.
     """
     p = t.params
     if c.params != p:
         raise ValueError("coefficients were built for a different tiling")
+    if not np.isfinite(c.scaling.values).all():
+        raise ValueError("the scaling signal holds non-finite samples")
     L = p.band_limit
     sht_fwd, sht_inv, so3_fwd, _ = _stages(c.real)
     acc = np.zeros(L * L, dtype=complex)
@@ -238,6 +241,9 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
         # multiplied by zero, so the transform does not compute them.
         degrees = np.flatnonzero((pos != 0) | (neg != 0))
         w = so3_fwd(sig, L0=int(degrees[0]) if len(degrees) else L)
+        # The FFTs spread a non-finite sample to the coefficients: O(L^2) to check.
+        if not np.isfinite(w.values).all():
+            raise ValueError(f"scale {j} holds non-finite samples")
         ell, col = _sheet_index(w.band_limit)
         acc[1 : w.band_limit**2] += (
             w.values[0, ell, col] * pos[ell] + w.values[1, ell, col] * neg[ell]

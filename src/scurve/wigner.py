@@ -14,8 +14,9 @@ values: d_{m',-m} = (-1)^(ell+m') d_{m'm} and d_{-m',m} = (-1)^(ell+m)
 d_{m'm} give the rest, which ``HalfPiTable.plane`` expands and the bin
 kernel in so3.py folds onto.  ``wigner_d_matrix`` expands those values to
 any beta, and ``wigner_d_edge_columns`` evaluates the two outermost
-columns in closed form.  The exact factorial-sum elements the tests check
-these against live in tests/oracles.py.
+columns in closed form (_edge_nodes), the same evaluation the inverse
+curvelet transform runs at its beta nodes.  The exact factorial-sum
+elements the tests check these against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,26 +201,59 @@ def wigner_d_matrix(ell: int, beta: float) -> np.ndarray:
     return np.real(fac * core)
 
 
-def wigner_d_edge_columns(ell: int, beta: float):
+def wigner_d_edge_columns(ell: int, beta):
     """Columns d^ell_{k, +ell}(beta) and d^ell_{k, -ell}(beta) over all k.
 
-    Closed binomial forms evaluated in log space, stable for degrees far
-    beyond where the factorials themselves overflow.
+    Each has shape beta.shape + (2 ell + 1,) for an array of betas.  The
+    closed form (_edge_nodes) holds for degrees where factorials overflow.
     """
     if ell < 0:
         raise ValueError(f"degree must be non-negative, got {ell}")
+    half = 0.5 * np.ravel(beta).astype(float)
     k = np.arange(-ell, ell + 1)
-    logf = _log_factorials(2 * ell)
-    half_log_binom = 0.5 * (logf[2 * ell] - logf[ell + k] - logf[ell - k])
-    s = math.sin(0.5 * float(beta))
-    c = math.cos(0.5 * float(beta))
-    pos = np.exp(half_log_binom + _klog(ell - k, s) + _klog(ell + k, c))
-    neg = np.exp(half_log_binom + _klog(ell + k, s) + _klog(ell - k, c))
-    neg *= alt_sign(ell - k)
-    return pos, neg
+    signs = np.stack([np.ones(2 * ell + 1), alt_sign(ell - k)])
+    cols = _edge_nodes([ell, ell], np.stack([k, -k]), np.sin(half), np.cos(half), signs)
+    return tuple(col.reshape(np.shape(beta) + k.shape) for col in cols)
 
 
-def _klog(k: np.ndarray, x: float) -> np.ndarray:
-    """k log x for non-negative integers k, taking 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(k == 0, 0.0, k * np.log(x))
+@lru_cache(maxsize=None)
+def _edge_binomials(ell: int) -> np.ndarray:
+    """sqrt(C(2 ell, p) / 4^ell), p = 0..2 ell: sqrt(C / 4^e) correctly rounded, times exp(row 1).
+
+    Row 1, (e - ell) log 2, is 0 below degree 512, where 4^-ell is a double.
+    """
+    c, half = 1, []  # C(2 ell, p) = C(2 ell, 2 ell - p), exact
+    for p in range(ell + 1):
+        e = ell if ell < 512 else c.bit_length() // 2
+        half.append((math.sqrt(c / (1 << 2 * e)), (e - ell) * math.log(2.0)))
+        c = c * (2 * ell - p) // (p + 1)
+    out = np.array(half + half[-2::-1]).T
+    out.setflags(write=False)
+    return out
+
+
+def _edge_nodes(ells, m, sin_half, cos_half, weights) -> np.ndarray:
+    """weights[i, j] d^l_{m[i, j], l}(beta_b), l = ells[i], over betas with half-angle sin and cos.
+
+    d^l_{m,l} = sqrt(C(2l, l+m) / 4^l) (sqrt2 cos(beta/2))^(l+m) (sqrt2
+    sin(beta/2))^(l-m): the binomial factor from _edge_binomials, its row 1
+    added to the log-space exponent of the powers, which the sqrt2 keep in
+    range.  A pole (a zero sin or cos) is exact, 0 log 0 read as 0.  An
+    order |m| > l must carry weight 0.  Shape (len(ells), len(betas), m.shape[1]).
+    """
+    ells = np.asarray(ells)[:, None]
+    p = np.clip(ells + m, 0, 2 * ells)
+    q = 2 * ells - p
+    binomials = np.stack([_edge_binomials(ell)[:, r] for ell, r in zip(ells[:, 0].tolist(), p)], 1)
+    with np.errstate(divide="ignore"):
+        lc, ls = np.log(cos_half) + math.log(2.0) / 2, np.log(sin_half) + math.log(2.0) / 2
+    poles = np.flatnonzero(np.isinf(lc) | np.isinf(ls))
+    lc[poles] = ls[poles] = 0.0
+    E = p[:, None, :].astype(float) * lc[:, None]
+    E += q[:, None, :].astype(float) * ls[:, None]
+    if binomials[1].any():
+        E += binomials[1][:, None, :]
+    X = np.exp(E, out=E) * (weights * binomials[0])[:, None, :]
+    for b in poles.tolist():
+        X[:, b] = np.where((p if cos_half[b] == 0 else q) == 0, weights, 0.0)
+    return X

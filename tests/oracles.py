@@ -11,8 +11,9 @@ transforms ``so3_forward_general`` and ``so3_inverse_general`` (with
 scale-signal route ``analyze_north_validation`` are the references for
 the library's half-pi recursion and fast curvelet transforms; the library
 itself never calls them.  The dense transforms run on the library's
-colatitude-bin kernel, so they check the curvelet transforms' column
-bookkeeping and batching, not the kernel itself; the direct summations
+colatitude-bin kernel, so they check the forward curvelet transform's
+column bookkeeping and batching, not the kernel itself, and the inverse's
+closed-form beta nodes against the kernel; the direct summations
 below pin that down, and the unpaired forward kernel at the end, which
 runs every (alpha order, gamma frequency) plane through its own beta FFTs,
 pins the library's pairing of gamma frequencies.

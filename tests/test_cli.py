@@ -141,6 +141,40 @@ class TestAnalyzeSynthesize:
         back = scurve.sht_forward(g)
         assert np.abs(back.values - orig.values).max() <= 1e-10
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["scale", "scale-pole-row", "scaling"])
+    def test_non_finite_coefficient_sample_is_data_error(
+        self, tmp_path, rng, capsys, real, bad, where
+    ):
+        """synthesize refuses a container holding a non-finite sample: exit 3, nothing written.
+
+        The sample sits in the finest scale, on an inner beta row or on
+        the beta = pi row, whose odd planes the forward kernel does not
+        read, or on the south-pole row of the scaling signal, whose odd
+        planes the sphere kernel does not read.
+        """
+        src = tmp_path / "f.scrv"
+        write_sphere_file(src, 16, 2, rng, real=real)
+        coeff_path = tmp_path / "c.scrv"
+        assert run(["analyze", str(src), "--jmin", "1", "--out", str(coeff_path)]) == 0
+        c = container.read_coeffs(coeff_path)
+        assert c.real == real
+        j = c.params.j_max
+        if where == "scaling":
+            c.scaling.values[-1, 1] = bad
+        else:
+            c.scale(j).values[3, -1 if where == "scale-pole-row" else 5, 4] = bad
+        container.write_coeffs(coeff_path, c)
+        capsys.readouterr()
+        out = tmp_path / "g.scrv"
+        assert run(["synthesize", str(coeff_path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("scaling signal" if where == "scaling" else f"scale {j} ") in captured.err
+        assert "non-finite" in captured.err
+        assert not out.exists()
+
     def test_notes_report_peak_rss(self, tmp_path, rng, capsys):
         src = tmp_path / "f.scrv"
         write_sphere_file(src, 8, 0, rng)

@@ -252,6 +252,39 @@ class TestRealPath:
         np.testing.assert_array_equal(sym, back.values)
 
 
+class TestEdgeNodes:
+    """The inverse evaluates its beta nodes from the closed form of the edge columns."""
+
+    def test_every_band_limit_matches_the_dense_inverse(self):
+        """Finite and within 1e-13 of the dense inverse of criterion 6c, L = 2..40.
+
+        Complex in its own cube and into a sink, real on the triangle and
+        into a sink.  Every cube has the node beta = pi, where cos(beta/2)
+        is exactly 0.
+        """
+        for L in range(2, 41):
+            rng = np.random.default_rng(L)
+            grid = scurve.SO3Grid(L)
+            for real in (False, True):
+                w, _, inverse = floor_case(real, L, rng)
+                dense = oracles.so3_inverse_general(oracles.densify(w), grid).values
+                if real:
+                    dense = dense.real
+                sunk = np.empty(grid.shape, dense.dtype)
+                inverse(w, grid, sink=so3._array_sink(sunk))
+                for got in (inverse(w, grid).values, sunk):
+                    assert np.isfinite(got).all(), (L, real)
+                    assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max(), (L, real)
+
+    def test_cos_of_the_half_node_is_exactly_zero_at_beta_pi(self):
+        for L in (2, 24, 129):
+            sin_half, cos_half = so3._half_nodes(L)
+            assert cos_half[-1] == 0.0 and (cos_half[:-1] > 0.0).all()
+            half = scurve.SO3Grid(L).betas / 2
+            np.testing.assert_allclose(sin_half, np.sin(half), rtol=1e-15)
+            np.testing.assert_allclose(cos_half, np.cos(half), rtol=0, atol=1e-15)
+
+
 def floor_case(real, L, rng):
     """Coefficients of a real or complex field, and the matching transforms."""
     if real:
@@ -506,7 +539,9 @@ class TestOrderBlocks:
         """Blocks of one or three orders +-m give the bytes of the default run.
 
         On every path: forward and inverse, complex and real; the inverse
-        in its own cube, on the triangle and into a sink.
+        in its own cube, on the triangle and into a sink.  The inverse's
+        rows are narrower, so the same budget gives it blocks of three to
+        twelve orders +-m.
         """
         default = self.outputs(L)
         row_bytes = so3._CHUNK * so3._kernel_fft(L, L - 1)[0] * 16
@@ -640,7 +675,47 @@ class TestCountedWork:
         forward = flops(lambda: scurve.so3_forward_curvelet(f, L0=k))
         assert forward <= 0.85 * flops(lambda: scurve.so3_forward_curvelet(f))
         monkeypatch.setattr(so3, "_degree_floor", lambda w: 0)
-        assert inverse <= 0.85 * flops(lambda: scurve.so3_inverse_curvelet(w, grid))
+        full = flops(lambda: scurve.so3_inverse_curvelet(w, grid))
+        # The inverse counts only the whole-cube FFTs: alpha on the live
+        # gamma rows, gamma on all 2L-1 (0.78x here).
+        K = 2 * L - 1
+        live = so3._live(L, False, k)[1]
+        assert inverse / full == pytest.approx((live.stop - live.start + K) / (2 * K), rel=1e-12)
+        assert inverse <= 0.85 * full
+
+
+    @pytest.mark.parametrize("path", ["in-place", "sink", "real"])
+    def test_inverse_runs_only_the_whole_cube_ffts(self, tracer, path):
+        """No beta FFT and no convolution in the inverse, at L = 16 to 128.
+
+        Its FFTs are the whole-cube ones alone: over alpha on the live
+        gamma rows and over gamma on all of them, L (G_live + 2L-1)
+        transforms of 2L-1 points, in one call each per block of beta rows
+        (the complex cube in place inverts alpha once per run of gamma
+        rows of a batch instead).
+        """
+        real = path == "real"
+        rng = np.random.default_rng(7)
+        for L in (16, 32, 64, 128):
+            w, _, inverse = floor_case(real, L, rng)
+            grid = scurve.SO3Grid(L)
+            values = np.empty(grid.shape, float if real else complex)
+            sink = None if path == "in-place" else so3._array_sink(values)
+            tr = tracer.Tracer()
+            tr.install()
+            try:
+                inverse(w, grid, sink=sink)
+            finally:
+                tr.uninstall()
+            assert not [s for s in tr.spans if s["name"] == "fourier.weighted_convolve"]
+            assert tr.fft["fourier"]["calls"] == tr.fft["sphere"]["calls"] == 0
+            K = 2 * L - 1
+            batches, live, _ = so3._live(L, real, so3._degree_floor(w))
+            transforms = L * (live.stop - live.start + K)
+            assert tr.fft["so3"]["flop"] == pytest.approx(transforms * 5 * K * math.log2(K), rel=1e-12)
+            blocks = len(so3._beta_blocks(L))
+            alpha = sum(len({n < 0 for n in b}) for b in batches) if sink is None else blocks
+            assert tr.fft["so3"]["calls"] == alpha + blocks
 
 
 class TestScaling:

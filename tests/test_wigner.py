@@ -176,6 +176,21 @@ class TestEdgeColumns:
                         oracles.wigner_d_sum(ell, k, -ell, beta), abs=1e-14
                     )
 
+    def test_array_of_betas_matches_exact_sum(self):
+        """Each column within 1e-14 of its largest exact entry, over an array of betas."""
+        betas = np.array([[0.0, 0.3, 1.1, math.pi / 2], [2.0, 2.6, 3.1, math.pi]])
+        for ell in (0, 1, 7, 24):
+            pos, neg = wigner.wigner_d_edge_columns(ell, betas)
+            assert pos.shape == neg.shape == betas.shape + (2 * ell + 1,)
+            for idx in np.ndindex(betas.shape):
+                for got, n in ((pos[idx], ell), (neg[idx], -ell)):
+                    exact = np.array(
+                        [oracles.wigner_d_sum(ell, k, n, betas[idx]) for k in range(-ell, ell + 1)]
+                    )
+                    assert np.abs(got - exact).max() <= 1e-14 * np.abs(exact).max(), (ell, idx)
+            for got, scalar in zip((pos, neg), wigner.wigner_d_edge_columns(ell, 1.1)):
+                np.testing.assert_array_equal(got[0, 2], scalar)
+
     def test_identity_rotation(self):
         pos, neg = wigner.wigner_d_edge_columns(3, 0.0)
         expect_pos = np.zeros(7)
@@ -189,6 +204,13 @@ class TestEdgeColumns:
         # factorial(4000) overflows floats; the log form must not
         pos, neg = wigner.wigner_d_edge_columns(2000, 1.3)
         assert np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))
+        assert (pos**2).sum() == pytest.approx(1.0, rel=1e-10)
+        assert (neg**2).sum() == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize("ell, beta", [(600, 0.01), (2000, 0.01), (2000, 3.13)])
+    def test_huge_degree_near_a_pole(self, ell, beta):
+        """Unit columns where 4^-ell and the powers leave the doubles on their own."""
+        pos, neg = wigner.wigner_d_edge_columns(ell, beta)
         assert (pos**2).sum() == pytest.approx(1.0, rel=1e-10)
         assert (neg**2).sum() == pytest.approx(1.0, rel=1e-10)
 
