@@ -16,13 +16,18 @@ each as its own child process, twice:
 - once under tracemalloc, for the peak of the memory Python allocates.
 
 Beside the two peaks, "estimate_parts_mib" breaks the estimate into its
-components, as the measured library computes them (null for a checkout
-without the breakdown): the gamma spectrum (its |m| <= |n| triangle
-where the library keeps one), the half-pi table, the scale's Wigner
-coefficients, the workers (each the largest of one block of a batch's
-bin planes, one block of its beta nodes and one dense beta block beside
-its samples; a checkout that holds a batch's planes whole splits them
-into "planes" and "blocks") and the interpreter baseline.
+components, as the measured library computes them for that command (null
+for a checkout without the breakdown): the gamma spectrum of the forward
+transform, which only synthesize runs (its |m| <= |n| triangle where the
+library keeps one; analyze and sparsity hold none where the library
+evaluates each beta block's rows in closed form), the half-pi table, the
+scale's Wigner coefficients, the workers and the interpreter baseline.
+A forward worker is the largest of one block of a batch's bin planes and
+one dense beta block beside its samples, an inverse worker one beta
+block's samples beside its triangle rows and their exponents or dense
+workspace (a checkout that holds a batch's planes whole splits them into
+"planes" and "blocks"; an older one counts one block of a batch's beta
+nodes as well).
 
 glibc's heap placement alone can move resident memory by a few percent
 from run to run, which is why the tracemalloc peak is printed beside it.
@@ -59,8 +64,10 @@ print(tracemalloc.get_traced_memory()[1])
 sys.exit(code)
 """
 
-# Prints the components of the pre-flight estimate, in MiB, and the
-# estimate of `scurve sparsity`, as JSON.
+# Prints the components of the pre-flight estimate of one command, in MiB,
+# and the estimate of `scurve sparsity`, as JSON.  Only synthesize runs the
+# forward transform; a checkout whose model does not tell the two apart
+# gets the one breakdown it has.
 _PARTS = """
 import json, sys
 try:
@@ -70,12 +77,18 @@ except ImportError:
     print("null")
     sys.exit()
 L, real, workers = int(sys.argv[1]), sys.argv[2] == "1", int(sys.argv[3])
-parts = _curvelet_peak_parts(L, real, workers)
+forward = sys.argv[4] == "synthesize"
 try:
-    sparsity = round(_estimated_peak_mib(L, real, workers, magnitudes=True), 1)
+    parts = _curvelet_peak_parts(L, real, workers, forward)
+    sparsity = _estimated_peak_mib(L, real, workers, magnitudes=True, forward=False)
 except TypeError:
-    sparsity = None
+    parts = _curvelet_peak_parts(L, real, workers)
+    try:
+        sparsity = _estimated_peak_mib(L, real, workers, magnitudes=True)
+    except TypeError:
+        sparsity = None
 parts = {k: round(v / 2**20, 1) for k, v in parts.items()}
+sparsity = sparsity and round(sparsity, 1)
 print(json.dumps({"parts": {**parts, "baseline": _BASELINE_MIB}, "sparsity": sparsity}))
 """
 
@@ -147,7 +160,7 @@ def measure(L: int, seed: int, src: Path, workdir: Path) -> list:
         traced = int(text.strip().splitlines()[-1]) / 2**20
         real = "1" if note.get("real", True) else "0"
         code, text, _ = run_child(
-            [sys.executable, "-c", _PARTS, str(L), real, str(note.get("workers"))], env
+            [sys.executable, "-c", _PARTS, str(L), real, str(note.get("workers")), name], env
         )
         model = json.loads(text) if code == 0 else None
         parts = model and model["parts"]

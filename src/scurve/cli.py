@@ -162,8 +162,9 @@ def _pgm_bytes(width: int, height: int, maxval: int, clip: bool, band_limit: int
 def _load_sphere_input(path: str, args, magnitudes: bool = False):
     """(signal, tiling params, pre-flight note) of an SCRV1 sphere container or a binary PGM.
 
-    The pre-flight (_preflight, given magnitudes) runs as soon as the
-    band limit and the real flag are known.  A PGM is real and sampled at
+    The pre-flight (_preflight, given magnitudes, of a command that runs
+    no forward transform) runs as soon as the band limit and the real
+    flag are known.  A PGM is real and sampled at
     --L, so it runs once its header is read, before the raster is read
     and resampled; the image is freed before any transform starts, so
     its read (_pgm_bytes) is counted as a phase of its own.  A
@@ -181,9 +182,8 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
         params = _make_params(args, args.L, 0)
         with open(path, "rb") as fh:
             header = container._pgm_header(fh, path)
-        estimate = _preflight(
-            args.L, True, magnitudes, before=_pgm_bytes(*header, args.clip is not None, args.L)
-        )
+        before = _pgm_bytes(*header, args.clip is not None, args.L)
+        estimate = _preflight(args.L, True, magnitudes, before=before, forward=False)
         image = container.read_pgm(path)
         if args.clip is not None:
             np.minimum(image, np.percentile(image, args.clip), out=image)
@@ -211,7 +211,7 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
     if args.spin is not None and args.spin != f.spin:
         raise ValueError(f"--spin {args.spin} disagrees with the container spin {f.spin}")
     params = _make_params(args, f.grid.band_limit, f.spin)
-    return f, params, _preflight(params.band_limit, f.real, magnitudes)
+    return f, params, _preflight(params.band_limit, f.real, magnitudes, forward=False)
 
 
 def cmd_tiling(args) -> int:
@@ -275,17 +275,18 @@ _BASELINE_MIB = 35.0
 
 
 def _estimated_peak_mib(
-    band_limit: int, real: bool, workers: int, magnitudes: bool = False
+    band_limit: int, real: bool, workers: int, magnitudes: bool = False, *, forward: bool
 ) -> float:
     """Estimated peak resident memory, in MiB, of one command at a band limit.
 
-    The command holds one scale's spectrum at a time and streams its
-    samples by blocks, so its peak is that of one block-streamed curvelet
+    The command runs its curvelet transforms one scale at a time and
+    streams their samples by blocks, forward (holding a scale's
+    spectrum) or inverse, so its peak is that of one block-streamed
     transform (the sum of so3._curvelet_peak_parts) over the interpreter.
     magnitudes adds the float array of the largest scale's sample
     magnitudes that `scurve sparsity` fills during that transform.
     """
-    parts = _curvelet_peak_parts(band_limit, real, workers)
+    parts = _curvelet_peak_parts(band_limit, real, workers, forward)
     if magnitudes:
         K = 2 * band_limit - 1
         parts["magnitudes"] = K * band_limit * K * 8
@@ -400,20 +401,29 @@ def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int
 
 
 def _preflight(
-    band_limit: int, real: bool, magnitudes: bool = False, held: int = 0, before: int = 0
+    band_limit: int,
+    real: bool,
+    magnitudes: bool = False,
+    held: int = 0,
+    before: int = 0,
+    *,
+    forward: bool,
 ) -> dict:
     """{"estimated_peak_mib": ...}, or ValueError if that cannot fit.
 
     Runs before the tiling, the half-pi table or any scale is built, so a
     refused command allocates nothing large and writes nothing.
-    magnitudes is passed on to _estimated_peak_mib; held adds the bytes a
-    command keeps beside one streamed transform, the cubes of an
-    in-memory round trip (_held_cube_bytes, _round_trip_bytes).  before
-    is the peak bytes of a phase that ends before the transform starts,
-    the read of a PGM input (_pgm_bytes): the estimate is the larger of
-    the two phases.
+    magnitudes and forward are passed on to _estimated_peak_mib: forward
+    for a command that runs the forward curvelet transform (synthesize,
+    roundtrip, bench), not for one that only synthesises scales (analyze,
+    sparsity).  held adds the bytes a command keeps beside one streamed
+    transform, the cubes of an in-memory round trip (_held_cube_bytes,
+    _round_trip_bytes).  before is the peak bytes of a phase that ends
+    before the transform starts, the read of a PGM input (_pgm_bytes):
+    the estimate is the larger of the two phases.
     """
-    transform = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes) + held / 2**20
+    transform = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes, forward=forward)
+    transform += held / 2**20
     estimate = max(transform, _BASELINE_MIB + before / 2**20)
     available = _available_memory()
     if available is not None and estimate * 2**20 > available:
@@ -449,7 +459,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     with container._read_coeff_stream(args.input) as c:
-        estimate = _preflight(c.params.band_limit, c.real)
+        estimate = _preflight(c.params.band_limit, c.real, forward=True)
         f = synthesize(c, build_tiling(c.params))
     container.write_sphere(args.out, f)
     print(
@@ -514,7 +524,7 @@ def _preflight_in_memory(args) -> None:
     """
     params = _make_params(args, max(args.L), args.spin)
     held = _held_cube_bytes(params) + _round_trip_bytes(params.band_limit)
-    _preflight(params.band_limit, False, held=held)
+    _preflight(params.band_limit, False, held=held, forward=True)
 
 
 def cmd_roundtrip(args) -> int:

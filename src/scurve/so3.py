@@ -23,14 +23,14 @@ with parity (-1)^(m+n), and the kernel keeps only its fold onto p >= 0,
 so two frequencies of opposite parity share its beta FFT and convolution.
 The inverse curvelet transform needs no bins: gamma frequency n holds
 only the edge column of degree |n|, whose colatitude profile has a closed
-form (wigner._edge_nodes), so _curvelet_nodes evaluates a batch's alpha
-spectra at the beta nodes directly, in O(L^3) with no beta FFT.
+form (wigner._edge_nodes), so each block of beta rows evaluates its own
+alpha spectra at its beta nodes (_edge_rows), in O(L^3) with no beta FFT.
 
-Each kernel runs a batch by blocks of orders +-m (_Block) in a buffer
-within _BIN_BUDGET, and the block width changes no bit.  The batches, and
-the whole-cube FFTs over gamma and alpha by blocks of beta rows, run on a
-pool of fft_workers() threads; each writes only its own rows, so results
-are bitwise the same for any worker count.
+The forward kernel runs a batch by blocks of orders +-m (_Block) in a
+buffer within _BIN_BUDGET, and the block width changes no bit.  The
+batches, and the whole-cube FFTs over gamma and alpha by blocks of beta
+rows, run on a pool of fft_workers() threads; each writes only its own
+rows, so results are bitwise the same for any worker count.
 
 Between the bins and the coefficients sits Delta = d(pi/2), of which the
 half-pi table keeps the m', m >= 0 quadrant.  _block_columns and
@@ -47,20 +47,21 @@ nodes, only that triangle (_triangle), T = 2L^2 - 1 columns in all
 (L^2 when real, n >= 0 only) against (2L-1)^2 for the dense plane, and
 one column of zeros for the orders outside it.  Gamma frequency n owns
 one run of 2|n|+1 columns, centred on m = 0, which the forward kernel
-reads and the inverse writes in place.  The sphere transforms hand the
-kernel full-width rows instead, |m| <= L-1.
+reads.  The forward transform holds the whole triangle, since each gamma
+batch reads all its beta nodes; the inverse evaluates only one block of
+beta rows of it at a time, straight from the coefficients.  The sphere
+transforms hand the kernel full-width rows instead, |m| <= L-1.
 
 The FFTs over gamma and alpha are the only steps that touch the
-samples, and they run per block of beta rows, each in a dense block of
-its own from which the triangle is gathered or into which it is
-scattered.  So a curvelet transform needs one beta block of a cube at a
-time, not the cube: the forward transform reads its input as
-values[rows], block by block, and the inverse hands each finished block
-to a sink.  In memory these are the cube's own rows; the coefficient
-container supplies a section that reads or writes each block in its
-file, which is how `scurve analyze` and `scurve synthesize` run without
-holding a cube.  A complex inverse in memory skips the triangle: its
-output cube can hold its own dense spectrum (_inverse_in_place).
+samples, and they run per block of beta rows, each in a dense block from
+which the triangle is gathered or into which it is scattered: the
+forward's own, the inverse's output block itself when complex.  So a
+curvelet transform needs one beta block of a cube at a time, not the
+cube: the forward transform reads its input as values[rows], block by
+block, and the inverse hands each finished block to a sink.  In memory
+these are the cube's own rows; the coefficient container supplies a
+section that reads or writes each block in its file, which is how
+`scurve analyze` and `scurve synthesize` run without holding a cube.
 
 A curvelet scale has no Wigner content below a degree floor L0, near
 lambda^(j-1), where its kernel starts.  Gamma frequency n reaches only
@@ -68,13 +69,15 @@ degree |n|, so the transforms run only the gamma batches whose largest
 |n| reaches L0 (_live), and the alpha FFTs of the whole cube only on
 those batches' gamma rows, which are one range of the dense spectrum.
 The inverse reads its floor off the coefficients, the lowest degree with
-a nonzero entry, and zeroes the other rows; the forward is told L0 and
+a nonzero entry, evaluates only those batches' columns of the triangle
+and zeroes the other rows; the forward is told L0 and
 returns zero below it.  A batch that runs sees the same values as
 without a floor, so its rows do not change by a bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -86,7 +89,7 @@ import numpy as np
 from numpy import fft as sfft
 
 from .fourier import _kernel_fft, _next_fast_len, fft_workers, weighted_convolve
-from .wigner import _edge_nodes, alt_sign, halfpi_table, ipow_vec
+from .wigner import _edge_binomials, _edge_nodes, alt_sign, halfpi_table, ipow_vec
 
 __all__ = [
     "CurveletWignerCoeffs",
@@ -107,44 +110,54 @@ _CHUNK = 8
 # copies and shares them between the pool's threads.
 _BETA_BLOCK = 8
 
-# Bytes of one buffer of a gamma batch's bin planes or beta nodes; a batch
-# that needs more runs by blocks of alpha orders |m| (_order_blocks), from
-# L = 128 forward and L = 256 inverse.  Below 5 MiB the freed blocks no
-# longer raise glibc's trim threshold above a worker's dense beta block and
-# its samples, and `scurve analyze` at L = 128 refaults their pages for
-# every block (82 000 minor faults against 25 000 at 4 MiB, 5% more time).
+# Bytes of one buffer of a gamma batch's bin planes in the forward kernel;
+# a batch that needs more runs by blocks of alpha orders |m|
+# (_order_blocks), from L = 128.  Below 5 MiB the freed blocks no longer
+# raise glibc's trim threshold above a worker's dense beta block and its
+# samples, and a transform at L = 128 refaults their pages for every block
+# (82 000 minor faults against 25 000 at 4 MiB, 5% more time).
 _BIN_BUDGET = 5 << 20
 
-def _curvelet_peak_parts(L: int, real: bool, workers: int) -> dict:
+def _curvelet_peak_parts(L: int, real: bool, workers: int, forward: bool) -> dict:
     """Estimated bytes, by component, of one block-streamed curvelet transform.
 
-    The triangle of the gamma spectrum (_triangle, T+1 columns of L
-    beta nodes, T = 2L^2 - 1 or L^2 when real), the half-pi table, the
-    scale's Wigner columns with the triangle's index arrays, and the
-    workers; a block-streamed transform holds no whole cube.  A worker
-    holds, never two at once, the widest block (_order_blocks) of a
-    forward batch's bin planes (a padded row per order and pair of
-    frequencies, beside its quadrants) or of an inverse batch's beta nodes
-    (L per order and frequency, beside their real exponents), or a dense
-    beta block of the whole-cube FFTs beside its samples; it is counted as
-    the largest, and a quarter more for what its thread's allocator keeps
-    resident between blocks (2-worker `scurve analyze` at L = 256 holds 47
-    MiB beyond its traced peak).  This fits scripts/cli_peaks.py.
+    The forward transform holds the triangle of its gamma spectrum
+    (_triangle, T+1 columns of L beta nodes, T = 2L^2 - 1 or L^2 when
+    real), the inverse none.  Both hold the half-pi table, the scale's
+    Wigner columns with the triangle's index arrays, and the workers, but
+    no whole cube.  A forward worker holds the widest block
+    (_order_blocks) of a batch's bin planes beside its quadrants, or a
+    dense beta block beside its samples; an inverse worker a block's
+    samples and triangle rows beside their exponents or, when real, a
+    complex dense block.  A worker counts as the largest of these, and a
+    quarter more for what its thread's allocator keeps resident between
+    blocks (2-worker `scurve analyze` at L = 256 holds 34 MiB beyond its
+    traced peak).  A complex inverse worker holds less than a forward
+    one, so the forward estimate covers a round trip.  This fits
+    scripts/cli_peaks.py.
     """
     K = 2 * L - 1
     G = L if real else K
-    pad = _next_fast_len(4 * L - 3)  # the widest batch, h = L-1
-    row_bytes = (_CHUNK + 1) // 2 * (pad + pad % 2) * 16
-    rows = min(2 * _order_width(L - 1, row_bytes), K)
-    planes = rows * row_bytes + _CHUNK * L * L * 8
-    nodes = min(2 * _order_width(L - 1, _CHUNK * L * 16), K) * _CHUNK * L * 24
-    blocks = min(_BETA_BLOCK, L) * K * (G * 16 + K * (8 if real else 16))
-    return {
-        "spectrum": L * (L * L + 1 if real else 2 * L * L) * 16,
+    T = L * L if real else 2 * L * L - 1
+    rows = min(_BETA_BLOCK, L)
+    samples = rows * K * K * (8 if real else 16)
+    parts = {
         "table": 8 * L * (L + 1) * (2 * L + 1) // 6,  # sum of (l+1)^2 doubles, l < L
-        "coefficients": 2 * L * K * 16 + (L * (L if real else 2 * L) + 1 + G * K) * 8,
-        "workers": workers * max(planes, nodes, blocks) * 5 // 4,
+        "coefficients": 2 * L * K * 16 + (T + 1 + G * K) * 8,
     }
+    if forward:
+        parts["spectrum"] = L * (T + 1) * 16
+        pad = _next_fast_len(4 * L - 3)  # the widest batch, h = L-1
+        row_bytes = (_CHUNK + 1) // 2 * (pad + pad % 2) * 16
+        orders = min(2 * _order_width(L - 1, row_bytes), K)
+        worker = max(orders * row_bytes + _CHUNK * L * L * 8, rows * G * K * 16 + samples)
+    else:
+        # The seven arrays of _edge_columns, the weights, the shifted scatter.
+        parts["coefficients"] += T * 72 + G * K * 8
+        dense = (rows * L * K * 16 if real else 0) + G * K * 16
+        worker = samples + rows * (T + 1) * 16 + max(rows * T * 8, dense)
+    parts["workers"] = workers * worker * 5 // 4
+    return parts
 
 
 @dataclass(frozen=True)
@@ -268,8 +281,9 @@ def _triangle(L: int, real: bool) -> tuple:
     orders m = -|n|..|n| in order.  Against a flattened dense (gamma row,
     alpha) plane with the 2L-1 alpha frequencies in FFT order, gather[t]
     is the position column t comes from (a placeholder for the zero
-    column) and scatter[i] the column position i takes, the zero column
-    outside the triangle; each is one np.take per block of beta rows.
+    column), one np.take per block of beta rows, and scatter[i] the
+    column position i takes, the zero column outside the triangle, one
+    gather per beta row.
     """
     K = 2 * L - 1
     g = np.arange(L if real else K)
@@ -320,37 +334,42 @@ def _analysis_spectrum(values, real: bool = False, L0: int = 0) -> np.ndarray:
     return S
 
 
-def _synthesis_blocks(spectrum: np.ndarray, real: bool, sink, L0: int = 0) -> None:
+def _synthesis_blocks(L: int, real: bool, triangle_rows, sink, L0: int = 0) -> None:
     """Samples of a triangle spectrum, handed to sink one block of beta rows at a time.
 
-    spectrum is the (L, T+1) layout of _triangle, of all 2L-1 gamma
-    frequencies, or only n >= 0 when real, its last column zero, and
-    zero too in the columns of the batches that do not reach degree L0
-    (_live).  Per block of beta rows, on the pool, sink(rows, fill) is
-    called with a function fill(dst) that writes the block's samples into
-    dst, an array of the block's shape and dtype (float when real,
-    complex otherwise): it scatters the block's triangle into a dense
-    block of its own, laid out (beta, gamma, alpha) and zero outside the
-    triangle, inverts alpha there on the live gamma rows (the others
-    stay zero) and then gamma into dst, the order of ifft2.  The sink
-    decides where the block goes: sampled into a cube (_array_sink),
+    triangle_rows(b) returns the rows at the beta nodes of slice b of the
+    (L, T+1) layout of _triangle (all 2L-1 gamma frequencies, or n >= 0
+    when real), cut to the columns kept (_live) of the batches that reach
+    degree L0, then a column of zeros.  Per block of beta rows,
+    on the pool, sink(rows, fill) is called with a function fill(dst)
+    that writes the block's samples into dst, an array of the block's
+    shape and dtype (float when real, complex otherwise), and may use it
+    as its workspace on the way.  fill scatters the triangle rows into a
+    dense block laid out (beta, gamma, alpha), zero outside the triangle,
+    one gather per beta row: dst itself when complex, else a complex
+    block of its own.  Then it inverts alpha there on the live gamma rows
+    (the others are zero) and gamma into dst, the order of ifft2.  The
+    sink decides where the block goes: sampled into a cube (_array_sink),
     written to a file, or reduced.
     """
-    L = spectrum.shape[0]
     K = 2 * L - 1
-    scatter = _triangle(L, real)[2]
-    gammas = _live(L, real, L0)[1]
+    _, gammas, kept = _live(L, real, L0)
+    width = kept.stop - kept.start
+    scatter = _triangle(L, real)[2] - kept.start
+    scatter[(scatter < 0) | (scatter >= width)] = width
+    scatter = scatter.reshape(-1, K)
 
     def block(rows):
         def fill(dst):
-            D = np.empty((dst.shape[1], L if real else K, K), dtype=complex)
-            flat = D.reshape(len(D), -1)
-            np.take(spectrum[rows[1]], scatter, axis=1, out=flat, mode="clip")
+            tri = triangle_rows(rows[1])
+            D = np.empty((len(tri), L, K), dtype=complex) if real else dst.transpose(1, 0, 2)
+            for r, row in enumerate(tri):
+                D[r] = row[scatter]
             sfft.ifft(D[:, gammas], norm="forward", out=D[:, gammas])
             if real:
                 sfft.irfft(D, n=K, axis=1, norm="forward", out=dst.transpose(1, 0, 2))
             else:
-                sfft.ifft(D, axis=1, norm="forward", out=dst.transpose(1, 0, 2))
+                sfft.ifft(D, axis=1, norm="forward", out=D)
 
         sink(rows, fill)
 
@@ -417,8 +436,10 @@ def _run_chunks(task, items) -> None:
     """Call task on each work item: a gamma batch or a block of beta rows.
 
     The items share fft_workers() threads, since pocketfft releases the
-    GIL; with one worker they run inline and no thread starts.  The first
-    error is raised only once no task is running any more, so a task never
+    GIL; with one worker they run inline and no thread starts.  Each runs
+    in a copy of the caller's context, so numpy's error state (np.errstate,
+    a context variable) holds in the pool's threads too.  The first error
+    is raised only once no task is running any more, so a task never
     outlives its call, nor writes to a file its caller has closed.
     """
     workers = fft_workers()
@@ -426,7 +447,8 @@ def _run_chunks(task, items) -> None:
         for item in items:
             task(item)
         return
-    futures = [_pool(workers).submit(task, item) for item in items]
+    pool = _pool(workers)
+    futures = [pool.submit(contextvars.copy_context().run, task, item) for item in items]
     try:
         for future in futures:
             future.result()
@@ -468,9 +490,9 @@ def _order_width(h: int, row_bytes: int) -> int:
     """Orders +-m per block of a gamma batch whose buffer takes row_bytes per order.
 
     An order holds a padded row of bins per pair of frequencies in the
-    forward kernel, L beta nodes per frequency in the inverse.  The 2h+1
-    orders |m| <= h run as one block when they fit _BIN_BUDGET, else in
-    blocks of as many orders +-m as fit it (at least one).
+    forward kernel.  The 2h+1 orders |m| <= h run as one block when they
+    fit _BIN_BUDGET, else in blocks of as many orders +-m as fit it (at
+    least one).
     """
     if (2 * h + 1) * row_bytes <= _BIN_BUDGET:
         return h + 1
@@ -733,27 +755,54 @@ def _half_nodes(L: int) -> np.ndarray:
     return out
 
 
-def _curvelet_nodes(w, ns, L: int, put) -> None:
-    """Alpha spectra at the beta nodes of the curvelet columns of a gamma batch.
+@lru_cache
+def _edge_columns(L: int, real: bool) -> tuple:
+    """(p, q, binomials, index, sign, factor) of each column of a curvelet triangle (_triangle).
 
-    The inverse curvelet kernel: frequency n = ns[i], of degree l = |n|,
-    holds c[m] (2l+1)/(8 pi^2) d^l_{m n}(beta_b) at alpha order m and beta
-    node b, c = w.row(n), in the closed form of wigner._edge_nodes, with
-    d^l_{m,-l} = (-1)^(l-m) d^l_{-m,l} for n < 0.  put(block, R) receives
-    each _Block of _order_blocks and its (len(ns), L, orders) nodes.
+    Column t, of gamma frequency n and alpha order m, holds c[m] (2l+1)/(8
+    pi^2) d^l_{m n}(beta) at the beta nodes, l = |n| and c = w.row(n), with
+    d^l_{m,-l} = (-1)^(l-m) d^l_{-m,l}: so it is the column p = l + m, or
+    l - m when n < 0, of wigner._edge_nodes, with q = 2l - p, its entry of
+    _edge_binomials(l), and the weight c[m] times factor (2l+1)/(8 pi^2)
+    times sign, (-1)^(l-m) when n < 0 and 1 otherwise.  index is the flat
+    index of c[m] in CurveletWignerCoeffs.values.
     """
-    ns = np.asarray(ns)
-    ells = np.abs(ns)
-    h = int(ells.max())
-    R = np.zeros((len(ns), 2 * h + 1), dtype=complex)
-    for r, n, ell in zip(R, ns.tolist(), ells.tolist()):
-        r[h - ell : h + ell + 1] = w.row(n)
-    R *= ((2 * ells + 1) / (8.0 * math.pi**2))[:, None]
-    flip = (ns < 0)[:, None]
-    for block in _order_blocks(h, len(ns) * L * 16):
-        m = block.orders
-        weights = R[:, h + m] * np.where(flip, alt_sign(ells[:, None] - m), 1.0)
-        put(block, _edge_nodes(ells, np.where(flip, -m, m), *_half_nodes(L), weights))
+    K = 2 * L - 1
+    parts = []
+    for g in range(L if real else K):
+        n = g if g < L else g - K
+        ell = abs(n)
+        m = np.arange(-ell, ell + 1)
+        p = ell - m if n < 0 else ell + m
+        sign = alt_sign(ell - m) if n < 0 else np.ones(2 * ell + 1)
+        index = (int(n < 0) * L + ell) * K + m + L - 1
+        factor = np.full(2 * ell + 1, (2 * ell + 1) / (8.0 * math.pi**2))
+        parts.append((p, 2 * ell - p, _edge_binomials(ell)[:, p], index, sign, factor))
+    out = tuple(np.concatenate(x, axis=-1) for x in zip(*parts))
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _edge_rows(w: CurveletWignerCoeffs, real: bool, kept: slice):
+    """The triangle_rows of _synthesis_blocks for coefficients w, over the columns kept.
+
+    Each call evaluates its beta nodes' rows in closed form (_edge_columns,
+    wigner._edge_nodes) into a fresh (rows, width+1) block, its last column
+    zero.
+    """
+    L = w.band_limit
+    p, q, binomials, index, sign, factor = (x[..., kept] for x in _edge_columns(L, real))
+    weights = w.values.ravel()[index] * factor * sign
+    sin_half, cos_half = _half_nodes(L)
+
+    def rows(b):
+        out = np.empty((len(sin_half[b]), len(p) + 1), dtype=complex)
+        out[:, -1] = 0.0
+        _edge_nodes(p, q, binomials, sin_half[b], cos_half[b], weights, out=out[:, :-1])
+        return out
+
+    return rows
 
 
 def so3_forward_curvelet(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
@@ -821,12 +870,12 @@ def _so3_inverse_curvelet(
 ) -> SO3Signal | None:
     """Sparse synthesis; real=True sums only n >= 0 and ends in an irfft.
 
-    With a sink, the blocks of beta rows go to sink (_synthesis_blocks)
-    instead of into a returned signal, and None is returned.  Without
-    one, complex samples are computed in their own cube
-    (_inverse_in_place).  Only the gamma batches that reach the lowest
-    degree with a nonzero coefficient run (_live); the other gamma
-    frequencies hold zeros.
+    Each block of beta rows is evaluated in closed form from the
+    coefficients (_edge_rows) and synthesised on its own
+    (_synthesis_blocks): into a returned signal, or with a sink, handed to
+    sink, and None is returned.  Only the gamma frequencies of the batches
+    that reach the lowest degree with a nonzero coefficient are evaluated
+    (_live); the others hold zeros.
     """
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
@@ -836,79 +885,13 @@ def _so3_inverse_curvelet(
     if real:
         _check_real(w.values, _impose_real_pairing)
     L0 = _degree_floor(w)
-    if sink is None and not real:
-        return SO3Signal(grid, _inverse_in_place(w, L0))
-    cols, gather, _ = _triangle(L, real)
-    batches, _, kept = _live(L, real, L0)
-    S = np.empty((L, len(gather)), dtype=complex)
-    S[:, : kept.start] = 0.0
-    S[:, kept.stop :] = 0.0
-
-    def inverse_chunk(chunk):
-        def put(block, R):
-            for n, X in zip(chunk, R):
-                # Column of order 0 in gamma frequency n's run of the triangle.
-                zero = cols[n % len(cols)].start + abs(n)
-                for m0, r0, count in block.runs:
-                    lo, hi = _overlap(m0, count, abs(n))
-                    S[:, zero + m0 + lo : zero + m0 + hi] = X[:, r0 + lo : r0 + hi]
-
-        _curvelet_nodes(w, chunk, L, put)
-
-    _run_chunks(inverse_chunk, batches)
+    rows = _edge_rows(w, real, _live(L, real, L0)[2])
     if sink is not None:
-        _synthesis_blocks(S, real, sink, L0)
+        _synthesis_blocks(L, real, rows, sink, L0)
         return None
-    values = np.empty(grid.shape)
-    _synthesis_blocks(S, real, _array_sink(values), L0)
+    values = np.empty(grid.shape, dtype=float if real else complex)
+    _synthesis_blocks(L, real, rows, _array_sink(values), L0)
     return SO3Signal(grid, values, real=real)
-
-
-def _inverse_in_place(w: CurveletWignerCoeffs, L0: int) -> np.ndarray:
-    """Complex samples of sparse coefficients, zero below degree L0, in their own cube.
-
-    A complex cube in memory can hold its own dense spectrum, so each
-    block of a gamma batch's nodes goes straight into the batch's gamma
-    rows, the orders past its degrees are zeroed, the alpha inverse runs
-    there in place, then the gamma inverse by blocks of beta rows; the
-    triangle would add half a cube of fresh memory (and its page faults)
-    without lowering the peak.  Only the batches that reach L0 run
-    (_live); the other gamma rows are zeroed.  The result is bitwise that
-    of the triangle path, the same 1-D FFTs on the same values.
-    """
-    L = w.band_limit
-    K = 2 * L - 1
-    values = np.empty((K, L, K), dtype=complex)
-    batches, gammas, _ = _live(L, False, L0)
-    values[: gammas.start] = 0.0
-    values[gammas.stop :] = 0.0
-
-    def inverse_chunk(chunk):
-        rows = [n % K for n in chunk]
-        index = np.array(rows)
-        h = max(abs(n) for n in chunk)
-
-        def put(block, R):
-            # Alpha order m sits in column m % K: the negative orders at the end.
-            a, b, neg = block.a, block.b, block.neg
-            values[index, :, K + 1 - b : K + 1 - b + neg] = R[..., :neg]
-            values[index, :, a:b] = R[..., neg:]
-
-        _curvelet_nodes(w, chunk, L, put)
-        if h < L - 1:
-            values[index, :, h + 1 : K - h] = 0.0
-        # The batch's n >= 0 and n < 0 (_gamma_order) hold two runs of gamma rows.
-        for run in ([g for g in rows if g < L], [g for g in rows if g >= L]):
-            if run:
-                dense = values[min(run) : max(run) + 1]
-                sfft.ifft(dense, norm="forward", out=dense)
-
-    def inverse_block(rows):
-        sfft.ifft(values[rows], axis=0, norm="forward", out=values[rows])
-
-    _run_chunks(inverse_chunk, batches)
-    _run_chunks(inverse_block, _beta_blocks(L))
-    return values
 
 
 def so3_inverse_curvelet(

@@ -240,8 +240,10 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
         # The scale's Wigner rows below its kernel's lowest degree are
         # multiplied by zero, so the transform does not compute them.
         degrees = np.flatnonzero((pos != 0) | (neg != 0))
-        w = so3_fwd(sig, L0=int(degrees[0]) if len(degrees) else L)
-        # The FFTs spread a non-finite sample to the coefficients: O(L^2) to check.
+        # The FFTs spread a non-finite sample to the coefficients, quietly:
+        # O(L^2) to check them.
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = so3_fwd(sig, L0=int(degrees[0]) if len(degrees) else L)
         if not np.isfinite(w.values).all():
             raise ValueError(f"scale {j} holds non-finite samples")
         ell, col = _sheet_index(w.band_limit)

@@ -14,9 +14,10 @@ values: d_{m',-m} = (-1)^(ell+m') d_{m'm} and d_{-m',m} = (-1)^(ell+m)
 d_{m'm} give the rest, which ``HalfPiTable.plane`` expands and the bin
 kernel in so3.py folds onto.  ``wigner_d_matrix`` expands those values to
 any beta, and ``wigner_d_edge_columns`` evaluates the two outermost
-columns in closed form (_edge_nodes), the same evaluation the inverse
-curvelet transform runs at its beta nodes.  The exact factorial-sum
-elements the tests check these against live in tests/oracles.py.
+columns in closed form (_edge_nodes), the evaluation the inverse curvelet
+transform runs on the flattened columns of its gamma spectrum, one block
+of beta nodes at a time.  The exact factorial-sum elements the tests
+check these against live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -211,9 +212,11 @@ def wigner_d_edge_columns(ell: int, beta):
         raise ValueError(f"degree must be non-negative, got {ell}")
     half = 0.5 * np.ravel(beta).astype(float)
     k = np.arange(-ell, ell + 1)
-    signs = np.stack([np.ones(2 * ell + 1), alt_sign(ell - k)])
-    cols = _edge_nodes([ell, ell], np.stack([k, -k]), np.sin(half), np.cos(half), signs)
-    return tuple(col.reshape(np.shape(beta) + k.shape) for col in cols)
+    p = np.r_[ell + k, ell - k]  # the columns n = +ell, then n = -ell as d^l_{-k,l}
+    weights = np.r_[np.ones(2 * ell + 1), alt_sign(ell - k)]
+    binomials = _edge_binomials(ell)[:, p]
+    X = _edge_nodes(p, 2 * ell - p, binomials, np.sin(half), np.cos(half), weights)
+    return tuple(col.reshape(np.shape(beta) + k.shape) for col in np.split(X, 2, axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -232,28 +235,29 @@ def _edge_binomials(ell: int) -> np.ndarray:
     return out
 
 
-def _edge_nodes(ells, m, sin_half, cos_half, weights) -> np.ndarray:
-    """weights[i, j] d^l_{m[i, j], l}(beta_b), l = ells[i], over betas with half-angle sin and cos.
+def _edge_nodes(p, q, binomials, sin_half, cos_half, weights, out=None) -> np.ndarray:
+    """weights[j] d^l_{m_j, l}(beta_b) over betas b with half-angle sin and cos: (betas, columns).
 
+    Column j, of degree l and order m, is given as p[j] = l + m, q[j] =
+    l - m and binomials[:, j], the entry p of _edge_binomials(l); an inverse
+    curvelet transform passes the columns of its gamma spectrum flattened
+    (so3._edge_columns).
     d^l_{m,l} = sqrt(C(2l, l+m) / 4^l) (sqrt2 cos(beta/2))^(l+m) (sqrt2
-    sin(beta/2))^(l-m): the binomial factor from _edge_binomials, its row 1
-    added to the log-space exponent of the powers, which the sqrt2 keep in
-    range.  A pole (a zero sin or cos) is exact, 0 log 0 read as 0.  An
-    order |m| > l must carry weight 0.  Shape (len(ells), len(betas), m.shape[1]).
+    sin(beta/2))^(l-m): the binomial factor, its row 1 added to the
+    log-space exponent of the powers, which the sqrt2 keep in range.  A pole
+    (a zero sin or cos) is exact, 0 log 0 read as 0.  Written into out when
+    given, an array of the result's shape.
     """
-    ells = np.asarray(ells)[:, None]
-    p = np.clip(ells + m, 0, 2 * ells)
-    q = 2 * ells - p
-    binomials = np.stack([_edge_binomials(ell)[:, r] for ell, r in zip(ells[:, 0].tolist(), p)], 1)
     with np.errstate(divide="ignore"):
         lc, ls = np.log(cos_half) + math.log(2.0) / 2, np.log(sin_half) + math.log(2.0) / 2
     poles = np.flatnonzero(np.isinf(lc) | np.isinf(ls))
     lc[poles] = ls[poles] = 0.0
-    E = p[:, None, :].astype(float) * lc[:, None]
-    E += q[:, None, :].astype(float) * ls[:, None]
+    E = np.multiply.outer(lc, p)
+    for e, s in zip(E, ls):
+        e += q * s
     if binomials[1].any():
-        E += binomials[1][:, None, :]
-    X = np.exp(E, out=E) * (weights * binomials[0])[:, None, :]
+        E += binomials[1]
+    X = np.multiply(np.exp(E, out=E), weights * binomials[0], out=out)
     for b in poles.tolist():
-        X[:, b] = np.where((p if cos_half[b] == 0 else q) == 0, weights, 0.0)
+        X[b] = np.where((p if cos_half[b] == 0 else q) == 0, weights, 0.0)
     return X

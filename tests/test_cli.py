@@ -141,18 +141,21 @@ class TestAnalyzeSynthesize:
         back = scurve.sht_forward(g)
         assert np.abs(back.values - orig.values).max() <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["scale", "scale-pole-row", "scaling"])
     def test_non_finite_coefficient_sample_is_data_error(
-        self, tmp_path, rng, capsys, real, bad, where
+        self, tmp_path, rng, capsys, monkeypatch, real, bad, where
     ):
         """synthesize refuses a container holding a non-finite sample: exit 3, nothing written.
 
         The sample sits in the finest scale, on an inner beta row or on
         the beta = pi row, whose odd planes the forward kernel does not
         read, or on the south-pole row of the scaling signal, whose odd
-        planes the sphere kernel does not read.
+        planes the sphere kernel does not read.  The refusal raises no
+        numpy warning on the way, whether the kernels run inline or on
+        the pool's threads.
         """
         src = tmp_path / "f.scrv"
         write_sphere_file(src, 16, 2, rng, real=real)
@@ -168,12 +171,14 @@ class TestAnalyzeSynthesize:
         container.write_coeffs(coeff_path, c)
         capsys.readouterr()
         out = tmp_path / "g.scrv"
-        assert run(["synthesize", str(coeff_path), "--out", str(out)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert ("scaling signal" if where == "scaling" else f"scale {j} ") in captured.err
-        assert "non-finite" in captured.err
-        assert not out.exists()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SCURVE_THREADS", threads)
+            assert run(["synthesize", str(coeff_path), "--out", str(out)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert ("scaling signal" if where == "scaling" else f"scale {j} ") in captured.err
+            assert "non-finite" in captured.err
+            assert not out.exists()
 
     def test_notes_report_peak_rss(self, tmp_path, rng, capsys):
         src = tmp_path / "f.scrv"
@@ -487,7 +492,9 @@ class TestPreflight:
     @pytest.mark.parametrize("command", ["analyze", "synthesize", "sparsity"])
     def test_budget_at_the_estimate(self, tmp_path, inputs, capsys, monkeypatch, command):
         magnitudes = command == "sparsity"
-        estimate = cli._estimated_peak_mib(8, True, fourier.fft_workers(), magnitudes) * 2**20
+        forward = command == "synthesize"
+        estimate = cli._estimated_peak_mib(8, True, fourier.fft_workers(), magnitudes, forward=forward)
+        estimate *= 2**20
         monkeypatch.setattr(cli, "_available_memory", lambda: int(estimate) - 1)
         assert run(self.argv(command, inputs, tmp_path / "out")) == 3
         assert "estimated peak memory" in capsys.readouterr().err
@@ -535,7 +542,7 @@ class TestPreflight:
         self.write_pgm(img, 40, 24)
         assert run(["analyze", str(img), "--L", "16", *flags, "--out", str(tmp_path / "c")]) == 0
         note = json.loads(capsys.readouterr().out)
-        expected = cli._estimated_peak_mib(16, True, fourier.fft_workers())
+        expected = cli._estimated_peak_mib(16, True, fourier.fft_workers(), forward=False)
         assert note["estimated_peak_mib"] == round(expected, 1)
 
     @pytest.mark.parametrize("flags", [[], ["--clip", "90", "--rescale"]])
@@ -554,7 +561,7 @@ class TestPreflight:
         image = (16 if clip else 10) * 600_000 + 5 * 8 * 15 * 8
         assert cli._pgm_bytes(1000, 600, 65535, clip, 8) == image
         expected = cli._BASELINE_MIB + image / 2**20
-        assert expected > cli._estimated_peak_mib(8, True, fourier.fft_workers())
+        assert expected > cli._estimated_peak_mib(8, True, fourier.fft_workers(), forward=False)
         assert note["estimated_peak_mib"] == round(expected, 1)
 
     @pytest.mark.parametrize("command", ["roundtrip", "bench"])
@@ -572,7 +579,8 @@ class TestPreflight:
             for Lj in (scurve.scale_band_limit(params, j) for j in range(1, params.j_max + 1))
         )
         assert cli._held_cube_bytes(params) == cubes
-        estimate = cli._estimated_peak_mib(8, False, fourier.fft_workers()) * 2**20 + cubes
+        estimate = cli._estimated_peak_mib(8, False, fourier.fft_workers(), forward=True) * 2**20
+        estimate += cubes
         estimate += cli._round_trip_bytes(8)
         out = tmp_path / "table.csv"
         argv = [command, "--L", "8,4", "--spin", "1", "--jmin", "1", "--repeats", "1"]
@@ -588,14 +596,17 @@ class TestPreflight:
     def test_notes_report_the_estimate(self, tmp_path, inputs, capsys):
         assert run(self.argv("synthesize", inputs, tmp_path / "g.scrv")) == 0
         note = json.loads(capsys.readouterr().out)
-        expected = cli._estimated_peak_mib(8, True, fourier.fft_workers())
+        expected = cli._estimated_peak_mib(8, True, fourier.fft_workers(), forward=True)
         assert note["estimated_peak_mib"] == round(expected, 1)
 
     def test_estimate_grows_with_band_limit_and_workers(self):
-        est = cli._estimated_peak_mib
-        assert est(256, True, 2) > est(128, True, 2) > est(64, True, 2)
-        assert est(128, False, 2) > est(128, True, 2)
-        assert est(128, True, 2) > est(128, True, 1)
+        for forward in (True, False):
+            def est(L, real, workers):
+                return cli._estimated_peak_mib(L, real, workers, forward=forward)
+
+            assert est(256, True, 2) > est(128, True, 2) > est(64, True, 2)
+            assert est(128, False, 2) > est(128, True, 2)
+            assert est(128, True, 2) > est(128, True, 1)
 
     @staticmethod
     def fake_host(root, meminfo, cgroup="0::/a/b\n", groups=()):
@@ -911,7 +922,8 @@ class TestSparsityCommand:
         L = 64
         src = tmp_path / "f.scrv"
         write_sphere_file(src, L, 0, np.random.default_rng(0), real=True)
-        estimate = (cli._estimated_peak_mib(L, True, 1, True) - cli._BASELINE_MIB) * 2**20
+        estimate = cli._estimated_peak_mib(L, True, 1, magnitudes=True, forward=False)
+        estimate = (estimate - cli._BASELINE_MIB) * 2**20
         tracemalloc.start()
         try:
             assert run(["sparsity", str(src)]) == 0

@@ -258,9 +258,8 @@ class TestEdgeNodes:
     def test_every_band_limit_matches_the_dense_inverse(self):
         """Finite and within 1e-13 of the dense inverse of criterion 6c, L = 2..40.
 
-        Complex in its own cube and into a sink, real on the triangle and
-        into a sink.  Every cube has the node beta = pi, where cos(beta/2)
-        is exactly 0.
+        Complex and real, into a returned cube and into a sink.  Every
+        cube has the node beta = pi, where cos(beta/2) is exactly 0.
         """
         for L in range(2, 41):
             rng = np.random.default_rng(L)
@@ -538,10 +537,9 @@ class TestOrderBlocks:
     def test_outputs_do_not_depend_on_block_width(self, monkeypatch, L, orders):
         """Blocks of one or three orders +-m give the bytes of the default run.
 
-        On every path: forward and inverse, complex and real; the inverse
-        in its own cube, on the triangle and into a sink.  The inverse's
-        rows are narrower, so the same budget gives it blocks of three to
-        twelve orders +-m.
+        On every path: forward and inverse, complex and real, the inverse
+        into a returned cube and into a sink.  Only the forward kernel
+        runs by order blocks; the inverse must not move either.
         """
         default = self.outputs(L)
         row_bytes = so3._CHUNK * so3._kernel_fft(L, L - 1)[0] * 16
@@ -690,9 +688,9 @@ class TestCountedWork:
 
         Its FFTs are the whole-cube ones alone: over alpha on the live
         gamma rows and over gamma on all of them, L (G_live + 2L-1)
-        transforms of 2L-1 points, in one call each per block of beta rows
-        (the complex cube in place inverts alpha once per run of gamma
-        rows of a batch instead).
+        transforms of 2L-1 points, in one call each per block of beta
+        rows, whether the complex samples go into a returned cube
+        ("in-place") or to a sink.
         """
         real = path == "real"
         rng = np.random.default_rng(7)
@@ -710,12 +708,10 @@ class TestCountedWork:
             assert not [s for s in tr.spans if s["name"] == "fourier.weighted_convolve"]
             assert tr.fft["fourier"]["calls"] == tr.fft["sphere"]["calls"] == 0
             K = 2 * L - 1
-            batches, live, _ = so3._live(L, real, so3._degree_floor(w))
+            live = so3._live(L, real, so3._degree_floor(w))[1]
             transforms = L * (live.stop - live.start + K)
             assert tr.fft["so3"]["flop"] == pytest.approx(transforms * 5 * K * math.log2(K), rel=1e-12)
-            blocks = len(so3._beta_blocks(L))
-            alpha = sum(len({n < 0 for n in b}) for b in batches) if sink is None else blocks
-            assert tr.fft["so3"]["calls"] == alpha + blocks
+            assert tr.fft["so3"]["calls"] == 2 * len(so3._beta_blocks(L))
 
 
 class TestScaling:
@@ -838,7 +834,11 @@ class TestTriangleLayout:
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_synthesis_is_the_dense_inverse_bit_for_bit(self, rng, real):
-        """Blocks of a triangle synthesise as the zero-filled dense spectrum does."""
+        """Blocks of a triangle synthesise as the zero-filled dense spectrum does.
+
+        The triangle's rows are handed over as the inverse's closed form
+        hands them, one block of beta rows at a time.
+        """
         L = 16
         K = 2 * L - 1
         G = L if real else K
@@ -854,7 +854,7 @@ class TestTriangleLayout:
         else:
             expected = np.fft.ifft2(dense, axes=(0, 2), norm="forward")
         got = np.empty((K, L, K), float if real else complex)
-        so3._synthesis_blocks(spectrum, real, so3._array_sink(got))
+        so3._synthesis_blocks(L, real, lambda rows: spectrum[rows], so3._array_sink(got))
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -872,17 +872,33 @@ class TestTriangleLayout:
         def discard(rows, fill):
             fill(np.empty(f.values[rows].shape, f.values.dtype))
 
-        sizes = []
-        for name in ("_analysis_spectrum", "_synthesis_blocks"):
-            def spy(*args, _fn=getattr(so3, name), **kwargs):
-                out = _fn(*args, **kwargs)
-                sizes.append((out if out is not None else args[0]).nbytes)
+        sizes, shapes = [], []
+
+        def spectrum(*args, _fn=so3._analysis_spectrum, **kwargs):
+            out = _fn(*args, **kwargs)
+            sizes.append(out.nbytes)
+            return out
+
+        def edge_rows(*args, _fn=so3._edge_rows):
+            triangle_rows = _fn(*args)
+
+            def rows(b):
+                out = triangle_rows(b)
+                shapes.append(out.shape)
                 return out
 
-            monkeypatch.setattr(so3, name, spy)
+            return rows
+
+        monkeypatch.setattr(so3, "_analysis_spectrum", spectrum)
+        monkeypatch.setattr(so3, "_edge_rows", edge_rows)
         scurve.so3_forward_curvelet(f)
         inverse(w, grid, sink=discard)
-        assert sizes == [so3._curvelet_peak_parts(L, real, 1)["spectrum"]] * 2
+        # The forward holds the model's spectrum; the inverse evaluates the
+        # triangle one block of beta rows at a time and holds none.
+        assert sizes == [so3._curvelet_peak_parts(L, real, 1, True)["spectrum"]]
+        assert "spectrum" not in so3._curvelet_peak_parts(L, real, 1, False)
+        T = L * L if real else 2 * L * L - 1
+        assert shapes == [(so3._BETA_BLOCK, T + 1)] * (L // so3._BETA_BLOCK)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_traced_peak_holds_the_triangle_not_the_dense_spectrum(
@@ -923,6 +939,42 @@ class TestTriangleLayout:
         chunk = so3._CHUNK * K * fourier._next_fast_len(4 * L - 3) * 16
         block = so3._BETA_BLOCK * K * K * 16
         assert max(peaks) <= triangle + chunk + block
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_streamed_inverse_holds_one_block_not_the_triangle(self, monkeypatch, rng, real):
+        """One worker's traced peak of an inverse into a discarding sink, at L = 64.
+
+        It stays within one worker's block buffers (the sink's block, the
+        block's triangle rows and their exponents or dense workspace, as
+        the peak model counts them without its allocator slack) plus the
+        coefficients and their index arrays: less than the triangle
+        spectrum alone.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        L = 64
+        grid = scurve.SO3Grid(L)
+        if real:
+            w = sparse_with_real_symmetry(L, rng)
+            inverse = scurve.so3_inverse_curvelet_real
+        else:
+            w = oracles.random_curvelet_wigner_coeffs(L, rng)
+            inverse = scurve.so3_inverse_curvelet
+        dtype = float if real else complex
+
+        def discard(rows, fill):
+            fill(np.empty((2 * L - 1, rows[1].stop - rows[1].start, 2 * L - 1), dtype))
+
+        inverse(w, grid, sink=discard)  # the cached tables, untraced
+        tracemalloc.start()
+        try:
+            inverse(w, grid, sink=discard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parts = so3._curvelet_peak_parts(L, real, 1, False)
+        bound = parts["workers"] * 4 // 5 + parts["coefficients"]
+        triangle = L * (L * L + 1 if real else 2 * L * L) * 16
+        assert peak <= bound < triangle, (peak, bound, triangle)
 
 
 class TestChunkPool:
