@@ -22,10 +22,10 @@ transform, which only synthesize runs (its |m| <= |n| triangle where the
 library keeps one; analyze and sparsity hold none where the library
 evaluates each beta block's rows in closed form), the half-pi table, the
 scale's Wigner coefficients, the workers and the interpreter baseline.
-A forward worker is the largest of one block of a batch's bin planes and
-one dense beta block beside its samples, an inverse worker one beta
-block's samples beside its triangle rows and their exponents or dense
-workspace (a checkout that holds a batch's planes whole splits them into
+A forward worker is the largest of one run of pairs of a batch's bin
+planes and one dense beta block beside its samples, an inverse worker
+one beta block's samples beside its triangle rows and their exponents
+or dense workspace (a checkout that holds a batch's planes whole splits them into
 "planes" and "blocks"; an older one counts one block of a batch's beta
 nodes as well).
 

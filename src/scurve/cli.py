@@ -22,11 +22,12 @@ analyze, synthesize and sparsity hold no whole scale signal: they stream
 each scale's samples, one block of beta rows at a time, into or out of
 the container, or reduce them to its histogram.  Before building the
 tiling they estimate their peak memory from the band limit, the real
-flag and the worker count (analyze and sparsity take the larger of
-that and the read of a PGM image, counted from its header before its
-raster is read); roundtrip and bench, which hold every scale in memory,
-add the scale cubes and their signals at their largest band limit.
-When the estimate exceeds
+flag and the worker count, and take the larger of that and the build of
+the tiling, which grows with the scale count (analyze and sparsity also
+with the read of a PGM image, counted from its header before its raster
+is read); roundtrip and bench, which hold every scale in memory, add the
+scale cubes and their signals at their largest band limit.  tiling
+estimates the build of its tiling alone.  When the estimate exceeds
 what the process could reach (MemAvailable plus SwapFree, lowered by
 the room left in its cgroup-v2 group, its cgroup-v1 memory group and
 their ancestors), the command exits 3 with both numbers and writes
@@ -105,6 +106,8 @@ def _gini_sorted(x: np.ndarray) -> float:
     time, so it allocates nothing of the sample's size.
     """
     n = x.size
+    if n and not math.isfinite(x[-1]):  # sorting puts any NaN or +inf last
+        raise ValueError("Gini coefficient needs finite values")
     total = float(x.sum())
     if n == 0 or total == 0.0:
         raise ValueError("Gini coefficient needs a non-empty, non-zero sample")
@@ -183,7 +186,7 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
         with open(path, "rb") as fh:
             header = container._pgm_header(fh, path)
         before = _pgm_bytes(*header, args.clip is not None, args.L)
-        estimate = _preflight(args.L, True, magnitudes, before=before, forward=False)
+        estimate = _preflight(params, True, magnitudes, before=before, forward=False)
         image = container.read_pgm(path)
         if args.clip is not None:
             np.minimum(image, np.percentile(image, args.clip), out=image)
@@ -211,11 +214,12 @@ def _load_sphere_input(path: str, args, magnitudes: bool = False):
     if args.spin is not None and args.spin != f.spin:
         raise ValueError(f"--spin {args.spin} disagrees with the container spin {f.spin}")
     params = _make_params(args, f.grid.band_limit, f.spin)
-    return f, params, _preflight(params.band_limit, f.real, magnitudes, forward=False)
+    return f, params, _preflight(params, f.real, magnitudes, forward=False)
 
 
 def cmd_tiling(args) -> int:
     params = _make_params(args, args.L, args.spin)
+    _check_fits(_BASELINE_MIB + _tiling_bytes(params) / 2**20, params)
     t = build_tiling(params)
     lam = params.lam
     scales = []
@@ -400,8 +404,28 @@ def _available_memory(proc=Path("/proc"), cgroups=Path("/sys/fs/cgroup")) -> int
     return min(room) + held
 
 
+def _tiling_bytes(params: TilingParams) -> int:
+    """Peak bytes of build_tiling(params), a phase that ends before any transform starts.
+
+    57 per cell of its (scale_count + 1, L) grid of smooth steps, as traced at
+    (L, lambda) = (64, 1.001), (64, 1.0001) and (128, 1.001).
+    """
+    return 57 * (params.scale_count + 1) * params.band_limit
+
+
+def _check_fits(estimate: float, params: TilingParams) -> dict:
+    """{"estimated_peak_mib": estimate}, or ValueError if that many MiB cannot fit."""
+    available = _available_memory()
+    if available is not None and estimate * 2**20 > available:
+        raise ValueError(
+            f"estimated peak memory {estimate:.0f} MiB at band limit {params.band_limit} "
+            f"and {params.scale_count} scales exceeds the {available / 2**20:.0f} MiB available"
+        )
+    return {"estimated_peak_mib": round(estimate, 1)}
+
+
 def _preflight(
-    band_limit: int,
+    params: TilingParams,
     real: bool,
     magnitudes: bool = False,
     held: int = 0,
@@ -419,19 +443,15 @@ def _preflight(
     sparsity).  held adds the bytes a command keeps beside one streamed
     transform, the cubes of an in-memory round trip (_held_cube_bytes,
     _round_trip_bytes).  before is the peak bytes of a phase that ends
-    before the transform starts, the read of a PGM input (_pgm_bytes):
-    the estimate is the larger of the two phases.
+    before the transform starts, the read of a PGM input (_pgm_bytes);
+    the build of the tiling (_tiling_bytes) is another: the estimate is
+    the largest of the phases.
     """
+    band_limit = params.band_limit
     transform = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes, forward=forward)
     transform += held / 2**20
-    estimate = max(transform, _BASELINE_MIB + before / 2**20)
-    available = _available_memory()
-    if available is not None and estimate * 2**20 > available:
-        raise ValueError(
-            f"estimated peak memory {estimate:.0f} MiB at band limit {band_limit} exceeds "
-            f"the {available / 2**20:.0f} MiB available"
-        )
-    return {"estimated_peak_mib": round(estimate, 1)}
+    before = max(before, _tiling_bytes(params))
+    return _check_fits(max(transform, _BASELINE_MIB + before / 2**20), params)
 
 
 def cmd_analyze(args) -> int:
@@ -459,7 +479,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     with container._read_coeff_stream(args.input) as c:
-        estimate = _preflight(c.params.band_limit, c.real, forward=True)
+        estimate = _preflight(c.params, c.real, forward=True)
         f = synthesize(c, build_tiling(c.params))
     container.write_sphere(args.out, f)
     print(
@@ -524,7 +544,7 @@ def _preflight_in_memory(args) -> None:
     """
     params = _make_params(args, max(args.L), args.spin)
     held = _held_cube_bytes(params) + _round_trip_bytes(params.band_limit)
-    _preflight(params.band_limit, False, held=held, forward=True)
+    _preflight(params, False, held=held, forward=True)
 
 
 def cmd_roundtrip(args) -> int:

@@ -28,7 +28,7 @@ __all__ = [
 
 
 # Largest default worker count.  Each worker holds one more dense beta block
-# and its samples, or one block of a batch's bin planes, in flight (about
+# and its samples, or one run of a batch's bin planes, in flight (about
 # 10 MiB of peak RSS at L = 128, 33-47 MiB at L = 256), and no more than
 # two cores have been timed; SCURVE_THREADS may still ask for more.
 _MAX_DEFAULT_WORKERS = 2

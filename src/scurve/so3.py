@@ -26,14 +26,16 @@ only the edge column of degree |n|, whose colatitude profile has a closed
 form (wigner._edge_nodes), so each block of beta rows evaluates its own
 alpha spectra at its beta nodes (_edge_rows), in O(L^3) with no beta FFT.
 
-The forward kernel runs a batch by blocks of orders +-m (_Block) in a
-buffer within _BIN_BUDGET, and the block width changes no bit.  The
+The forward kernel runs a wide batch by runs of whole pairs of gamma
+frequencies (_curvelet_columns), each in a buffer within _BIN_BUDGET,
+and the run length changes no bit; the curvelet and the sphere forwards
+then contract the bins with one function, _wigner_columns.  The
 batches, and the whole-cube FFTs over gamma and alpha by blocks of beta
 rows, run on a pool of fft_workers() threads; each writes only its own
 rows, so results are bitwise the same for any worker count.
 
 Between the bins and the coefficients sits Delta = d(pi/2), of which the
-half-pi table keeps the m', m >= 0 quadrant.  _block_columns and
+half-pi table keeps the m', m >= 0 quadrant.  _wigner_columns and
 _add_column_bins read it through the reflections Delta_{-m',m} =
 (-1)^(ell+m) Delta_{m'm} and Delta_{m',-m} = (-1)^(ell+m') Delta_{m'm},
 a batch of columns at once, the quadrants of its degrees zero-padded to
@@ -83,7 +85,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy import fft as sfft
@@ -111,11 +112,11 @@ _CHUNK = 8
 _BETA_BLOCK = 8
 
 # Bytes of one buffer of a gamma batch's bin planes in the forward kernel;
-# a batch that needs more runs by blocks of alpha orders |m|
-# (_order_blocks), from L = 128.  Below 5 MiB the freed blocks no longer
+# a batch that needs more is split into runs of whole pairs of frequencies
+# (_pairs_per_run), from L = 128.  Below 5 MiB the freed buffers no longer
 # raise glibc's trim threshold above a worker's dense beta block and its
-# samples, and a transform at L = 128 refaults their pages for every block
-# (82 000 minor faults against 25 000 at 4 MiB, 5% more time).
+# samples, and a transform at L = 128 refaults their pages for every
+# buffer (82 000 minor faults against 25 000 at 4 MiB, 5% more time).
 _BIN_BUDGET = 5 << 20
 
 def _curvelet_peak_parts(L: int, real: bool, workers: int, forward: bool) -> dict:
@@ -125,11 +126,11 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int, forward: bool) -> dic
     (_triangle, T+1 columns of L beta nodes, T = 2L^2 - 1 or L^2 when
     real), the inverse none.  Both hold the half-pi table, the scale's
     Wigner columns with the triangle's index arrays, and the workers, but
-    no whole cube.  A forward worker holds the widest block
-    (_order_blocks) of a batch's bin planes beside its quadrants, or a
-    dense beta block beside its samples; an inverse worker a block's
-    samples and triangle rows beside their exponents or, when real, a
-    complex dense block.  A worker counts as the largest of these, and a
+    no whole cube.  A forward worker holds the widest run of a batch's
+    bin planes (_pairs_per_run) beside its quadrants, or a dense beta
+    block beside its samples; an inverse worker a block's samples and
+    triangle rows beside their exponents or, when real, a complex dense
+    block.  A worker counts as the largest of these, and a
     quarter more for what its thread's allocator keeps resident between
     blocks (2-worker `scurve analyze` at L = 256 holds 34 MiB beyond its
     traced peak).  A complex inverse worker holds less than a forward
@@ -147,10 +148,9 @@ def _curvelet_peak_parts(L: int, real: bool, workers: int, forward: bool) -> dic
     }
     if forward:
         parts["spectrum"] = L * (T + 1) * 16
-        pad = _next_fast_len(4 * L - 3)  # the widest batch, h = L-1
-        row_bytes = (_CHUNK + 1) // 2 * (pad + pad % 2) * 16
-        orders = min(2 * _order_width(L - 1, row_bytes), K)
-        worker = max(orders * row_bytes + _CHUNK * L * L * 8, rows * G * K * 16 + samples)
+        pairs, pair = _pairs_per_run(L, L - 1)  # the widest batch
+        bins = min(pairs, (_CHUNK + 1) // 2) * pair + _CHUNK * L * L * 8
+        worker = max(bins, rows * G * K * 16 + samples)
     else:
         # The seven arrays of _edge_columns, the weights, the shifted scatter.
         parts["coefficients"] += T * 72 + G * K * 8
@@ -458,59 +458,6 @@ def _run_chunks(task, items) -> None:
         wait(futures)
 
 
-class _Block(NamedTuple):
-    """The alpha orders |m| = a..b-1 of one buffer of bin planes, as its rows.
-
-    The rows hold the neg negative orders -(b-1)..-max(a, 1), then
-    a..b-1; block (0, h+1) is the centred orders -h..h.  orders is the
-    order of each row, runs the (first order, first row, rows) of each run
-    of consecutive orders: one when a = 0, two otherwise.
-    """
-
-    a: int
-    b: int
-    neg: int
-    orders: np.ndarray
-    runs: tuple
-
-
-@lru_cache
-def _block(a: int, b: int) -> _Block:
-    """The _Block of the alpha orders |m| = a..b-1."""
-    if a == 0:
-        runs = ((1 - b, 0, 2 * b - 1),)
-    else:
-        runs = ((1 - b, 0, b - a), (a, b - a, b - a))
-    orders = np.concatenate([np.arange(m0, m0 + n) for m0, _, n in runs])
-    orders.setflags(write=False)
-    return _Block(a, b, b - max(a, 1), orders, runs)
-
-
-def _order_width(h: int, row_bytes: int) -> int:
-    """Orders +-m per block of a gamma batch whose buffer takes row_bytes per order.
-
-    An order holds a padded row of bins per pair of frequencies in the
-    forward kernel.  The 2h+1 orders |m| <= h run as one block when they
-    fit _BIN_BUDGET, else in blocks of as many orders +-m as fit it (at
-    least one).
-    """
-    if (2 * h + 1) * row_bytes <= _BIN_BUDGET:
-        return h + 1
-    return max(1, _BIN_BUDGET // (2 * row_bytes))
-
-
-def _order_blocks(h: int, row_bytes: int) -> list:
-    """The _Blocks of alpha orders that cover |m| <= h (_order_width)."""
-    width = _order_width(h, row_bytes)
-    return [_block(a, min(a + width, h + 1)) for a in range(0, h + 1, width)]
-
-
-@lru_cache
-def _overlap(m0: int, n: int, k: int) -> tuple:
-    """Rows lo:hi of a run of n orders from m0 that fall within |m| <= k."""
-    return min(max(-k - m0, 0), n), max(min(k + 1 - m0, n), 0)
-
-
 def _pair_slots(ns) -> list:
     """ns as _beta_to_bins pairs it, slots 2j and 2j+1 sharing a row.
 
@@ -524,76 +471,78 @@ def _pair_slots(ns) -> list:
     return slots
 
 
+def _pairs_per_run(L: int, h: int) -> tuple:
+    """(pairs, bytes of one pair) of bin planes of degree h that fit _BIN_BUDGET, at least one."""
+    pad = _next_fast_len(2 * L - 1 + 2 * h)  # that of fourier._kernel_fft
+    pair = (2 * h + 1) * (pad + pad % 2) * 16
+    return max(1, _BIN_BUDGET // pair), pair
+
+
 @lru_cache
-def _pair_signs(parities: tuple, a: int, b: int) -> tuple:
-    """sigma_x over _block(a, b)'s orders and pairs whose first frequencies have these parities.
+def _pair_signs(parities: tuple, h: int) -> tuple:
+    """sigma_x over the orders -h..h and pairs whose first frequencies have these parities.
 
     (orders, pairs, 1), then where it is +1 and where -1 as (orders, pairs) masks.
     """
-    sign = alt_sign(_block(a, b).orders[:, None] + np.array(parities, dtype=int))
+    sign = alt_sign(np.arange(-h, h + 1)[:, None] + np.array(parities, dtype=int))
     out = sign[..., None], sign > 0, sign < 0
     for x in out:
         x.setflags(write=False)
     return out
 
 
-def _beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> np.ndarray:
+def _beta_to_bins(spectra, ns, h: int) -> np.ndarray:
     """Weighted centred (beta bin, alpha bin) planes of alpha spectra, folded onto p >= 0.
 
     spectra[i] is the centred alpha spectrum of gamma frequency ns[i] at
     the L beta nodes: an (L, 2k+1) array of the orders m = -k..k, k <= h,
     such as its columns of a triangle spectrum (k = |n|) or a full-width
     row (k = L-1).  Degree ell reads only the bins |m'|, |m| <= ell, so
-    the planes keep only the beta bins |m'| <= h and the alpha orders of
-    block (_Block; default all 2h+1, centred), the orders past k zero.
+    the planes keep only the beta bins |m'| <= h and the 2h+1 centred
+    alpha orders |m| <= h, the orders past k zero.
     Each plane is extended through the poles with parity sigma =
     (-1)^(m + n) (an odd one vanishes at beta = pi for a band-limited
     signal, and its sample there is not read), transformed along beta,
     stripped of the node offset and weighted by sin(beta).  Since
     Delta_{-p m} Delta_{-p n} = sigma Delta_{p m} Delta_{p n},
-    _block_columns reads only the fold F[p] = Y[p] + sigma Y[-p], p >= 0
+    _wigner_columns reads only the fold F[p] = Y[p] + sigma Y[-p], p >= 0
     (F[0] only where sigma = +1), of the weighted bins Y, and that sees
     the even part of the weights alone.  So two frequencies x, y of
     opposite parity (_pair_slots) share one beta FFT and one convolution
     per order: the transform Z of their sum gives F_x[p] = Z[p] + sigma_x
-    Z[-p] and F_y[p] = Z[p] - sigma_x Z[-p].  It all runs in one buffer
-    per block, (orders, pairs, beta), at the padded length and in the
-    FFT-order layout of weighted_convolve; F_x and F_y are folded into
-    the two halves of each row, and the result is a (len(ns), h+1,
-    orders) view of them.
+    Z[-p] and F_y[p] = Z[p] - sigma_x Z[-p].  It all runs in one buffer,
+    (orders, pairs, beta), at the padded length and in the FFT-order
+    layout of weighted_convolve; F_x and F_y fold into the two halves of
+    each row, and the result is a (len(ns), h+1, 2h+1) view of them.
     """
     slots = _pair_slots(ns)
     lead = len(slots) - len(ns)
-    block = block or _block(0, h + 1)
-    sign, plus, minus = _pair_signs(tuple(n % 2 for n in slots[0::2]), block.a, block.b)
+    sign, plus, minus = _pair_signs(tuple(n % 2 for n in slots[0::2]), h)
     L = spectra[0].shape[0]
     K = 2 * L - 1
     pad = _kernel_fft(L, h)[0]
     half = (pad + 1) // 2
-    buf = np.empty((len(block.orders), (len(slots) + 1) // 2, 2 * half), dtype=complex)
+    buf = np.empty((2 * h + 1, (len(slots) + 1) // 2, 2 * half), dtype=complex)
     if lead:
         buf[:, 0, :K] = 0.0
     for i, S in enumerate(spectra, lead):
         k = S.shape[1] // 2
-        row, signs = buf[:, i // 2], sign[:, i // 2]
-        for m0, r0, n in block.runs:
-            lo, hi = _overlap(m0, n, k)
-            X = S[:, k + m0 + lo : k + m0 + hi].T
-            P, s = row[r0 + lo : r0 + hi], signs[r0 + lo : r0 + hi]
-            # Beta node b >= L is sigma_x times the reflection of node 2L-2-b
-            # through beta = pi.  Rows odd::2 have sigma = +1; the others'
-            # samples at beta = pi are not read.
-            odd = (m0 + lo + slots[i]) % 2
-            if i % 2:
-                P[:, : L - 1] += X[:, : L - 1]
-                P[odd::2, L - 1] += X[odd::2, L - 1]
-                P[:, L:K] -= s * X[:, : L - 1][:, ::-1]
-            else:
-                if lo or hi < n:
-                    row[r0 : r0 + lo, :K] = row[r0 + hi : r0 + n, :K] = 0.0
-                P[:, :L] = X
-                P[1 - odd :: 2, L - 1] = 0.0
-                np.multiply(X[:, : L - 1][:, ::-1], s, out=P[:, L:K])
+        X = S.T
+        P, s = buf[h - k : h + k + 1, i // 2], sign[h - k : h + k + 1, i // 2]
+        # Beta node b >= L is sigma_x times the reflection of node 2L-2-b
+        # through beta = pi.  Rows odd::2 have sigma = +1; the others'
+        # samples at beta = pi are not read.
+        odd = (slots[i] - k) % 2
+        if i % 2:
+            P[:, : L - 1] += X[:, : L - 1]
+            P[odd::2, L - 1] += X[odd::2, L - 1]
+            P[:, L:K] -= s * X[:, : L - 1][:, ::-1]
+        else:
+            if k < h:
+                buf[: h - k, i // 2, :K] = buf[h + k + 1 :, i // 2, :K] = 0.0
+            P[:, :L] = X
+            P[1 - odd :: 2, L - 1] = 0.0
+            np.multiply(X[:, : L - 1][:, ::-1], s, out=P[:, L:K])
     E = buf[..., :K]
     sfft.fft(E, norm="forward", out=E)
     # The node-offset phase of bin m'' (with the 4 pi^2 of the transform's
@@ -644,8 +593,7 @@ def _quadrants(tab, ns, ells, h: int) -> tuple:
     Returns Q, the m', m >= 0 quadrants zero-padded to a (len(ells), h+1,
     h+1) stack; t = (-1)^(ell+p) over p = 0..h, the sign that reflects a
     quadrant's columns m onto -m; and U, Delta^ell_{p n} over p = 0..h
-    for each degree and its n of ns.  A block of alpha orders reads the
-    columns Q[..., a:b].
+    for each degree and its n of ns.
     """
     Q = np.zeros((len(ells), h + 1, h + 1))
     for i, ell in enumerate(ells.tolist()):
@@ -655,68 +603,46 @@ def _quadrants(tab, ns, ells, h: int) -> tuple:
     return Q, t, np.where((ns < 0)[:, None], col * t, col)
 
 
-def _block_columns(Z: np.ndarray, quads, block: _Block, C: np.ndarray) -> None:
-    """Orders |m| = a..b-1 of Wigner columns off the folded bins Z of a _Block.
-
-    Column i is sum_p Delta_{p m} Delta_{p n} Y[p, m] over the bin rows p
-    of its degree and gamma frequency, read as Z (folded by _beta_to_bins,
-    one plane per column or one for all) over p >= 0 and the quadrants of
-    quads (_quadrants), whose columns -m follow from m with sign
-    (-1)^(ell+p).  The orders +-m go to C, centred, 2h+1 per column.
-    """
-    Q, t, U = quads
-    h = C.shape[1] // 2
-    a, b, neg = block.a, block.b, block.neg
-    lo = b - neg
-    C[:, h + a : h + b] = np.einsum("ipm,ip,ipm->im", Q[..., a:b], U, Z[..., neg:])
-    below = np.einsum("ipm,ip,ipm->im", Q[..., lo:b], U * t, Z[..., :neg][..., ::-1])
-    C[:, h + 1 - b : h + 1 - lo] = below[:, ::-1]
-
-
-def _phased_columns(C: np.ndarray, ns, ells) -> list:
-    """The columns of C (from _block_columns) with the phase i^(m-n), 2 ell + 1 entries each."""
-    h = C.shape[1] // 2
-    C *= ipow_vec(np.arange(-h, h + 1) - np.asarray(ns)[:, None])
-    return [col[h - ell : h + ell + 1] for col, ell in zip(C, ells)]
-
-
 def _wigner_columns(Z: np.ndarray, tab, ns, ells) -> list:
     """Columns n of the coefficient planes of degrees ell, off folded bins Z.
 
-    One block of every order (_block_columns) at degrees ells and gamma
-    frequencies ns, Z cropped to their largest degree.  Returns the
-    columns, 2 ell + 1 entries each.
+    The contraction of both forward transforms: column i is sum_p Delta_{p m}
+    Delta_{p n} Y[p, m] over the bin rows p of degree ells[i] and gamma
+    frequency ns[i], read as Z (folded by _beta_to_bins, one plane per
+    column or one for all, cropped to the largest degree) over p >= 0 and
+    the quadrants of _quadrants, whose columns -m follow from m with sign
+    (-1)^(ell+p).  Returns the columns with the phase i^(m-n), 2 ell + 1
+    entries each.
     """
     ns, ells = np.asarray(ns), np.asarray(ells)
     h = int(ells.max())
     c = Z.shape[-1] // 2
-    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
     Z = Z[:, : h + 1, c - h : c + h + 1]
-    _block_columns(Z, _quadrants(tab, ns, ells, h), _block(0, h + 1), C)
-    return _phased_columns(C, ns, ells)
+    Q, t, U = _quadrants(tab, ns, ells, h)
+    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
+    C[:, h:] = np.einsum("ipm,ip,ipm->im", Q, U, Z[..., h:])
+    C[:, :h] = np.einsum("ipm,ip,ipm->im", Q[..., 1:], U * t, Z[..., :h][..., ::-1])[:, ::-1]
+    C *= ipow_vec(np.arange(-h, h + 1) - ns[:, None])
+    return [col[h - ell : h + ell + 1] for col, ell in zip(C, ells)]
 
 
 def _curvelet_columns(spectra, tab, ns) -> list:
     """Columns n = ns[i] of degree |n| off the triangle spectra of a gamma batch.
 
-    The forward curvelet kernel: _beta_to_bins and _block_columns run on
-    one block of alpha orders at a time (_order_blocks), so the batch's
-    bin planes take at most _BIN_BUDGET whatever L; an order's row of them
-    holds one padded row per pair of gamma frequencies.  Returns the
-    columns, 2|n| + 1 entries each.
+    The forward curvelet kernel: _beta_to_bins and _wigner_columns run on
+    runs of whole pairs of gamma frequencies (_pair_slots; one after a lead
+    placeholder starts on a pair too) at the batch's largest degree, as
+    many pairs as fit _BIN_BUDGET and at least one (_pairs_per_run).
+    Returns the columns, 2|n| + 1 entries each.
     """
     ns = np.asarray(ns)
-    ells = np.abs(ns)
-    h = int(ells.max())
-    quads = _quadrants(tab, ns, ells, h)
-    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
-    pad = _kernel_fft(spectra[0].shape[0], h)[0]
-    pairs = (len(_pair_slots(ns)) + 1) // 2
-    for block in _order_blocks(h, pairs * (pad + pad % 2) * 16):
-        Z = _beta_to_bins(spectra, ns, h, block)
-        _block_columns(Z, quads, block, C)
-        del Z  # so the next block's buffer is not built beside this one
-    return _phased_columns(C, ns, ells)
+    h = int(np.abs(ns).max())
+    step = 2 * _pairs_per_run(spectra[0].shape[0], h)[0]
+    out = []
+    for lo in range(len(ns) - len(_pair_slots(ns)), len(ns), step):
+        run = slice(max(lo, 0), lo + step)
+        out += _wigner_columns(_beta_to_bins(spectra[run], ns[run], h), tab, ns[run], abs(ns[run]))
+    return out
 
 
 def _add_column_bins(X: np.ndarray, cols, tab, ns, ells, L: int) -> None:

@@ -14,7 +14,8 @@ itself never calls them.  The dense transforms run on the library's
 colatitude-bin kernel, so they check the forward curvelet transform's
 column bookkeeping and batching, not the kernel itself, and the inverse's
 closed-form beta nodes against the kernel; the direct summations
-below pin that down, and the unpaired forward kernel at the end, which
+below pin that down (``outer_column_sum`` sums the curvelet inverse's
+series in 30-digit mpmath), and the unpaired forward kernel at the end, which
 runs every (alpha order, gamma frequency) plane through its own beta FFTs,
 pins the library's pairing of gamma frequencies.
 """
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from numpy import fft as sfft
 
@@ -40,13 +42,6 @@ from scurve.so3 import (
     _batches,
     _beta_to_bins,
     _bins_to_beta,
-    _Block,
-    _block,
-    _block_columns,
-    _order_blocks,
-    _overlap,
-    _phased_columns,
-    _quadrants,
     _wigner_columns,
 )
 from scurve.tiling import Tiling
@@ -344,6 +339,33 @@ def direct_so3_inverse_at(w, node) -> complex:
     return acc
 
 
+def outer_column_sum(w: CurveletWignerCoeffs, b: int, nodes) -> np.ndarray:
+    """The Wigner series of outer-column coefficients on beta row b, summed to 30 digits.
+
+    nodes are (gamma, alpha) index pairs of SO3Grid(L); the result holds
+    so3_inverse_curvelet(w, grid).values[g, b, a] at each.  Every term is
+    (2l+1)/(8 pi^2) w_{mn} d^l_{mn}(beta_b) e^{i(m alpha + n gamma)}, n =
+    +-l, with d from wigner_d_sum (a correctly rounded double) shared by
+    the row's nodes, and the phase a power of one 30-digit root of unity,
+    since the grid's angles are multiples of 2 pi/(2L-1).  The sum runs
+    in mpmath, so the result's only error beyond d's is its final rounding.
+    """
+    L = w.band_limit
+    K = 2 * L - 1
+    beta = float(SO3Grid(L).betas[b])
+    with mpmath.workdps(30):
+        roots = [mpmath.expjpi(mpmath.mpf(2 * j) / K) for j in range(K)]
+        terms = []
+        for ell in range(L):
+            scale = mpmath.mpf(2 * ell + 1) / (8 * mpmath.pi**2)
+            for n in (ell, -ell) if ell else (0,):
+                for m, c in zip(range(-ell, ell + 1), w.row(n).tolist()):
+                    if c:
+                        terms.append((scale * mpmath.mpc(c) * wigner_d_sum(ell, m, n, beta), m, n))
+        sums = [mpmath.fsum(t * roots[(m * a + n * g) % K] for t, m, n in terms) for g, a in nodes]
+        return np.array([complex(x) for x in sums])
+
+
 def pole_frame_rows(t, j) -> dict:
     """Harmonic rows of the scale-j analysis function centred on the pole.
 
@@ -401,7 +423,7 @@ def coeffs_from_rows(rows: dict, band_limit: int, spin: int) -> HarmonicCoeffs:
 # checked against, and what its FFT work is counted against.
 
 
-def unpaired_beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> np.ndarray:
+def unpaired_beta_to_bins(spectra, ns, h: int) -> np.ndarray:
     """Weighted centred (beta bin, alpha bin) planes of alpha spectra.
 
     spectra[i] is the centred alpha spectrum of gamma frequency ns[i] at
@@ -409,32 +431,26 @@ def unpaired_beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> n
     such as its columns of a triangle spectrum (k = |n|) or a full-width
     row (k = L-1).  Degree ell reads only the bins |m'|, |m| <= ell, so
     the planes of a stack whose degrees stay at or below h keep only the
-    2h+1 beta bins |m'| <= h, and only the alpha orders of block, in its
-    row order (_Block; default all 2h+1 orders, centred), the orders past
-    k zero.  Each plane is extended through the poles with parity
-    (-1)^(m + n), transformed along beta, stripped of the node offset and
-    weighted by sin(beta).  All of that runs in one buffer per block,
-    beta-last, at the padded length of the convolution: the spectra are
-    copied into its first L entries and extended into the next L-1, the
-    beta FFT runs there in place, and the negative bins move to the end of
-    the buffer as the node-offset phase is applied, which is the FFT-order
-    layout weighted_convolve takes.  The result is a (len(ns), 2h+1,
-    orders) transposed view of that buffer.
+    2h+1 beta bins |m'| <= h and the 2h+1 centred alpha orders |m| <= h,
+    the orders past k zero.  Each plane is extended through the poles
+    with parity (-1)^(m + n), transformed along beta, stripped of the
+    node offset and weighted by sin(beta).  All of that runs in one
+    buffer, beta-last, at the padded length of the convolution: the
+    spectra are copied into its first L entries and extended into the
+    next L-1, the beta FFT runs there in place, and the negative bins
+    move to the end of the buffer as the node-offset phase is applied,
+    which is the FFT-order layout weighted_convolve takes.  The result is
+    a (len(ns), 2h+1, 2h+1) transposed view of that buffer.
     """
-    block = block or _block(0, h + 1)
     L = spectra[0].shape[0]
     K = 2 * L - 1
     pad = _kernel_fft(L, h)[0]
-    buf = np.empty((len(ns), len(block.orders), pad), dtype=complex)
-    parity = alt_sign(np.asarray(ns)[:, None] + block.orders)
+    buf = np.zeros((len(ns), 2 * h + 1, pad), dtype=complex)
+    parity = alt_sign(np.asarray(ns)[:, None] + np.arange(-h, h + 1))
     for i, S in enumerate(spectra):
         k = S.shape[1] // 2
         P = buf[i, :, :L]
-        for m0, r0, n in block.runs:
-            lo, hi = _overlap(m0, n, k)
-            P[r0 : r0 + lo] = 0.0
-            P[r0 + lo : r0 + hi] = S[:, k + m0 + lo : k + m0 + hi].T
-            P[r0 + hi : r0 + n] = 0.0
+        P[h - k : h + k + 1] = S.T
         # Beta node b >= L is the reflection of node 2L-2-b through beta = pi.
         np.multiply(P[:, L - 2 :: -1], parity[i, :, None], out=buf[i, :, L:K])
     E = buf[..., :K]
@@ -448,33 +464,25 @@ def unpaired_beta_to_bins(spectra, ns, h: int, block: _Block | None = None) -> n
     return weighted_convolve(buf, h, L).swapaxes(1, 2)
 
 
-def fold_bins(Y: np.ndarray, ns, block: _Block | None = None) -> np.ndarray:
+def fold_bins(Y: np.ndarray, ns) -> np.ndarray:
     """Fold centred bin rows -p onto p, in place; returns the rows p >= 0.
 
-    Y holds one (2h'+1, orders) plane of centred bins per gamma frequency
-    n of ns, over the alpha orders of block (default the 2h+1 centred
-    orders).  Delta_{-p m} Delta_{-p n} = (-1)^(m+n) Delta_{p m}
-    Delta_{p n}, so row p gains (-1)^(m+n) times row -p and the sums over
-    p in _block_columns need only p >= 0.
+    Y holds one (2h'+1, 2h+1) plane of centred bins per gamma frequency
+    n of ns, over the centred alpha orders |m| <= h.  Delta_{-p m}
+    Delta_{-p n} = (-1)^(m+n) Delta_{p m} Delta_{p n}, so row p gains
+    (-1)^(m+n) times row -p and the sums over p in _wigner_columns need
+    only p >= 0.
     """
     hp = Y.shape[-2] // 2
-    orders = (block or _block(0, Y.shape[-1] // 2 + 1)).orders
+    h = Y.shape[-1] // 2
     below = Y[:, :hp][:, ::-1]
-    below *= alt_sign(np.asarray(ns)[:, None] + orders)[:, None, :]
+    below *= alt_sign(np.asarray(ns)[:, None] + np.arange(-h, h + 1))[:, None, :]
     Y[:, hp + 1 :] += below
     return Y[:, hp:]
 
 
 def unpaired_curvelet_columns(spectra, tab, ns) -> list:
-    """so3._curvelet_columns on the unpaired kernel, one plane per gamma frequency."""
-    ns = np.asarray(ns)
-    ells = np.abs(ns)
-    h = int(ells.max())
-    quads = _quadrants(tab, ns, ells, h)
-    C = np.empty((len(ns), 2 * h + 1), dtype=complex)
-    row_bytes = len(ns) * _kernel_fft(spectra[0].shape[0], h)[0] * 16
-    for block in _order_blocks(h, row_bytes):
-        Z = fold_bins(unpaired_beta_to_bins(spectra, ns, h, block), ns, block)
-        _block_columns(Z, quads, block, C)
-        del Z
-    return _phased_columns(C, ns, ells)
+    """so3._curvelet_columns on the unpaired kernel, one plane per gamma frequency, in one run."""
+    h = max(abs(int(n)) for n in ns)
+    Z = fold_bins(unpaired_beta_to_bins(spectra, ns, h), ns)
+    return _wigner_columns(Z, tab, ns, np.abs(ns))

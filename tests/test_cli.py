@@ -61,6 +61,9 @@ class TestGini:
             cli.gini_coefficient(np.zeros(5))
         with pytest.raises(ValueError):
             cli.gini_coefficient(np.array([-1.0, 2.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                cli.gini_coefficient(np.array([bad, 1.0]))
 
 
 class TestTiling:
@@ -598,6 +601,28 @@ class TestPreflight:
         note = json.loads(capsys.readouterr().out)
         expected = cli._estimated_peak_mib(8, True, fourier.fft_workers(), forward=True)
         assert note["estimated_peak_mib"] == round(expected, 1)
+
+    @pytest.mark.parametrize("command", ["tiling", "analyze", "sparsity"])
+    def test_dilation_near_one_is_refused_before_the_tiling(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """41.6 million scales at L = 64 exit 3 on their tiling's build alone, unbuilt."""
+        params = scurve.TilingParams(64, 0, 1.0000001)
+        assert cli._tiling_bytes(params) == 57 * (params.scale_count + 1) * 64 > 2**37
+        monkeypatch.setattr(cli, "_available_memory", lambda: 2**31)
+        monkeypatch.setattr(cli, "build_tiling", lambda *a: pytest.fail("build_tiling"))
+        argv = [command, "--L", "64", "--lambda", "1.0000001"]
+        if command != "tiling":
+            img = tmp_path / "img.pgm"
+            self.write_pgm(img, 8, 4)
+            argv[1:1] = [str(img)]
+            argv += ["--out", str(tmp_path / "out")]
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "estimated peak memory" in captured.err and "41588833 scales" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_estimate_grows_with_band_limit_and_workers(self):
         for forward in (True, False):

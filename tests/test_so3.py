@@ -1,5 +1,6 @@
 """Checks for the rotation-group transforms."""
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -439,6 +440,27 @@ class TestBinKernel:
         assert expected < len(ns) * K * K
 
 
+def recorded_runs(monkeypatch) -> list:
+    """Records every call of so3's forward bin kernel from here on.
+
+    Each entry is (spectra, ns, h, bytes of the buffer the planes are a
+    view of): one run of a gamma batch, as _curvelet_columns makes them.
+    """
+    runs = []
+    kernel = so3._beta_to_bins
+
+    def recording(spectra, ns, h):
+        Z = kernel(spectra, ns, h)
+        buf = Z
+        while buf.base is not None:
+            buf = buf.base
+        runs.append((spectra, [int(n) for n in ns], h, buf.nbytes))
+        return Z
+
+    monkeypatch.setattr(so3, "_beta_to_bins", recording)
+    return runs
+
+
 class TestPairedKernel:
     """The forward kernel, gamma frequencies of opposite parity paired, against the unpaired one."""
 
@@ -460,27 +482,33 @@ class TestPairedKernel:
         S[L - 1, (np.arange(-k, k + 1) + n) % 2 == 1] = 0.0
         return S
 
-    @pytest.mark.parametrize("one_order", [False, True])
+    @pytest.mark.parametrize("one_pair", [False, True])
     @pytest.mark.parametrize("L", [8, 17, 32])
-    def test_matches_the_unpaired_kernel(self, monkeypatch, L, one_order):
-        """Every block's folded planes, and the batch's columns, to 1e-14.
+    def test_matches_the_unpaired_kernel(self, monkeypatch, L, one_pair):
+        """Every run's folded planes, and the batch's columns, to 1e-14.
 
-        With one_order, _BIN_BUDGET is so small that every block holds one
-        order +-m.
+        The runs are those _curvelet_columns makes.  With one_pair,
+        _BIN_BUDGET is so small that every run holds one pair of gamma
+        frequencies.
         """
-        if one_order:
+        if one_pair:
             monkeypatch.setattr(so3, "_BIN_BUDGET", 1)
+        kernel = so3._beta_to_bins
+        runs = recorded_runs(monkeypatch)
         rng = np.random.default_rng(L)
         tab = scurve.halfpi_table(L)
         for ns in self.batches(L):
             spectra = [self.spectrum(L, n, rng) for n in ns]
-            h = max(map(abs, ns))
-            for block in so3._order_blocks(h, 1 if one_order else 0):
-                paired = so3._beta_to_bins(spectra, ns, h, block)
-                plain = oracles.fold_bins(oracles.unpaired_beta_to_bins(spectra, ns, h, block), ns, block)
+            runs.clear()
+            got = so3._curvelet_columns(spectra, tab, ns)
+            if one_pair:
+                assert len(runs) == (len(so3._pair_slots(ns)) + 1) // 2
+            for run_spectra, run_ns, h, _ in runs:
+                paired = kernel(run_spectra, run_ns, h)
+                plain = oracles.unpaired_beta_to_bins(run_spectra, run_ns, h)
+                plain = oracles.fold_bins(plain, run_ns)
                 assert paired.shape == plain.shape
                 assert np.abs(paired - plain).max() <= 1e-14 * np.abs(plain).max()
-            got = so3._curvelet_columns(spectra, tab, ns)
             want = oracles.unpaired_curvelet_columns(spectra, tab, ns)
             top = max(np.abs(c).max() for c in want)
             assert all(np.abs(g - c).max() <= 1e-14 * top for g, c in zip(got, want))
@@ -502,18 +530,48 @@ class TestPairedKernel:
 
 
 class TestOrderBlocks:
-    """Gamma batches run their bin kernels by blocks of alpha orders within _BIN_BUDGET."""
+    """Gamma batches run their bin kernels within _BIN_BUDGET, by runs of pairs of frequencies.
 
-    def test_blocks_cover_every_order_once(self):
-        for h, row_bytes in ((0, 1), (5, 1), (31, 10**5), (127, 8 * 512 * 16), (40, 1 << 30)):
-            blocks = so3._order_blocks(h, row_bytes)
-            orders = np.concatenate([b.orders for b in blocks])
-            assert sorted(orders.tolist()) == list(range(-h, h + 1))
-            # Within the budget, unless one order +-m alone exceeds it.
-            rows = max(len(b.orders) for b in blocks)
-            assert rows * row_bytes <= so3._BIN_BUDGET or rows <= 2
-        assert so3._order_blocks(5, 100) == [so3._block(0, 6)]
-        assert so3._order_blocks(5, so3._BIN_BUDGET) == [so3._block(a, a + 1) for a in range(6)]
+    Wide batches once ran by blocks of alpha orders +-m instead; the
+    tests keep their names.
+    """
+
+    @staticmethod
+    def pairs(ns, start=0):
+        """The pairs of _pair_slots(ns) as the indices of their frequencies, ns[0] at start.
+
+        A lead placeholder holds no frequency, so its pair keeps one index.
+        """
+        lead = len(so3._pair_slots(ns)) - len(ns)
+        slots = range(start - lead, start + len(ns))
+        return [tuple(i for i in slots[k : k + 2] if i >= start) for k in range(0, len(slots), 2)]
+
+    def test_blocks_cover_every_order_once(self, monkeypatch):
+        """The runs of a batch cover each of its frequencies once, in whole pairs of the batch.
+
+        Each run's buffer fits _BIN_BUDGET or holds one pair, at the
+        default budget and at one so small that every run holds one pair.
+        """
+        assert so3._pairs_per_run(128, 127)[0] == 2 and so3._pairs_per_run(256, 255)[0] == 1
+        default = so3._BIN_BUDGET
+        runs = recorded_runs(monkeypatch)
+        for L in (2, 8, 64, 128):
+            order, real = so3._gamma_order(L, False), so3._gamma_order(L, True)
+            tab = scurve.halfpi_table(L)
+            for ns, budget in itertools.product(
+                (order[:8], order[1:8], order[-8:], order[-7:], real[-7:], order[:1]), (default, 1)
+            ):
+                monkeypatch.setattr(so3, "_BIN_BUDGET", budget)
+                runs.clear()
+                so3._curvelet_columns([np.ones((L, 2 * abs(n) + 1), complex) for n in ns], tab, ns)
+                assert [n for run in runs for n in run[1]] == ns
+                batch, start = self.pairs(ns), 0
+                for _, run_ns, h, nbytes in runs:
+                    pairs = self.pairs(run_ns, start)
+                    start += len(run_ns)
+                    assert h == max(map(abs, ns)) and set(pairs) <= set(batch)
+                    assert nbytes == len(pairs) * so3._pairs_per_run(L, h)[1]
+                    assert nbytes <= budget or len(pairs) == 1
 
     @staticmethod
     def outputs(L):
@@ -532,20 +590,22 @@ class TestOrderBlocks:
         arrays = (f.values, fr.values, sunk, sunk_real, forward.values, forward_real.values)
         return [a.tobytes() for a in arrays]
 
-    @pytest.mark.parametrize("orders", [1, 3])
+    @pytest.mark.parametrize("pairs", [1, 3])
     @pytest.mark.parametrize("L", [16, 32])
-    def test_outputs_do_not_depend_on_block_width(self, monkeypatch, L, orders):
-        """Blocks of one or three orders +-m give the bytes of the default run.
+    def test_outputs_do_not_depend_on_block_width(self, monkeypatch, L, pairs):
+        """Runs of one or three pairs of frequencies give the bytes of the default run.
 
         On every path: forward and inverse, complex and real, the inverse
         into a returned cube and into a sink.  Only the forward kernel
-        runs by order blocks; the inverse must not move either.
+        runs by pair runs; the inverse must not move either.
         """
         default = self.outputs(L)
-        row_bytes = so3._CHUNK * so3._kernel_fft(L, L - 1)[0] * 16
-        monkeypatch.setattr(so3, "_BIN_BUDGET", 2 * orders * row_bytes)
-        assert len(so3._order_blocks(L - 1, row_bytes)) == -(-L // orders)
+        monkeypatch.setattr(so3, "_BIN_BUDGET", pairs * so3._pairs_per_run(L, L - 1)[1])
+        runs = recorded_runs(monkeypatch)
         assert self.outputs(L) == default
+        # The widest batches, of degree L-1, ran in runs of at most that many pairs.
+        widest = [(len(so3._pair_slots(run[1])) + 1) // 2 for run in runs if run[2] == L - 1]
+        assert max(widest) == pairs
 
     @pytest.mark.parametrize("L", [64, 128])
     def test_widest_forward_chunk_stays_within_the_budget(self, L):
