@@ -15,20 +15,20 @@ is RFC-4180 (CRLF line endings, header row first) and stable-ordered.
 The SCURVE_THREADS environment variable sets the worker thread count of
 the transforms (default: one per available core, at most 2); the JSON
 notes of analyze, synthesize and bench --out report it as "workers";
-those of analyze and synthesize also give the process's peak resident
-memory as "peak_rss_mib", next to the estimate the command made of it
-beforehand, "estimated_peak_mib".
-analyze, synthesize and sparsity hold no whole scale signal: they stream
-each scale's samples, one block of beta rows at a time, into or out of
-the container, or reduce them to its histogram.  Before building the
-tiling they estimate their peak memory from the band limit, the real
-flag and the worker count, and take the larger of that and the build of
-the tiling, which grows with the scale count (analyze and sparsity also
-with the read of a PGM image, counted from its header before its raster
-is read); roundtrip and bench, which hold every scale in memory, add the
-scale cubes and their signals at their largest band limit.  tiling
-estimates the build of its tiling alone.  When the estimate exceeds
-what the process could reach (MemAvailable plus SwapFree, lowered by
+those of analyze, synthesize, roundtrip --out and bench --out also give
+the process's peak resident memory as "peak_rss_mib", next to the
+estimate the command made of it beforehand, "estimated_peak_mib".
+No command holds a whole scale signal: each streams a scale's samples,
+one block of beta rows at a time, into or out of the container, into
+its histogram, or (roundtrip and bench) from the inverse transform
+straight into the forward one.  Before building the tiling they
+estimate their peak memory from the band limit, the real flag and the
+worker count, and take the larger of that and the build of the tiling,
+which grows with the scale count (analyze and sparsity also with the
+read of a PGM image, counted from its header before its raster is
+read); roundtrip and bench add their test signals at their largest band
+limit.  tiling estimates the build of its tiling alone.  When the
+estimate exceeds what the process could reach (MemAvailable plus SwapFree, lowered by
 the room left in its cgroup-v2 group, its cgroup-v1 memory group and
 their ancestors), the command exits 3 with both numbers and writes
 nothing.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -67,12 +68,12 @@ from .tiling import (
     build_tiling,
     parabolic_accuracy_table,
 )
-from .transform import _analysis_stream, _coeff_grids, analyze, scale_band_limit, synthesize
+from .transform import _analysis_stream, scale_band_limit, synthesize
 
-# analyze_real and synthesize_real are not called here.  They stay bound because
-# perfbench/tracer.py wraps scurve.cli.analyze_real and
-# scurve.cli.synthesize_real by name.
-from .transform import analyze_real, synthesize_real  # noqa: F401
+# analyze, analyze_real and synthesize_real are not called here.  They stay
+# bound because perfbench/tracer.py wraps scurve.cli.analyze,
+# scurve.cli.analyze_real and scurve.cli.synthesize_real by name.
+from .transform import analyze, analyze_real, synthesize_real  # noqa: F401
 
 __all__ = ["gini_coefficient", "main"]
 
@@ -243,17 +244,15 @@ def cmd_tiling(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     if args.out:
-        rows = []
-        for idx, j in enumerate(range(params.j_min, params.j_max + 1)):
-            for ell in range(params.band_limit):
-                rows.append(["kernel", j, ell, float(t.kernels[idx, ell])])
-        for name, arr in (
-            ("scaling", t.scaling),
-            ("direction_pos", t.direction_pos),
-            ("direction_neg", t.direction_neg),
-        ):
-            for ell in range(params.band_limit):
-                rows.append([name, "", ell, float(arr[ell])])
+        # The rows are written as they are made: a list of them all would
+        # outgrow the tiling's own build.
+        degrees = range(params.band_limit)
+        kernels = zip(range(params.j_min, params.j_max + 1), t.kernels)
+        windows = ("scaling", "direction_pos", "direction_neg")
+        rows = itertools.chain(
+            (["kernel", j, ell, float(k[ell])] for j, k in kernels for ell in degrees),
+            ([name, "", ell, float(getattr(t, name)[ell])] for name in windows for ell in degrees),
+        )
         with open(f"{args.out}.csv", "w", newline="") as fh:
             _write_csv(fh, ("component", "scale", "ell", "value"), rows)
         with open(f"{args.out}.json", "w") as fh:
@@ -441,11 +440,10 @@ def _preflight(
     for a command that runs the forward curvelet transform (synthesize,
     roundtrip, bench), not for one that only synthesises scales (analyze,
     sparsity).  held adds the bytes a command keeps beside one streamed
-    transform, the cubes of an in-memory round trip (_held_cube_bytes,
-    _round_trip_bytes).  before is the peak bytes of a phase that ends
-    before the transform starts, the read of a PGM input (_pgm_bytes);
-    the build of the tiling (_tiling_bytes) is another: the estimate is
-    the largest of the phases.
+    transform, the signals of a round trip (_round_trip_bytes).  before
+    is the peak bytes of a phase that ends before the transform starts,
+    the read of a PGM input (_pgm_bytes); the build of the tiling
+    (_tiling_bytes) is another: the estimate is the largest of the phases.
     """
     band_limit = params.band_limit
     transform = _estimated_peak_mib(band_limit, real, fft_workers(), magnitudes, forward=forward)
@@ -499,24 +497,6 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _check_repeats(args) -> None:
-    if args.repeats < 1:
-        raise UsageError("--repeats must be at least 1")
-
-
-def _check_spin_fits(args) -> None:
-    if abs(args.spin) >= min(args.L):
-        raise UsageError("--spin must be smaller than the smallest band limit")
-
-
-def _held_cube_bytes(params: TilingParams) -> int:
-    """Bytes of the complex scale cubes an in-memory analyze holds at once.
-
-    One cube per scale, each at its own band limit.
-    """
-    return sum(16 * math.prod(grid.shape) for grid in _coeff_grids(params, True)[1])
-
-
 # Resident memory of numpy's random generator, which roundtrip and bench
 # import for their test signals: RSS grows by 5.8 MiB across
 # np.random.default_rng and one random_coeffs in a fresh interpreter that
@@ -525,32 +505,36 @@ _RANDOM_MIB = 6.0
 
 
 def _round_trip_bytes(band_limit: int) -> int:
-    """Bytes a round trip at a band limit holds beside its transforms and cubes.
+    """Bytes a round trip at a band limit holds beside its streamed forward transform.
 
     Its input and output sphere signals and harmonic coefficients, all
     complex, the closing sphere synthesis' buffers (_sht_inverse_bytes),
-    built beside the scale cubes, and numpy's random generator.
+    numpy's random generator, and the coefficient arrays that only the
+    inverse holds, which runs inside the forward on the same scale.
     """
     L, K = band_limit, 2 * band_limit - 1
-    return 2 * (L * K + L * L) * 16 + _sht_inverse_bytes(L) + int(_RANDOM_MIB * 2**20)
+    inverse = _curvelet_peak_parts(L, False, 1, False)["coefficients"]
+    inverse -= _curvelet_peak_parts(L, False, 1, True)["coefficients"]
+    return 2 * (L * K + L * L) * 16 + _sht_inverse_bytes(L) + int(_RANDOM_MIB * 2**20) + inverse
 
 
-def _preflight_in_memory(args) -> None:
-    """Pre-flight of roundtrip and bench, at their largest band limit.
+def _preflight_round_trip(args) -> dict:
+    """Usage checks and pre-flight of roundtrip and bench, at their largest band limit.
 
-    Their complex analyze and synthesize hold every scale cube beside the
-    transform running on one of them, so a band limit that cannot fit
-    exits 3 before any is built.
+    Their complex round trip streams each scale from its synthesis into
+    its forward transform, so it holds one forward transform beside its
+    own signals; a band limit that cannot fit exits 3 before any is built.
     """
+    if args.repeats < 1:
+        raise UsageError("--repeats must be at least 1")
+    if abs(args.spin) >= min(args.L):
+        raise UsageError("--spin must be smaller than the smallest band limit")
     params = _make_params(args, max(args.L), args.spin)
-    held = _held_cube_bytes(params) + _round_trip_bytes(params.band_limit)
-    _preflight(params, False, held=held, forward=True)
+    return _preflight(params, False, held=_round_trip_bytes(params.band_limit), forward=True)
 
 
 def cmd_roundtrip(args) -> int:
-    _check_repeats(args)
-    _check_spin_fits(args)
-    _preflight_in_memory(args)
+    estimate = _preflight_round_trip(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     for L in args.L:
@@ -560,34 +544,36 @@ def cmd_roundtrip(args) -> int:
         count = 0
         for _ in range(args.repeats):
             flm = random_coeffs(L, args.spin, rng)
-            back = sht_forward(synthesize(analyze(sht_inverse(flm), t), t))
+            back = sht_forward(synthesize(_analysis_stream(sht_inverse(flm), t, True), t))
             err = np.abs(back.values - flm.values)
             worst = max(worst, float(err.max()))
             err_sum += float(err.sum())
             count += err.size
         rows.append([L, worst, err_sum / count])
-    _emit_table(args.out, ("L", "max_error", "mean_error"), rows, "roundtrip", args)
+    _emit_table(
+        args.out, ("L", "max_error", "mean_error"), rows, "roundtrip", args,
+        **estimate, **_peak_rss_note(),
+    )
     return 0
 
 
 def cmd_bench(args) -> int:
-    _check_repeats(args)
-    _check_spin_fits(args)
-    _preflight_in_memory(args)
+    estimate = _preflight_round_trip(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     for L in args.L:
         t = build_tiling(_make_params(args, L, args.spin))
         f = sht_inverse(random_coeffs(L, args.spin, rng))
-        synthesize(analyze(f, t), t)
+        synthesize(_analysis_stream(f, t, True), t)
         times = []
         for _ in range(args.repeats):
             start = time.perf_counter()
-            synthesize(analyze(f, t), t)
+            synthesize(_analysis_stream(f, t, True), t)
             times.append(time.perf_counter() - start)
         rows.append([L, statistics.median(times), min(times)])
     _emit_table(
-        args.out, ("L", "seconds", "min_seconds"), rows, "bench", args, workers=fft_workers()
+        args.out, ("L", "seconds", "min_seconds"), rows, "bench", args,
+        workers=fft_workers(), **estimate, **_peak_rss_note(),
     )
     return 0
 

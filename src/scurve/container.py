@@ -434,9 +434,9 @@ class _StoredCube:
     """The samples of a scale section, read one beta block at a time.
 
     Stands where SO3Signal.values would for a forward transform, which
-    reads its samples only as values.shape and values[rows]
-    (so3._analysis_spectrum): each block is read from the open container
-    when asked for, so the cube is never held.  load() reads it whole.
+    reads its samples only as values[rows] (so3._analysis_spectrum):
+    each block is read from the open container when asked for, so the
+    cube is never held.  load() reads it whole.
     """
 
     def __init__(self, read, name: str, shape: tuple):

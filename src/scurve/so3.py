@@ -59,11 +59,12 @@ samples, and they run per block of beta rows, each in a dense block from
 which the triangle is gathered or into which it is scattered: the
 forward's own, the inverse's output block itself when complex.  So a
 curvelet transform needs one beta block of a cube at a time, not the
-cube: the forward transform reads its input as values[rows], block by
-block, and the inverse hands each finished block to a sink.  In memory
-these are the cube's own rows; the coefficient container supplies a
-section that reads or writes each block in its file, which is how
-`scurve analyze` and `scurve synthesize` run without holding a cube.
+cube: the inverse hands each finished block to a sink, and the forward
+reads values[rows] block by block or takes the blocks a pending inverse
+hands its sink.  In memory these are the cube's own rows; the coefficient
+container supplies a section that reads or writes each block in its
+file, which is how `scurve analyze` and `scurve synthesize` run without
+holding a cube, and a round trip feeds each block straight back.
 
 A curvelet scale has no Wigner content below a degree floor L0, near
 lambda^(j-1), where its kernel starts.  Gamma frequency n reaches only
@@ -302,33 +303,42 @@ def _triangle(L: int, real: bool) -> tuple:
     return cols, gather, scatter
 
 
-def _analysis_spectrum(values, real: bool = False, L0: int = 0) -> np.ndarray:
-    """Triangle of the FFT over gamma and alpha, normalised to Fourier coefficients.
+def _analysis_spectrum(f, L0: int = 0) -> np.ndarray:
+    """Triangle of the FFT over gamma and alpha of signal f, normalised to Fourier coefficients.
 
-    Per block of beta rows, an FFT over gamma (rfft for a real signal,
-    keeping n >= 0) runs into a dense block of the worker's own, laid
-    out (beta, gamma, alpha), then the alpha FFT in place on the gamma
-    rows of the batches that reach degree L0 (_live), and one take
-    gathers the block's |m| <= |n| columns into its rows of the (L, T+1)
-    spectrum (_triangle); the columns of the other frequencies are zero.
-    values is read only as values.shape and values[rows], one slice of
-    _beta_blocks at a time: an array, or a stored section that reads
-    each block of rows from its file.  The caller's values are never
-    overwritten.
+    Per block of beta rows, block(rows, V) runs an FFT over gamma of its
+    samples V (rfft for a real signal, keeping n >= 0) into a dense block
+    of the worker's own, laid out (beta, gamma, alpha), then the alpha
+    FFT in place on the gamma rows of the batches that reach degree L0
+    (_live), and one take gathers its |m| <= |n| columns into its rows of
+    the (L, T+1) spectrum (_triangle); the other columns are zero.  V is
+    f.values[rows] on the pool, one slice of _beta_blocks at a time: an
+    array, or a stored section that reads its rows from its file.  A
+    pending signal (one with emit) pushes its blocks instead, each filled
+    fresh by its sink within the inverse's pool task, which must submit
+    nothing more to the pool.  The caller's samples are never overwritten.
     """
-    G, L, Ka = values.shape
+    L, real = f.grid.L, f.real
+    K = 2 * L - 1
     gather = _triangle(L, real)[1]
     _, gammas, kept = _live(L, real, L0)
     S = np.empty((L, len(gather)), dtype=complex)
 
-    def block(rows):
-        V = values[rows]
-        D = np.empty((V.shape[1], L if real else G, Ka), dtype=complex)
+    def block(rows, V):
+        D = np.empty((V.shape[1], L if real else K, K), dtype=complex)
         (sfft.rfft if real else sfft.fft)(V, axis=0, norm="forward", out=D.transpose(1, 0, 2))
         sfft.fft(D[:, gammas], norm="forward", out=D[:, gammas])
         np.take(D.reshape(len(D), -1), gather, axis=1, out=S[rows[1]], mode="clip")
 
-    _run_chunks(block, _beta_blocks(L))
+    def sink(rows, fill):
+        V = np.empty((K, len(S[rows[1]]), K), dtype=float if real else complex)
+        fill(V)
+        block(rows, V)
+
+    if hasattr(f, "emit"):
+        f.emit(sink=sink)
+    else:
+        _run_chunks(lambda rows: block(rows, f.values[rows]), _beta_blocks(L))
     S[:, : kept.start] = 0.0
     S[:, kept.stop :] = 0.0
     return S
@@ -736,16 +746,17 @@ def so3_forward_curvelet(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
 
     Exact when the signal is a synthesis of such columns, which is the
     only way curvelet analysis produces rotation-group signals.  A
-    real-flagged signal runs on half the gamma spectrum.  f.values is read
-    one block of beta rows at a time (_analysis_spectrum), so it may be a
-    stored section that reads each block from its file.  The degrees
+    real-flagged signal runs on half the gamma spectrum.  Its samples are
+    read one block of beta rows at a time (_analysis_spectrum), so f may
+    be a stored section that reads each block from its file, or a scale
+    still pending that synthesises each block as it is read.  The degrees
     below L0 are returned as zero and only the gamma batches that reach
     L0 run (_live); every other degree is bitwise that of L0 = 0.
     """
     L = f.grid.L
     if L0 < 0:
         raise ValueError(f"degree floor must not be negative, got {L0}")
-    S = _analysis_spectrum(f.values, f.real, L0)
+    S = _analysis_spectrum(f, L0)
     cols = _triangle(L, f.real)[0]
     out = CurveletWignerCoeffs.zeros(L)
     tab = halfpi_table(L)

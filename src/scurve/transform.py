@@ -91,9 +91,9 @@ def _coeff_grids(params: TilingParams, multires: bool) -> tuple:
 class CurveletCoeffs:
     """One scale signal per analysis band plus the low-frequency residue.
 
-    A scale is an SO3Signal in memory, or, inside the command line, a
-    _PendingSignal not synthesised yet or a section left in an open
-    container (container._StoredSignal).
+    A scale is an SO3Signal in memory, a _PendingSignal not synthesised
+    yet or a section left in an open container (container._StoredSignal),
+    and synthesize takes each kind.
     """
 
     params: TilingParams
@@ -186,7 +186,8 @@ def _analysis_stream(f: SphereSignal, t: Tiling, multires: bool) -> CurveletCoef
     Each scale is a _PendingSignal built from the harmonic coefficients on
     its own when emitted, and the consumer chooses where its samples go:
     analyze gathers them, `scurve analyze` writes them to the container
-    block by block, `scurve sparsity` reduces them to magnitudes.
+    block by block, `scurve sparsity` reduces them to magnitudes, and
+    synthesize transforms them back block by block.
     """
     _check_signal(f, t)
     p = t.params
@@ -219,10 +220,11 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
     """Reassemble the sphere signal from its scale signals; exact.
 
     Real-flagged coefficients synthesise through the half-spectrum Wigner
-    transforms to a real-flagged signal.  A scale's values are read one
-    block of beta rows at a time (so3_forward_curvelet), so scales left in
-    their container are never held whole.  A scale or scaling signal with
-    a non-finite sample raises ValueError.
+    transforms to a real-flagged signal.  A scale's samples are read one
+    block of beta rows at a time (so3_forward_curvelet), so no scale is
+    held whole when it is left in its container or still pending, as
+    _analysis_stream leaves it.  A scale or scaling signal with a
+    non-finite sample raises ValueError.
     """
     p = t.params
     if c.params != p:

@@ -1,7 +1,9 @@
 """Checks for the scurve command-line interface."""
 
+import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -30,6 +32,16 @@ def write_sphere_file(path, L, spin, rng, real=False):
         f = scurve.sht_inverse(scurve.random_coeffs(L, spin, rng))
     container.write_sphere(path, f)
     return f
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def parse_csv(text):
@@ -92,6 +104,38 @@ class TestTiling:
         assert len(rows) == (n_scales + 3) * 16
         kernel_rows = [r for r in rows if r[0] == "kernel"]
         assert len(kernel_rows) == n_scales * 16
+
+    def test_csv_rows_are_written_as_they_are_made(self, tmp_path, capsys):
+        """At 418 scales the CSV adds nothing to the tiling build's traced peak.
+
+        The file is byte for byte the list of rows the command once held:
+        each scale's kernel by degree, then the scaling and direction
+        windows.  The tenth over the build covers the parser, the summary
+        and the file's buffer.
+        """
+        params = scurve.TilingParams(64, 0, 1.01)
+        argv = ["tiling", "--L", "64", "--lambda", "1.01", "--out", str(tmp_path / "t")]
+        assert run(argv) == 0  # warm the parser's and the tiling's caches untraced
+        (tmp_path / "t.csv").unlink()
+        peak = traced_peak(lambda: run(argv))
+        capsys.readouterr()
+        assert params.scale_count == 418
+        assert peak <= 1.1 * cli._tiling_bytes(params)
+        t = scurve.build_tiling(params)
+        rows = []
+        for idx, j in enumerate(range(params.j_min, params.j_max + 1)):
+            for ell in range(64):
+                rows.append(["kernel", j, ell, float(t.kernels[idx, ell])])
+        for name, arr in (
+            ("scaling", t.scaling),
+            ("direction_pos", t.direction_pos),
+            ("direction_neg", t.direction_neg),
+        ):
+            for ell in range(64):
+                rows.append([name, "", ell, float(arr[ell])])
+        expected = io.StringIO()
+        cli._write_csv(expected, ("component", "scale", "ell", "value"), rows)
+        assert (tmp_path / "t.csv").read_bytes() == expected.getvalue().encode()
 
     def test_spin_shifts_rotation_ring(self, capsys):
         assert run(["tiling", "--L", "16", "--spin", "2", "--jmin", "1"]) == 0
@@ -408,14 +452,6 @@ class TestStreaming:
             g = scurve.synthesize(c, scurve.build_tiling(params))
             container.write_sphere(tmp_path / "g1.scrv", g)
 
-        def traced_peak(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # Builds the shared half-pi table, so no traced run below pays for it.
         library_analyze()
         sizes = [a.nbytes for a in container.read_container(collected)[1].values()]
@@ -430,6 +466,25 @@ class TestStreaming:
             commanded = traced_peak(lambda: run(argv))
             assert in_memory - commanded >= saving, (argv[0], in_memory, commanded)
         capsys.readouterr()
+
+    def test_round_trip_holds_no_scale_cube(self, capsys, monkeypatch):
+        """roundtrip at L=64 (spin 2, --jmin 2, one worker) traces below its largest scale cube.
+
+        Each scale streams from its synthesis into its forward transform
+        one block of beta rows at a time, so not even one cube is held,
+        let alone the five a round trip through analyze holds at once.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", "1")
+        argv = ["roundtrip", "--L", "64", "--jmin", "2", "--spin", "2", "--repeats", "1"]
+        assert run(argv) == 0  # build the half-pi table and the tiling caches untraced
+        capsys.readouterr()
+        peak = traced_peak(lambda: run(argv))
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 1 and float(rows[0][1]) <= 1e-10
+        grids = transform._coeff_grids(scurve.TilingParams(64, 2, 2.0, 2), True)[1]
+        cubes = [16 * math.prod(grid.shape) for grid in grids]
+        assert len(cubes) == 5
+        assert peak < max(cubes) < sum(cubes), (peak, cubes)
 
 
     def test_peaks_stay_below_one_cube_and_its_spectrum(self, tmp_path, capsys, monkeypatch):
@@ -568,22 +623,17 @@ class TestPreflight:
         assert note["estimated_peak_mib"] == round(expected, 1)
 
     @pytest.mark.parametrize("command", ["roundtrip", "bench"])
-    def test_in_memory_budget_counts_every_scale_cube(
+    def test_round_trip_budget_is_the_streamed_estimate(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        """The estimate at the largest band limit adds one complex cube per scale.
+        """The estimate at the largest band limit is that of one complex forward transform.
 
-        Beside them it counts the round trip's own signals
+        The round trip streams each scale from its synthesis into its
+        forward transform, so it counts no scale cube; beside the
+        transform it counts the round trip's own signals
         (_round_trip_bytes).  A refused command writes nothing.
         """
-        params = scurve.TilingParams(8, 1, 2.0, 1)
-        cubes = sum(
-            16 * (2 * Lj - 1) ** 2 * Lj
-            for Lj in (scurve.scale_band_limit(params, j) for j in range(1, params.j_max + 1))
-        )
-        assert cli._held_cube_bytes(params) == cubes
         estimate = cli._estimated_peak_mib(8, False, fourier.fft_workers(), forward=True) * 2**20
-        estimate += cubes
         estimate += cli._round_trip_bytes(8)
         out = tmp_path / "table.csv"
         argv = [command, "--L", "8,4", "--spin", "1", "--jmin", "1", "--repeats", "1"]
@@ -596,26 +646,51 @@ class TestPreflight:
         assert run(argv) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("command", ["roundtrip", "bench"])
+    def test_round_trip_notes_report_the_preflight(self, tmp_path, capsys, monkeypatch, command):
+        """roundtrip --out and bench --out note the pre-flight's estimate and the peak RSS."""
+        made = []
+
+        def check_fits(estimate, params, _fn=cli._check_fits):
+            made.append(_fn(estimate, params))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "_check_fits", check_fits)
+        out = tmp_path / "table.csv"
+        assert run([command, "--L", "8,4", "--repeats", "1", "--out", str(out)]) == 0
+        note = json.loads(capsys.readouterr().out)
+        assert made == [{"estimated_peak_mib": note["estimated_peak_mib"]}]
+        if cli.resource is not None:
+            assert note["peak_rss_mib"] > 0
+
     def test_notes_report_the_estimate(self, tmp_path, inputs, capsys):
         assert run(self.argv("synthesize", inputs, tmp_path / "g.scrv")) == 0
         note = json.loads(capsys.readouterr().out)
         expected = cli._estimated_peak_mib(8, True, fourier.fft_workers(), forward=True)
         assert note["estimated_peak_mib"] == round(expected, 1)
 
-    @pytest.mark.parametrize("command", ["tiling", "analyze", "sparsity"])
+    @pytest.mark.parametrize("command", ["tiling", "analyze", "sparsity", "roundtrip", "bench"])
     def test_dilation_near_one_is_refused_before_the_tiling(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        """41.6 million scales at L = 64 exit 3 on their tiling's build alone, unbuilt."""
+        """41.6 million scales at L = 64 exit 3 on their tiling's build alone, unbuilt.
+
+        No scale's grid is built either: one per scale took 41 s before a
+        round trip's pre-flight could refuse them.
+        """
         params = scurve.TilingParams(64, 0, 1.0000001)
         assert cli._tiling_bytes(params) == 57 * (params.scale_count + 1) * 64 > 2**37
         monkeypatch.setattr(cli, "_available_memory", lambda: 2**31)
         monkeypatch.setattr(cli, "build_tiling", lambda *a: pytest.fail("build_tiling"))
+        fail = lambda *a: pytest.fail("_coeff_grids")  # noqa: E731
+        monkeypatch.setattr(cli, "_coeff_grids", fail, raising=False)
+        monkeypatch.setattr(transform, "_coeff_grids", fail)
         argv = [command, "--L", "64", "--lambda", "1.0000001"]
-        if command != "tiling":
+        if command in ("analyze", "sparsity"):
             img = tmp_path / "img.pgm"
             self.write_pgm(img, 8, 4)
             argv[1:1] = [str(img)]
+        if command != "tiling":
             argv += ["--out", str(tmp_path / "out")]
         before = sorted(tmp_path.iterdir())
         assert run(argv) == 3

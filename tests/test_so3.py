@@ -687,7 +687,7 @@ class TestCountedWork:
         """
         L = 64
         w = oracles.random_curvelet_wigner_coeffs(L, np.random.default_rng(5))
-        S = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L)).values)
+        S = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, scurve.SO3Grid(L)))
         cols = so3._triangle(L, False)[0]
         tab = scurve.halfpi_table(L)
         batches = so3._batches(so3._gamma_order(L, False))
@@ -794,7 +794,7 @@ class TestScaling:
 
 
 class _BlockReader:
-    """Values that a forward transform may read only as shape and [rows]."""
+    """Values that a forward transform may read only as [rows]."""
 
     def __init__(self, values):
         self.shape = values.shape
@@ -849,6 +849,46 @@ class TestBlockStreaming:
         assert sorted(reader.reads) == [(0, 8), (8, 16), (16, 20)]
         assert got.tobytes() == scurve.so3_forward_curvelet(f).values.tobytes()
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_forward_takes_the_blocks_a_pending_inverse_emits(
+        self, monkeypatch, rng, threads, real
+    ):
+        """A scale still pending feeds the forward from the inverse's sink, bit for bit.
+
+        Each block runs its forward FFTs inside the inverse's pool task,
+        which submits nothing more to the pool: with every worker busy, a
+        nested submission could wait for itself.
+        """
+        monkeypatch.setenv("SCURVE_THREADS", threads)
+        L = 20
+        grid = scurve.SO3Grid(L)
+        if real:
+            w, inverse = sparse_with_real_symmetry(L, rng), scurve.so3_inverse_curvelet_real
+        else:
+            w, inverse = oracles.random_curvelet_wigner_coeffs(L, rng), scurve.so3_inverse_curvelet
+        expected = scurve.so3_forward_curvelet(inverse(w, grid), L0=3).values
+        nested, blocks = [], []
+
+        def run_chunks(task, items, _fn=so3._run_chunks):
+            nested.append(threading.current_thread().name.startswith("scurve"))
+            _fn(task, items)
+
+        def emit(sink):
+            def counted(rows, fill):
+                blocks.append(rows[1].indices(L)[:2])
+                sink(rows, fill)
+
+            inverse(w, grid, sink=counted)
+
+        monkeypatch.setattr(so3, "_run_chunks", run_chunks)
+        pending = types.SimpleNamespace(grid=grid, real=real, emit=emit)
+        got = scurve.so3_forward_curvelet(pending, L0=3).values
+        assert got.tobytes() == expected.tobytes()
+        assert sorted(blocks) == [(0, 8), (8, 16), (16, 20)]
+        # The inverse's blocks and the forward's gamma batches, both from the caller's thread.
+        assert nested == [False, False]
+
 
 def dense_spectrum(values, real):
     """The whole-cube gamma-alpha FFT that the triangle layout keeps part of, gamma first."""
@@ -883,13 +923,14 @@ class TestTriangleLayout:
             values = values + 1j * rng.standard_normal((K, L, K))
         expected = triangle_of(dense_spectrum(values, real))
         assert expected.shape == (L, L * L + 1 if real else 2 * L * L)
-        got = so3._analysis_spectrum(values, real)
+        got = so3._analysis_spectrum(scurve.SO3Signal(scurve.SO3Grid(L), values, real))
         assert got.tobytes() == expected.tobytes()
         if not real:  # the alpha-first order of fft2 differs by round-off only
             alpha_first = triangle_of(np.fft.fft2(values, axes=(0, 2), norm="forward"))
             np.testing.assert_allclose(got, alpha_first, rtol=0, atol=1e-15 * np.abs(got).max())
         reader = _BlockReader(values)
-        assert so3._analysis_spectrum(reader, real).tobytes() == expected.tobytes()
+        stored = types.SimpleNamespace(grid=scurve.SO3Grid(L), values=reader, real=real)
+        assert so3._analysis_spectrum(stored).tobytes() == expected.tobytes()
         assert sorted(reader.reads) == [(0, 8), (8, 16)]
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -1126,7 +1167,7 @@ class TestChunkPool:
             monkeypatch.setenv("SCURVE_THREADS", str(threads))
             round_trip()  # build the pool and the cached tables untraced
             peaks[threads] = traced_peak(round_trip)
-        W1 = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, grid).values)
+        W1 = so3._analysis_spectrum(scurve.so3_inverse_curvelet(w, grid))
         widest = so3._gamma_order(L, False)[-so3._CHUNK :]
         cols = so3._triangle(L, False)[0]
         spectra = [W1[:, cols[n % len(cols)]] for n in widest]

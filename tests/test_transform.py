@@ -399,3 +399,28 @@ class TestWorkerCount:
             sigs = [c.scaling, *c.scales, g]
             runs.append([sig.values.tobytes() for sig in sigs])
         assert runs[0] == runs[1]
+
+
+class TestStreamedRoundTrip:
+    """synthesize takes the pending scales of _analysis_stream, block by block."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("multires", [True, False], ids=["multires", "fullres"])
+    @pytest.mark.parametrize(
+        "spin, real", [(0, True), (0, False), (2, False)], ids=["real", "spin0", "spin2"]
+    )
+    def test_pending_scales_synthesise_as_held_ones(
+        self, monkeypatch, rng, spin, real, multires, threads
+    ):
+        monkeypatch.setenv("SCURVE_THREADS", threads)
+        L = 20  # beta blocks of 8, 8 and 4 rows at the full band limit
+        t = tiling_for(L, spin, j_min=1)
+        f = scurve.sht_inverse(scurve.random_coeffs(L, spin, rng, real=real))
+        assert f.real == real
+        streamed = transform._analysis_stream(f, t, multires)
+        assert all(isinstance(s, transform._PendingSignal) for s in streamed.scales)
+        got = scurve.synthesize(streamed, t)
+        expected = scurve.synthesize(scurve.analyze(f, t, multires), t)
+        assert got.real == expected.real == real
+        assert got.values.tobytes() == expected.values.tobytes()
+        np.testing.assert_allclose(got.values, f.values, rtol=0, atol=1e-10)
