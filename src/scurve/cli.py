@@ -14,10 +14,10 @@ Exit codes: 0 success, 2 usage error, 3 file or data error.  CSV output
 is RFC-4180 (CRLF line endings, header row first) and stable-ordered.
 The SCURVE_THREADS environment variable sets the worker thread count of
 the transforms (default: one per available core, at most 2); the JSON
-notes of analyze, synthesize and bench --out report it as "workers";
-those of analyze, synthesize, roundtrip --out and bench --out also give
-the process's peak resident memory as "peak_rss_mib", next to the
-estimate the command made of it beforehand, "estimated_peak_mib".
+notes of analyze, synthesize, roundtrip --out and bench --out report it
+as "workers", and also give the process's peak resident memory as
+"peak_rss_mib", next to the estimate the command made of it beforehand,
+"estimated_peak_mib".
 No command holds a whole scale signal: each streams a scale's samples,
 one block of beta rows at a time, into or out of the container, into
 its histogram, or (roundtrip and bench) from the inverse transform
@@ -552,7 +552,7 @@ def cmd_roundtrip(args) -> int:
         rows.append([L, worst, err_sum / count])
     _emit_table(
         args.out, ("L", "max_error", "mean_error"), rows, "roundtrip", args,
-        **estimate, **_peak_rss_note(),
+        workers=fft_workers(), **estimate, **_peak_rss_note(),
     )
     return 0
 
@@ -605,19 +605,13 @@ def _scale_sparsity(j: int, mags: np.ndarray, bins: int, band_limit: int):
 
 
 def _magnitudes(pending) -> np.ndarray:
-    """Flat |samples| of a pending scale signal, filled block by block.
+    """Flat |samples| of a pending scale signal, taken block by block.
 
-    Each block of beta rows lands in a buffer of its own and only its
-    magnitudes are kept, so the samples are never held beside them.
+    Only the magnitudes of each block of beta rows are kept, so the
+    samples are never held beside them.
     """
     mags = np.empty(pending.grid.shape)
-
-    def sink(rows, fill):
-        block = np.empty(mags[rows].shape, float if pending.real else complex)
-        fill(block)
-        np.abs(block, out=mags[rows])
-
-    pending.emit(sink=sink)
+    pending.emit(sink=lambda rows, block: np.abs(block, out=mags[rows]))
     return mags.ravel()
 
 

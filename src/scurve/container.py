@@ -28,14 +28,17 @@ section at its offset as it arrives.
 
 A scale section need not exist in memory at all.  Its samples run
 gamma-major, so one block of beta rows is one contiguous run of bytes
-per gamma row.  The writer takes a pending synthesis in place of an
-array and writes each beta block at its place as the inverse transform
-finishes it (one os.pwritev per gamma row); the reader hands out a
-scale as a stored section that a forward transform reads block by block
-(one os.preadv per gamma row).  The command line holds one beta block
-of a section at a time this way, not one section: `scurve analyze`
-writes each scale's blocks as the synthesis finishes them, and `scurve
-synthesize` reads each scale's blocks as the analysis asks for them.
+per gamma row.  Blocks move as so3 moves them: whatever makes one hands
+it over finished to a sink.  The writer takes a pending scale
+(transform._PendingSignal) in place of an array, and its sink writes
+each beta block at its place as it is handed over (one os.pwritev per
+gamma row).  The reader hands out each scale as a pending scale too,
+whose emit reads its section, whole or one beta block at a time into a
+sink (one os.preadv per gamma row).  The command line holds one beta
+block of a section at a time this way, not one section: `scurve
+analyze` writes each scale's blocks as the synthesis finishes them,
+`scurve synthesize` hands each scale's blocks to the analysis as they
+are read, and write_coeffs copies an open container block by block.
 """
 
 from __future__ import annotations
@@ -46,11 +49,11 @@ import math
 import os
 import struct
 import tempfile
-from typing import NamedTuple
+from functools import partial
 
 import numpy as np
 
-from .so3 import SO3Grid, SO3Signal
+from .so3 import SO3Grid, SO3Signal, _beta_blocks, _run_chunks
 from .sphere import SphereGrid, SphereSignal
 from .tiling import TilingParams
 from .transform import CurveletCoeffs, _coeff_grids, _PendingSignal
@@ -171,18 +174,16 @@ def _block_rows(shape, rows) -> tuple:
 def _section_sink(fd: int, sec: dict, start: int):
     """A block sink that writes each beta block into its slot of section sec.
 
-    The block is computed into a buffer of its own, then written with one
-    os.pwritev per gamma row, so the section is never held whole.
+    Each block is written with one os.pwritev per gamma row as it is
+    handed over, so the section is never held whole.
     """
     shape = tuple(sec["shape"])
     dt = _DTYPES[sec["dtype"]]
     row = shape[1] * shape[2] * dt.itemsize
 
-    def sink(rows, fill):
-        G, lo, n, K = _block_rows(shape, rows)
+    def sink(rows, block):
+        G, lo, _, K = _block_rows(shape, rows)
         # The transform writes native floats; the file holds little-endian ones.
-        block = np.empty((G, n, K), dt.newbyteorder("="))
-        fill(block)
         block = np.ascontiguousarray(block, dtype=dt)
         for g in range(G):
             _write_at(fd, block[g], start + g * row + lo * K * dt.itemsize)
@@ -193,8 +194,8 @@ def _section_sink(fd: int, sec: dict, start: int):
 def _write_section(fd: int, path, sec: dict, start: int, data) -> None:
     """Write one declared section from an array or a _PendingSignal.
 
-    An array goes out straight from its buffer; a pending signal is run
-    with a sink that writes each beta block as it is finished.
+    An array goes out straight from its buffer; a pending signal is
+    emitted into a sink that writes each beta block as it is handed over.
     """
     if data is None:
         raise ContainerError(f"{path}: no array for section {sec['name']!r}")
@@ -398,7 +399,7 @@ def _coeff_sections(params: TilingParams, multires: bool) -> list:
 
 
 def _payload(signal):
-    """What the writer takes for a signal: its values, or a pending synthesis whole."""
+    """What the writer takes for a signal: its values, or the pending signal whole."""
     return signal if isinstance(signal, _PendingSignal) else signal.values
 
 
@@ -408,7 +409,8 @@ def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
     The section table follows from the parameters and the flags, and each
     section takes the dtype of its signal's samples (_declared), so the
     header goes out first.  A pending scale is written block by block as
-    it is synthesised, so it is never held whole.
+    it is synthesised or read from its own container, so it is never held
+    whole.
     """
     params = coeffs.params
     header = {
@@ -430,42 +432,27 @@ def write_coeffs(path, coeffs: CurveletCoeffs) -> None:
     _write_container(path, header, _layout(entries), payloads)
 
 
-class _StoredCube:
-    """The samples of a scale section, read one beta block at a time.
+def _emit_section(read, name: str, grid: SO3Grid, real: bool, sink=None):
+    """The emit of a scale section left in an open container (_read_coeff_stream).
 
-    Stands where SO3Signal.values would for a forward transform, which
-    reads its samples only as values[rows] (so3._analysis_spectrum):
-    each block is read from the open container when asked for, so the
-    cube is never held.  load() reads it whole.
+    With no sink the section is read whole into an SO3Signal.  With one,
+    each beta block is read from the file and handed to sink, on the
+    pool (so3._run_chunks), so the section is never held.
     """
-
-    def __init__(self, read, name: str, shape: tuple):
-        self._read = read
-        self._name = name
-        self.shape = shape
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return self._read(self._name, rows)
-
-    def load(self) -> np.ndarray:
-        return self._read(self._name)
-
-
-class _StoredSignal(NamedTuple):
-    """A scale signal left in its container, read by blocks through values."""
-
-    grid: SO3Grid
-    values: _StoredCube
-    real: bool
+    if sink is None:
+        return SO3Signal(grid, read(name), real=real)
+    _run_chunks(lambda rows: sink(rows, read(name, rows)), _beta_blocks(grid.L))
 
 
 @contextlib.contextmanager
 def _read_coeff_stream(path):
     """Open a coefficient container and yield its CurveletCoeffs until the block ends.
 
-    The scaling signal is read whole; each scale is a _StoredSignal whose
-    samples stay in the file until a transform reads them block by block.
-    The file closes when the block ends.
+    The scaling signal is read whole; each scale is a _PendingSignal
+    whose emit reads its section from the file (_emit_section), whole or
+    block by block into a sink, as a transform or a writer takes it, so
+    the coefficients stream as those of _analysis_stream do.  The file
+    closes when the block ends.
     """
     with _open_container(path) as (header, table, read):
         if header.get("kind") != "curvelet":
@@ -482,7 +469,7 @@ def _read_coeff_stream(path):
         except ValueError as exc:
             raise ContainerError(f"{path}: {exc}") from None
 
-        def stored(name: str, grid: SO3Grid) -> _StoredSignal:
+        def stored(name: str, grid: SO3Grid) -> _PendingSignal:
             if name not in table:
                 raise ContainerError(f"{path}: no section {name!r}")
             dt, shape, _ = table[name]
@@ -492,7 +479,7 @@ def _read_coeff_stream(path):
                 )
             if real and dt.kind == "c":
                 raise ContainerError(f"{path}: real signal carries complex values")
-            return _StoredSignal(grid, _StoredCube(read, name, shape), real)
+            return _PendingSignal(grid, real, partial(_emit_section, read, name, grid, real))
 
         (_, scaling_grid), *sections = _coeff_sections(params, multires)
         try:
@@ -505,7 +492,7 @@ def _read_coeff_stream(path):
 
 def read_coeffs(path) -> CurveletCoeffs:
     with _read_coeff_stream(path) as c:
-        c.scales = [SO3Signal(s.grid, s.values.load(), real=c.real) for s in c.scales]
+        c.scales = [s.emit() for s in c.scales]
     return c
 
 

@@ -59,12 +59,13 @@ samples, and they run per block of beta rows, each in a dense block from
 which the triangle is gathered or into which it is scattered: the
 forward's own, the inverse's output block itself when complex.  So a
 curvelet transform needs one beta block of a cube at a time, not the
-cube: the inverse hands each finished block to a sink, and the forward
-reads values[rows] block by block or takes the blocks a pending inverse
-hands its sink.  In memory these are the cube's own rows; the coefficient
-container supplies a section that reads or writes each block in its
-file, which is how `scurve analyze` and `scurve synthesize` run without
-holding a cube, and a round trip feeds each block straight back.
+cube.  A finished block is handed over as sink(rows, block), and the
+sink may keep or overwrite it: the inverse hands its blocks to a sink,
+and the forward reads values[rows] of a cube in memory or is the sink
+of any other signal's emit, a pending inverse or a section that reads
+each block from its container file.  That is how `scurve analyze` and
+`scurve synthesize` run without holding a cube, and a round trip feeds
+each block straight back.
 
 A curvelet scale has no Wigner content below a degree floor L0, near
 lambda^(j-1), where its kernel starts.  Gamma frequency n reaches only
@@ -311,12 +312,12 @@ def _analysis_spectrum(f, L0: int = 0) -> np.ndarray:
     of the worker's own, laid out (beta, gamma, alpha), then the alpha
     FFT in place on the gamma rows of the batches that reach degree L0
     (_live), and one take gathers its |m| <= |n| columns into its rows of
-    the (L, T+1) spectrum (_triangle); the other columns are zero.  V is
-    f.values[rows] on the pool, one slice of _beta_blocks at a time: an
-    array, or a stored section that reads its rows from its file.  A
-    pending signal (one with emit) pushes its blocks instead, each filled
-    fresh by its sink within the inverse's pool task, which must submit
-    nothing more to the pool.  The caller's samples are never overwritten.
+    the (L, T+1) spectrum (_triangle); the other columns are zero.  A
+    signal in memory feeds V = f.values[rows] on the pool, one slice of
+    _beta_blocks at a time; any other (one with emit) is the sink of its
+    own emit, which hands over each block as it is finished, within a
+    pool task that must submit nothing more to the pool.  The caller's
+    samples are never overwritten.
     """
     L, real = f.grid.L, f.real
     K = 2 * L - 1
@@ -330,13 +331,8 @@ def _analysis_spectrum(f, L0: int = 0) -> np.ndarray:
         sfft.fft(D[:, gammas], norm="forward", out=D[:, gammas])
         np.take(D.reshape(len(D), -1), gather, axis=1, out=S[rows[1]], mode="clip")
 
-    def sink(rows, fill):
-        V = np.empty((K, len(S[rows[1]]), K), dtype=float if real else complex)
-        fill(V)
-        block(rows, V)
-
     if hasattr(f, "emit"):
-        f.emit(sink=sink)
+        f.emit(sink=block)
     else:
         _run_chunks(lambda rows: block(rows, f.values[rows]), _beta_blocks(L))
     S[:, : kept.start] = 0.0
@@ -344,23 +340,22 @@ def _analysis_spectrum(f, L0: int = 0) -> np.ndarray:
     return S
 
 
-def _synthesis_blocks(L: int, real: bool, triangle_rows, sink, L0: int = 0) -> None:
-    """Samples of a triangle spectrum, handed to sink one block of beta rows at a time.
+def _synthesis_blocks(L: int, real: bool, triangle_rows, sink=None, L0: int = 0, out=None) -> None:
+    """Samples of a triangle spectrum, made one block of beta rows at a time.
 
     triangle_rows(b) returns the rows at the beta nodes of slice b of the
     (L, T+1) layout of _triangle (all 2L-1 gamma frequencies, or n >= 0
     when real), cut to the columns kept (_live) of the batches that reach
-    degree L0, then a column of zeros.  Per block of beta rows,
-    on the pool, sink(rows, fill) is called with a function fill(dst)
-    that writes the block's samples into dst, an array of the block's
-    shape and dtype (float when real, complex otherwise), and may use it
-    as its workspace on the way.  fill scatters the triangle rows into a
-    dense block laid out (beta, gamma, alpha), zero outside the triangle,
-    one gather per beta row: dst itself when complex, else a complex
-    block of its own.  Then it inverts alpha there on the live gamma rows
-    (the others are zero) and gamma into dst, the order of ifft2.  The
-    sink decides where the block goes: sampled into a cube (_array_sink),
-    written to a file, or reduced.
+    degree L0, then a column of zeros.  Per block of beta rows, on the
+    pool, they are scattered into a dense block laid out (beta, gamma,
+    alpha), zero outside the triangle, one gather per beta row: the
+    samples' own block when complex, else a complex one of its own.  Then
+    alpha is inverted there on the live gamma rows (the others are zero)
+    and gamma into the samples, the order of ifft2.  The samples go into
+    out[rows] when out is given, else into a fresh (gamma, rows, alpha)
+    array, float when real; sink(rows, block) is then handed the finished
+    block, which it may keep or overwrite: write it to a file, reduce it
+    or transform it on.
     """
     K = 2 * L - 1
     _, gammas, kept = _live(L, real, L0)
@@ -370,25 +365,20 @@ def _synthesis_blocks(L: int, real: bool, triangle_rows, sink, L0: int = 0) -> N
     scatter = scatter.reshape(-1, K)
 
     def block(rows):
-        def fill(dst):
-            tri = triangle_rows(rows[1])
-            D = np.empty((len(tri), L, K), dtype=complex) if real else dst.transpose(1, 0, 2)
-            for r, row in enumerate(tri):
-                D[r] = row[scatter]
-            sfft.ifft(D[:, gammas], norm="forward", out=D[:, gammas])
-            if real:
-                sfft.irfft(D, n=K, axis=1, norm="forward", out=dst.transpose(1, 0, 2))
-            else:
-                sfft.ifft(D, axis=1, norm="forward", out=D)
-
-        sink(rows, fill)
+        tri = triangle_rows(rows[1])
+        V = np.empty((K, len(tri), K), float if real else complex) if out is None else out[rows]
+        D = np.empty((len(tri), L, K), dtype=complex) if real else V.transpose(1, 0, 2)
+        for r, row in enumerate(tri):
+            D[r] = row[scatter]
+        sfft.ifft(D[:, gammas], norm="forward", out=D[:, gammas])
+        if real:
+            sfft.irfft(D, n=K, axis=1, norm="forward", out=V.transpose(1, 0, 2))
+        else:
+            sfft.ifft(D, axis=1, norm="forward", out=D)
+        if sink is not None:
+            sink(rows, V)
 
     _run_chunks(block, _beta_blocks(L))
-
-
-def _array_sink(values: np.ndarray):
-    """The in-memory sink: each block is computed straight into values[rows]."""
-    return lambda rows, fill: fill(values[rows])
 
 
 def _gamma_order(L: int, real: bool) -> list:
@@ -747,9 +737,9 @@ def so3_forward_curvelet(f: SO3Signal, *, L0: int = 0) -> CurveletWignerCoeffs:
     Exact when the signal is a synthesis of such columns, which is the
     only way curvelet analysis produces rotation-group signals.  A
     real-flagged signal runs on half the gamma spectrum.  Its samples are
-    read one block of beta rows at a time (_analysis_spectrum), so f may
-    be a stored section that reads each block from its file, or a scale
-    still pending that synthesises each block as it is read.  The degrees
+    taken one block of beta rows at a time (_analysis_spectrum), so f may
+    be any signal whose emit(sink=...) hands over its blocks, such as a
+    scale still pending or a section left in its container.  The degrees
     below L0 are returned as zero and only the gamma batches that reach
     L0 run (_live); every other degree is bitwise that of L0 = 0.
     """
@@ -809,10 +799,10 @@ def _so3_inverse_curvelet(
 
     Each block of beta rows is evaluated in closed form from the
     coefficients (_edge_rows) and synthesised on its own
-    (_synthesis_blocks): into a returned signal, or with a sink, handed to
-    sink, and None is returned.  Only the gamma frequencies of the batches
-    that reach the lowest degree with a nonzero coefficient are evaluated
-    (_live); the others hold zeros.
+    (_synthesis_blocks) into its rows of a returned signal or, with a
+    sink, a fresh block handed to sink, and None is returned.  Only the
+    gamma frequencies of the batches that reach the lowest degree with a
+    nonzero coefficient are evaluated (_live); the others hold zeros.
     """
     if not isinstance(w, CurveletWignerCoeffs):
         raise TypeError("sparse synthesis requires CurveletWignerCoeffs")
@@ -823,12 +813,9 @@ def _so3_inverse_curvelet(
         _check_real(w.values, _impose_real_pairing)
     L0 = _degree_floor(w)
     rows = _edge_rows(w, real, _live(L, real, L0)[2])
-    if sink is not None:
-        _synthesis_blocks(L, real, rows, sink, L0)
-        return None
-    values = np.empty(grid.shape, dtype=float if real else complex)
-    _synthesis_blocks(L, real, rows, _array_sink(values), L0)
-    return SO3Signal(grid, values, real=real)
+    values = np.empty(grid.shape, dtype=float if real else complex) if sink is None else None
+    _synthesis_blocks(L, real, rows, sink, L0, values)
+    return None if values is None else SO3Signal(grid, values, real=real)
 
 
 def so3_inverse_curvelet(
@@ -837,8 +824,11 @@ def so3_inverse_curvelet(
     """Synthesis of sparse column coefficients onto the grid; O(L^3 log L).
 
     sink, when given, receives the samples one block of beta rows at a
-    time, as sink(rows, fill), and nothing is returned; `scurve analyze`
-    passes one that writes each block into its container.
+    time, as sink(rows, block), and nothing is returned: rows is the
+    (gamma, beta) slice of the block in the grid's shape and block a
+    fresh array of those samples, which the sink may keep or overwrite.
+    The sink runs on the transform's pool and must submit nothing to it.
+    `scurve analyze` passes one that writes each block into its container.
     """
     return _so3_inverse_curvelet(w, grid, False, sink)
 

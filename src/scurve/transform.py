@@ -91,9 +91,10 @@ def _coeff_grids(params: TilingParams, multires: bool) -> tuple:
 class CurveletCoeffs:
     """One scale signal per analysis band plus the low-frequency residue.
 
-    A scale is an SO3Signal in memory, a _PendingSignal not synthesised
-    yet or a section left in an open container (container._StoredSignal),
-    and synthesize takes each kind.
+    A scale is an SO3Signal in memory or a _PendingSignal, whose samples
+    come only when it is emitted: a synthesis not run yet, or a section
+    left in an open container (container._read_coeff_stream).
+    synthesize and write_coeffs take either kind.
     """
 
     params: TilingParams
@@ -161,13 +162,15 @@ def _stages(real: bool):
 
 
 class _PendingSignal(NamedTuple):
-    """A scale signal whose rotation-group synthesis has not run yet.
+    """A scale signal whose samples are made or read only when it is emitted.
 
-    emit() runs it and returns the SO3Signal.  emit(sink=sink) runs it
-    and hands each block of beta rows to sink instead (see
-    so3_inverse_curvelet), so no cube of samples is ever held.  Only the
-    signal's harmonic coefficients wait in the meantime; the scale's
-    Wigner coefficients are built when it is emitted.
+    emit() returns the SO3Signal.  emit(sink=sink) hands each finished
+    block of beta rows to sink instead, as sink(rows, block) (see
+    so3_inverse_curvelet), so no cube of samples is ever held.  A
+    synthesis not run yet holds only its harmonic coefficients in the
+    meantime, and builds the scale's Wigner coefficients when it is
+    emitted (_emit_scale); a section left in an open container reads its
+    blocks from the file (container._emit_section).
     """
 
     grid: SO3Grid
@@ -220,11 +223,11 @@ def synthesize(c: CurveletCoeffs, t: Tiling) -> SphereSignal:
     """Reassemble the sphere signal from its scale signals; exact.
 
     Real-flagged coefficients synthesise through the half-spectrum Wigner
-    transforms to a real-flagged signal.  A scale's samples are read one
-    block of beta rows at a time (so3_forward_curvelet), so no scale is
-    held whole when it is left in its container or still pending, as
-    _analysis_stream leaves it.  A scale or scaling signal with a
-    non-finite sample raises ValueError.
+    transforms to a real-flagged signal.  A pending scale, still to be
+    synthesised as _analysis_stream leaves it or left in its container,
+    hands its samples to the forward transform one block of beta rows at
+    a time (so3_forward_curvelet), so it is never held whole.  A scale or
+    scaling signal with a non-finite sample raises ValueError.
     """
     p = t.params
     if c.params != p:

@@ -648,7 +648,10 @@ class TestPreflight:
 
     @pytest.mark.parametrize("command", ["roundtrip", "bench"])
     def test_round_trip_notes_report_the_preflight(self, tmp_path, capsys, monkeypatch, command):
-        """roundtrip --out and bench --out note the pre-flight's estimate and the peak RSS."""
+        """roundtrip --out and bench --out note the estimate, its workers and the peak RSS.
+
+        The estimate grows with the worker count, so the note names it.
+        """
         made = []
 
         def check_fits(estimate, params, _fn=cli._check_fits):
@@ -657,11 +660,15 @@ class TestPreflight:
 
         monkeypatch.setattr(cli, "_check_fits", check_fits)
         out = tmp_path / "table.csv"
-        assert run([command, "--L", "8,4", "--repeats", "1", "--out", str(out)]) == 0
-        note = json.loads(capsys.readouterr().out)
-        assert made == [{"estimated_peak_mib": note["estimated_peak_mib"]}]
-        if cli.resource is not None:
-            assert note["peak_rss_mib"] > 0
+        for threads in (1, 2):
+            monkeypatch.setenv("SCURVE_THREADS", str(threads))
+            assert run([command, "--L", "8,4", "--repeats", "1", "--out", str(out)]) == 0
+            note = json.loads(capsys.readouterr().out)
+            assert made.pop() == {"estimated_peak_mib": note["estimated_peak_mib"]}
+            assert not made
+            assert note["workers"] == threads
+            if cli.resource is not None:
+                assert note["peak_rss_mib"] > 0
 
     def test_notes_report_the_estimate(self, tmp_path, inputs, capsys):
         assert run(self.argv("synthesize", inputs, tmp_path / "g.scrv")) == 0

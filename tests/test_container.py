@@ -511,11 +511,39 @@ class TestBlockIO:
             np.testing.assert_array_equal(d.scaling.values, c.scaling.values)
             for stored, sig in zip(d.scales, c.scales):
                 assert stored.grid == sig.grid and not stored.real
-                assert stored.values.shape == sig.values.shape
-                for rows in so3._beta_blocks(sig.grid.L):
-                    block = stored.values[rows]
+                assert stored.emit().values.shape == sig.values.shape
+                seen = []
+
+                def sink(rows, block):
                     assert block.flags.c_contiguous
                     np.testing.assert_array_equal(block, sig.values[rows])
+                    seen.append(rows[1].indices(sig.grid.L)[:2])
+
+                stored.emit(sink=sink)
+                blocks = so3._beta_blocks(sig.grid.L)
+                assert sorted(seen) == [rows[1].indices(sig.grid.L)[:2] for rows in blocks]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_open_container_is_copied_block_by_block(self, tmp_path, rng, real):
+        """write_coeffs of the coefficients of an open container writes its bytes again.
+
+        Each stored scale goes from one file to the other one beta block at
+        a time, so the traced peak stays below one scale section.
+        """
+        c, _ = make_coeffs(64, 0 if real else 2, rng, j_min=2, real=real)
+        src, out = tmp_path / "src.scrv", tmp_path / "out.scrv"
+        container.write_coeffs(src, c)
+        section = max(s.values.nbytes for s in c.scales)
+        del c
+        with container._read_coeff_stream(src) as d:
+            tracemalloc.start()
+            try:
+                container.write_coeffs(out, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.read_bytes() == src.read_bytes()
+        assert peak < section / 2, (peak, section)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_short_writes_and_reads_are_retried(self, tmp_path, rng, monkeypatch, real):

@@ -271,7 +271,7 @@ class TestEdgeNodes:
                 if real:
                     dense = dense.real
                 sunk = np.empty(grid.shape, dense.dtype)
-                inverse(w, grid, sink=so3._array_sink(sunk))
+                inverse(w, grid, sink=sunk.__setitem__)
                 for got in (inverse(w, grid).values, sunk):
                     assert np.isfinite(got).all(), (L, real)
                     assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max(), (L, real)
@@ -297,7 +297,7 @@ def floor_case(real, L, rng):
 def sunk(inverse, w, grid):
     """The samples of inverse(w, grid) as its sink receives them, block by block."""
     values = np.full(grid.shape, np.nan, float if inverse is scurve.so3_inverse_curvelet_real else complex)
-    inverse(w, grid, sink=lambda rows, fill: fill(values[rows]))
+    inverse(w, grid, sink=values.__setitem__)
     return values
 
 
@@ -582,9 +582,9 @@ class TestOrderBlocks:
         f = scurve.so3_inverse_curvelet(w, grid)
         fr = scurve.so3_inverse_curvelet_real(wr, grid)
         sunk = np.empty(grid.shape, complex)
-        scurve.so3_inverse_curvelet(w, grid, sink=so3._array_sink(sunk))
+        scurve.so3_inverse_curvelet(w, grid, sink=sunk.__setitem__)
         sunk_real = np.empty(grid.shape)
-        scurve.so3_inverse_curvelet_real(wr, grid, sink=so3._array_sink(sunk_real))
+        scurve.so3_inverse_curvelet_real(wr, grid, sink=sunk_real.__setitem__)
         forward = scurve.so3_forward_curvelet(f)
         forward_real = scurve.so3_forward_curvelet(fr)
         arrays = (f.values, fr.values, sunk, sunk_real, forward.values, forward_real.values)
@@ -758,7 +758,7 @@ class TestCountedWork:
             w, _, inverse = floor_case(real, L, rng)
             grid = scurve.SO3Grid(L)
             values = np.empty(grid.shape, float if real else complex)
-            sink = None if path == "in-place" else so3._array_sink(values)
+            sink = None if path == "in-place" else values.__setitem__
             tr = tracer.Tracer()
             tr.install()
             try:
@@ -825,9 +825,8 @@ class TestBlockStreaming:
         got = np.full(grid.shape, np.nan, dtype=expected.dtype)
         seen = []
 
-        def sink(rows, fill):
-            block = np.empty_like(got[rows])
-            fill(block)
+        def sink(rows, block):
+            assert block.shape == got[rows].shape and block.dtype == got.dtype
             got[rows] = block
             seen.append(rows[1].indices(L)[:2])
 
@@ -875,9 +874,9 @@ class TestBlockStreaming:
             _fn(task, items)
 
         def emit(sink):
-            def counted(rows, fill):
+            def counted(rows, block):
                 blocks.append(rows[1].indices(L)[:2])
-                sink(rows, fill)
+                sink(rows, block)
 
             inverse(w, grid, sink=counted)
 
@@ -938,7 +937,8 @@ class TestTriangleLayout:
         """Blocks of a triangle synthesise as the zero-filled dense spectrum does.
 
         The triangle's rows are handed over as the inverse's closed form
-        hands them, one block of beta rows at a time.
+        hands them, one block of beta rows at a time, and the blocks go
+        to a sink or into an output cube.
         """
         L = 16
         K = 2 * L - 1
@@ -955,8 +955,11 @@ class TestTriangleLayout:
         else:
             expected = np.fft.ifft2(dense, axes=(0, 2), norm="forward")
         got = np.empty((K, L, K), float if real else complex)
-        so3._synthesis_blocks(L, real, lambda rows: spectrum[rows], so3._array_sink(got))
+        so3._synthesis_blocks(L, real, lambda rows: spectrum[rows], got.__setitem__)
         assert got.tobytes() == expected.tobytes()
+        into = np.empty_like(got)
+        so3._synthesis_blocks(L, real, lambda rows: spectrum[rows], out=into)
+        assert into.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_peak_model_counts_the_spectrum_the_transforms_allocate(self, monkeypatch, rng, real):
@@ -969,10 +972,6 @@ class TestTriangleLayout:
             w = oracles.random_curvelet_wigner_coeffs(L, rng)
             inverse = scurve.so3_inverse_curvelet
         f = inverse(w, grid)
-
-        def discard(rows, fill):
-            fill(np.empty(f.values[rows].shape, f.values.dtype))
-
         sizes, shapes = [], []
 
         def spectrum(*args, _fn=so3._analysis_spectrum, **kwargs):
@@ -993,7 +992,7 @@ class TestTriangleLayout:
         monkeypatch.setattr(so3, "_analysis_spectrum", spectrum)
         monkeypatch.setattr(so3, "_edge_rows", edge_rows)
         scurve.so3_forward_curvelet(f)
-        inverse(w, grid, sink=discard)
+        inverse(w, grid, sink=lambda rows, block: None)
         # The forward holds the model's spectrum; the inverse evaluates the
         # triangle one block of beta rows at a time and holds none.
         assert sizes == [so3._curvelet_peak_parts(L, real, 1, True)["spectrum"]]
@@ -1025,8 +1024,8 @@ class TestTriangleLayout:
         f = inverse(w, grid)
         scurve.so3_forward_curvelet(f)  # the cached tables, untraced
 
-        def discard(rows, fill):
-            fill(np.empty(f.values[rows].shape, f.values.dtype))
+        def discard(rows, block):
+            pass
 
         peaks = []
         for run in (lambda: scurve.so3_forward_curvelet(f), lambda: inverse(w, grid, sink=discard)):
@@ -1045,11 +1044,11 @@ class TestTriangleLayout:
     def test_streamed_inverse_holds_one_block_not_the_triangle(self, monkeypatch, rng, real):
         """One worker's traced peak of an inverse into a discarding sink, at L = 64.
 
-        It stays within one worker's block buffers (the sink's block, the
-        block's triangle rows and their exponents or dense workspace, as
-        the peak model counts them without its allocator slack) plus the
-        coefficients and their index arrays: less than the triangle
-        spectrum alone.
+        It stays within one worker's block buffers (the block handed to
+        the sink, the block's triangle rows and their exponents or dense
+        workspace, as the peak model counts them without its allocator
+        slack) plus the coefficients and their index arrays: less than the
+        triangle spectrum alone.
         """
         monkeypatch.setenv("SCURVE_THREADS", "1")
         L = 64
@@ -1060,10 +1059,9 @@ class TestTriangleLayout:
         else:
             w = oracles.random_curvelet_wigner_coeffs(L, rng)
             inverse = scurve.so3_inverse_curvelet
-        dtype = float if real else complex
 
-        def discard(rows, fill):
-            fill(np.empty((2 * L - 1, rows[1].stop - rows[1].start, 2 * L - 1), dtype))
+        def discard(rows, block):
+            pass
 
         inverse(w, grid, sink=discard)  # the cached tables, untraced
         tracemalloc.start()

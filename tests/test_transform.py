@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scurve
-from scurve import transform
+from scurve import container, transform
 from scurve.wigner import wigner_d_matrix
 
 import oracles
@@ -402,7 +402,7 @@ class TestWorkerCount:
 
 
 class TestStreamedRoundTrip:
-    """synthesize takes the pending scales of _analysis_stream, block by block."""
+    """synthesize takes pending scales block by block: still to be synthesised, or stored."""
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("multires", [True, False], ids=["multires", "fullres"])
@@ -410,8 +410,9 @@ class TestStreamedRoundTrip:
         "spin, real", [(0, True), (0, False), (2, False)], ids=["real", "spin0", "spin2"]
     )
     def test_pending_scales_synthesise_as_held_ones(
-        self, monkeypatch, rng, spin, real, multires, threads
+        self, tmp_path, monkeypatch, rng, spin, real, multires, threads
     ):
+        """The scales of _analysis_stream and of an open container give the same bytes."""
         monkeypatch.setenv("SCURVE_THREADS", threads)
         L = 20  # beta blocks of 8, 8 and 4 rows at the full band limit
         t = tiling_for(L, spin, j_min=1)
@@ -420,7 +421,13 @@ class TestStreamedRoundTrip:
         streamed = transform._analysis_stream(f, t, multires)
         assert all(isinstance(s, transform._PendingSignal) for s in streamed.scales)
         got = scurve.synthesize(streamed, t)
-        expected = scurve.synthesize(scurve.analyze(f, t, multires), t)
+        held = scurve.analyze(f, t, multires)
+        expected = scurve.synthesize(held, t)
         assert got.real == expected.real == real
         assert got.values.tobytes() == expected.values.tobytes()
         np.testing.assert_allclose(got.values, f.values, rtol=0, atol=1e-10)
+        path = tmp_path / "c.scrv"
+        container.write_coeffs(path, held)
+        with container._read_coeff_stream(path) as stored:
+            assert all(isinstance(s, transform._PendingSignal) for s in stored.scales)
+            assert scurve.synthesize(stored, t).values.tobytes() == expected.values.tobytes()
